@@ -1,5 +1,6 @@
 """The insertion bijection, the three-case rearrangement, and their composite."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -169,6 +170,34 @@ def test_phi_round_trips_exhaustive(n):
         assert phi(phi_inv(m)) == m
         assert fm.nestings() == m.st_total()
         assert fm.first_edge == m.first_edge
+
+
+# sha256 of "<image>.to_text()\n" over all_matchings(n) in stream order, as
+# (phi, phi_inv).  The claims do not determine phi uniquely; these pin its
+# exact output.  n=7 (too slow for the suite) gives b53132dd.../586b559b...
+PHI_DIGESTS = {
+    1: ("82fb7f354fa62efa66d874e51717795aaa392ab0589d0879df06a643909610d8",
+        "82fb7f354fa62efa66d874e51717795aaa392ab0589d0879df06a643909610d8"),
+    2: ("a581d257b47f53341afd89e150ba5d137fe0664f37ab82b0a1e89c8d1be4be8d",
+        "a581d257b47f53341afd89e150ba5d137fe0664f37ab82b0a1e89c8d1be4be8d"),
+    3: ("4e2bb561ea52d6f0f9fa95aab36f1fbd311387437908f75f0b099c956ee07023",
+        "4e2bb561ea52d6f0f9fa95aab36f1fbd311387437908f75f0b099c956ee07023"),
+    4: ("63e8dcc73f8fbcbabbb9eeb2b216fbd704a20a613bf4267a7a0026b5fe3f27b7",
+        "f077ec8d474cacd69bc73d03a193cc177da2c9e463768e4cbf2726161a9da05b"),
+    5: ("f18f52f67b73fc07019b733898993a27908db0622a7d9e09fd446302445a4164",
+        "ebd92982ca6500193cf9ceadad9c57901c68d6cd14cdefee05babbb8e77d9120"),
+    6: ("7a8022a116aabcf277a5ae7d33a36bfbf746f4fc997a662fa524c68dbdc25126",
+        "67c35c18d71963cd174566585f1b8251267229489eaf6581374e8ba16975154a"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(PHI_DIGESTS))
+def test_phi_golden_digest(n):
+    forward, inverse = hashlib.sha256(), hashlib.sha256()
+    for m in all_matchings(n):
+        forward.update((phi(m).to_text() + "\n").encode())
+        inverse.update((phi_inv(m).to_text() + "\n").encode())
+    assert (forward.hexdigest(), inverse.hexdigest()) == PHI_DIGESTS[n]
 
 
 @given(matchings())
