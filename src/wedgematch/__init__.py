@@ -2,17 +2,12 @@
 between them that sends north steps to nestings."""
 
 from .bijections import (
-    CrossFanContext,
     InsertionCode,
-    NestContext,
-    PhiCase,
     big_phi,
     big_phi_inv,
     insertion_code,
     path_from_code,
     phi,
-    phi_case_forward,
-    phi_case_inverse,
     phi_inv,
     psi,
     psi_inv,
@@ -29,25 +24,21 @@ from .enumeration import (
 )
 from .errors import InvalidMatchingError, InvalidPathError, OverCapError, ParseError
 from .matching import Edge, Matching, PairRelation, classify_pair, concatenate
-from .paths import Step, WedgePath, concatenate_paths
+from .paths import WedgePath, concatenate_paths
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CLAIMS",
-    "CrossFanContext",
     "DistributionTable",
     "Edge",
     "InsertionCode",
     "InvalidMatchingError",
     "InvalidPathError",
     "Matching",
-    "NestContext",
     "OverCapError",
     "PairRelation",
     "ParseError",
-    "PhiCase",
-    "Step",
     "VerificationReport",
     "WedgePath",
     "all_matchings",
@@ -62,8 +53,6 @@ __all__ = [
     "insertion_code",
     "path_from_code",
     "phi",
-    "phi_case_forward",
-    "phi_case_inverse",
     "phi_inv",
     "psi",
     "psi_inv",

@@ -3,35 +3,28 @@
 ``psi`` encodes a path as an insertion code and builds a matching by
 repeatedly connecting the least free vertex to its b_i-th free right
 neighbour.  ``phi`` is a first-edge-preserving rearrangement of matchings
-that turns the stacking statistic into the nesting count; it works
-recursively on the first edge with a three-way case split on how the first
-two edges relate.  The composite ``big_phi = phi o psi`` sends the number
+that turns the stacking statistic into the nesting count; it is computed
+iteratively over the insertion code, with a three-way case split on how
+the first two edges relate at each step.  The composite ``big_phi = phi o psi`` sends the number
 of north steps of a path to the number of nestings of its image.
 """
 
 from __future__ import annotations
 
-import enum
+import bisect
 from dataclasses import dataclass
 
 from .errors import InvalidMatchingError
-from .matching import Edge, Matching
+from .matching import Matching
 from .paths import WedgePath
 
 __all__ = [
-    "CrossFanContext",
     "InsertionCode",
-    "NestContext",
-    "PhiCase",
     "big_phi",
     "big_phi_inv",
-    "cross_fan_context",
     "insertion_code",
-    "nest_context",
     "path_from_code",
     "phi",
-    "phi_case_forward",
-    "phi_case_inverse",
     "phi_inv",
     "psi",
     "psi_inv",
@@ -130,285 +123,105 @@ def psi_inv(m: Matching) -> WedgePath:
 
 
 # -- the three-case rearrangement -------------------------------------------
-
-
-class PhiCase(enum.Enum):
-    """How the first two edges of a matching relate."""
-
-    ALIGNED = "aligned"
-    CROSSED = "crossed"
-    NESTED = "nested"
-
-
-@dataclass(frozen=True)
-class CrossFanContext:
-    """Working data for the crossed case.
-
-    ``fan`` holds the edges crossing the first edge (1, r), ordered by left
-    endpoint; the first of them starts at vertex 2.
-    """
-
-    r: int
-    fan: tuple[Edge, ...]
-
-    def __post_init__(self) -> None:
-        if not self.fan or self.fan[0].left != 2:
-            raise ValueError("crossed case requires a fan starting at vertex 2")
-        for left, right in self.fan:
-            if not 1 < left < self.r < right:
-                raise ValueError(f"edge ({left},{right}) does not cross (1,{self.r})")
-
-
-@dataclass(frozen=True)
-class NestContext:
-    """Working data for the nested case.
-
-    ``cross_both`` are the edges crossing both (1, r) and (2, q);
-    ``cross_outer`` cross (1, r) only.  ``anchors`` merges their left
-    endpoints with q into one sorted reconnection pool v_1 < ... <
-    v_{p+s+1}, in which q sits at position p+1.
-    """
-
-    r: int
-    q: int
-    cross_both: tuple[Edge, ...]
-    cross_outer: tuple[Edge, ...]
-    anchors: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        p, s = len(self.cross_both), len(self.cross_outer)
-        lefts = [e.left for e in self.cross_both] + [self.q] + [
-            e.left for e in self.cross_outer
-        ]
-        if list(self.anchors) != lefts or sorted(lefts) != lefts:
-            raise ValueError("anchor pool must be the sorted lefts merged with q")
-        if len(self.anchors) != p + s + 1:
-            raise ValueError("anchor pool has the wrong size")
-
-
-def phi_case_forward(m: Matching) -> PhiCase:
-    """Classify how the first two edges (by left endpoint) relate.
-
-    Aligned when the first edge is (1, 2); otherwise the second edge is
-    (2, q) and the pair is crossed when q > r, nested when q < r.
-    """
-    if m.n < 2:
-        raise ValueError("case split needs at least two edges")
-    r = m.partner_of(1)
-    if r == 2:
-        return PhiCase.ALIGNED
-    q = m.partner_of(2)
-    return PhiCase.CROSSED if q > r else PhiCase.NESTED
-
-
-def cross_fan_context(m: Matching) -> CrossFanContext:
-    """Extract the crossed-case fan from a matching whose first two edges cross."""
-    r = m.partner_of(1)
-    fan = tuple(
-        Edge(left, right)
-        for left, right in m.edges
-        if 1 < left < r < right
-    )
-    return CrossFanContext(r=r, fan=fan)
-
-
-def nest_context(m: Matching) -> NestContext:
-    """Extract the nested-case data from a matching whose first two edges nest."""
-    r = m.partner_of(1)
-    q = m.partner_of(2)
-    cross_both = tuple(
-        Edge(left, right)
-        for left, right in m.edges
-        if 2 < left < q and right > r
-    )
-    cross_outer = tuple(
-        Edge(left, right)
-        for left, right in m.edges
-        if q < left < r and right > r
-    )
-    anchors = tuple(
-        sorted([e.left for e in cross_both] + [q] + [e.left for e in cross_outer])
-    )
-    return NestContext(
-        r=r, q=q, cross_both=cross_both, cross_outer=cross_outer, anchors=anchors
-    )
-
-
-# Surgery bookkeeping: vertices are tracked as orderable keys (v, tag) so a
-# vertex can be inserted between neighbours without renumbering on the fly;
-# _relabel then maps keys to 1..2n by rank.  Existing vertices carry tag 0,
-# a vertex inserted right before position v carries (v, -1), and one
-# inserted right after carries (v, 1).
-
-_Key = tuple[int, int]
-
-
-def _relabel(keyed_edges: list[tuple[_Key, _Key]]) -> Matching:
-    keys = sorted(k for e in keyed_edges for k in e)
-    rank = {k: i for i, k in enumerate(keys, start=1)}
-    table = [0] * len(keys)
-    for ka, kb in keyed_edges:
-        a, b = rank[ka], rank[kb]
-        table[a - 1], table[b - 1] = b, a
-    return Matching(tuple(table))
-
-
-def _strip_first_edge(m: Matching) -> Matching:
-    """Delete the first edge and its two vertices, renumbering the rest."""
-    return _relabel([((a, 0), (b, 0)) for a, b in m.edges[1:]])
-
-
-def _reinsert_first_edge(m: Matching, r: int) -> Matching:
-    """Insert fresh vertices at positions 1 and r and connect them."""
-    keyed: list[tuple[_Key, _Key]] = [((a, 0), (b, 0)) for a, b in m.edges]
-    keyed.append(((0, 0), (r - 2, 1)))
-    return _relabel(keyed)
-
-
-def _cross_surgery(n2: Matching) -> Matching:
-    """Crossed case: cycle the fan's right endpoints one slot leftward.
-
-    Each fan right endpoint r_j reconnects to the next fan left l_{j+1};
-    the last one connects to a fresh vertex placed right before r; vertex 2
-    disappears.  The first edge keeps its position (1, r).
-    """
-    ctx = cross_fan_context(n2)
-    fan_set = set(ctx.fan)
-    keyed: list[tuple[_Key, _Key]] = [
-        ((a, 0), (b, 0)) for a, b in n2.edges if Edge(a, b) not in fan_set
-    ]
-    for this, nxt in zip(ctx.fan, ctx.fan[1:]):
-        keyed.append(((nxt.left, 0), (this.right, 0)))
-    keyed.append(((ctx.r, -1), (ctx.fan[-1].right, 0)))
-    return _relabel(keyed)
-
-
-def _nest_surgery(n2: Matching) -> Matching:
-    """Nested case: re-anchor the crossing edges around a fresh vertex.
-
-    A fresh vertex right before r takes anchor v_{s+1}; the crossing edges'
-    right endpoints r_1..r_{p+s} take the remaining anchors in order; the
-    edge (2, q) dissolves (q survives as an anchor, vertex 2 disappears).
-    """
-    ctx = nest_context(n2)
-    drop = set(ctx.cross_both) | set(ctx.cross_outer) | {Edge(2, ctx.q)}
-    keyed: list[tuple[_Key, _Key]] = [
-        ((a, 0), (b, 0)) for a, b in n2.edges if Edge(a, b) not in drop
-    ]
-    p, s = len(ctx.cross_both), len(ctx.cross_outer)
-    keyed.append(((ctx.anchors[s], 0), (ctx.r, -1)))
-    remaining = ctx.anchors[:s] + ctx.anchors[s + 1:]
-    rights = [e.right for e in ctx.cross_both + ctx.cross_outer]
-    for anchor, right in zip(remaining, rights):
-        keyed.append(((anchor, 0), (right, 0)))
-    return _relabel(keyed)
+#
+# phi is defined by recursion on the first edge: strip it, transform the
+# rest, put it back, then repair according to how the first two edges
+# relate.  Stripping the first edge of psi(b) gives psi(b[1:]), so the
+# first edges met on the way down are the insertion code itself, and the
+# recursion unrolls into one loop over b from last to first on a single
+# 0-based partner list.  The inverse unwinds from the outside, collecting
+# the code, and hands it to the insertion procedure.
 
 
 def phi(m: Matching) -> Matching:
     """First-edge-preserving rearrangement with nestings(phi(M)) = st_total(M).
 
-    Defined recursively: strip the first edge, transform the rest, put the
-    first edge back, then repair the picture according to how the first two
-    edges relate (aligned: nothing, crossed: fan cycling, nested:
-    re-anchoring).
+    With 0-based vertices, each step puts the first edge (0, b) back in
+    front of the matching built so far and repairs the picture according
+    to how the first two edges relate.  Aligned (b = 1): nothing to
+    repair.  Crossed: the fan of edges crossing the first edge passes its
+    right endpoints one left endpoint down the line.  Nested: the edges
+    crossing the first edge are re-anchored around the second edge's right
+    endpoint.  In both repairs vertex 1 disappears and a fresh vertex
+    appears right before b.
 
     >>> phi(Matching.from_pairs([(1, 6), (2, 5), (3, 4)])).to_text()
     '(1,6),(2,3),(4,5)'
     """
     if m.n <= 1:
         return m
-    r = m.partner_of(1)
-    n1 = phi(_strip_first_edge(m))
-    n2 = _reinsert_first_edge(n1, r)
-    case = phi_case_forward(n2)
-    if case is PhiCase.ALIGNED:
-        return n2
-    out = _cross_surgery(n2) if case is PhiCase.CROSSED else _nest_surgery(n2)
-    assert out.partner_of(1) == r, "surgery must keep the first edge in place"
-    return out
-
-
-def phi_case_inverse(m: Matching) -> PhiCase:
-    """Detect which case produced a matching.
-
-    The aligned case leaves first edge (1, 2); otherwise the vertex just
-    before the right endpoint of the first edge is a left endpoint exactly
-    for the crossed case and a right endpoint exactly for the nested case.
-    """
-    if m.n < 2:
-        raise ValueError("case split needs at least two edges")
-    r = m.partner_of(1)
-    if r == 2:
-        return PhiCase.ALIGNED
-    return PhiCase.CROSSED if m.partner_of(r - 1) > r - 1 else PhiCase.NESTED
-
-
-def _crossing_edges(m: Matching, r: int) -> list[Edge]:
-    return [Edge(a, b) for a, b in m.edges if 1 < a < r < b]
-
-
-def _cross_unwind(m: Matching) -> Matching:
-    """Undo :func:`_cross_surgery`: cycle fan rights one slot rightward."""
-    r = m.partner_of(1)
-    crossing = _crossing_edges(m, r)
-    if not crossing or crossing[-1].left != r - 1:
-        raise InvalidMatchingError(
-            "corrupted input: crossed-case unwind finds no fan at the first edge"
-        )
-    keyed: list[tuple[_Key, _Key]] = [
-        ((a, 0), (b, 0))
-        for a, b in m.edges
-        if Edge(a, b) not in set(crossing)
-    ]
-    lefts: list[_Key] = [(1, 1)] + [(e.left, 0) for e in crossing[:-1]]
-    for left, edge in zip(lefts, crossing):
-        keyed.append((left, (edge.right, 0)))
-    return _relabel(keyed)
-
-
-def _nest_unwind(m: Matching) -> Matching:
-    """Undo :func:`_nest_surgery`: rebuild the anchor pool and re-anchor."""
-    r = m.partner_of(1)
-    new_vertex = r - 1
-    partner = m.partner_of(new_vertex)
-    crossing = _crossing_edges(m, r)
-    pool = sorted([e.left for e in crossing] + [partner])
-    s = pool.index(partner)
-    p = len(crossing) - s
-    q_now = pool[p]
-    drop = set(crossing) | {Edge(partner, new_vertex)}
-    keyed: list[tuple[_Key, _Key]] = [
-        ((a, 0), (b, 0)) for a, b in m.edges if Edge(a, b) not in drop
-    ]
-    keyed.append(((1, 1), (q_now, 0)))
-    lefts = [v for v in pool if v != q_now]
-    for left, edge in zip(lefts, crossing):
-        keyed.append(((left, 0), (edge.right, 0)))
-    return _relabel(keyed)
+    code = _code_from_matching(m).b
+    p = [1, 0]  # the last code entry is always 1: a single edge
+    for b in reversed(code[:-1]):
+        if b == 1:
+            p = [1, 0] + [v + 2 for v in p]
+            continue
+        # Old vertex v keeps its index below lo = b - 1 and moves past the
+        # fresh vertex lo and the first edge's end b otherwise.  Old vertex
+        # 0 is the one deleted, so its slot stands in for the fresh vertex
+        # while rewiring.  lefts/rights: the other edges crossing (0, b).
+        lo = b - 1
+        q = p[0]
+        lefts = [j for j in range(1, lo) if p[j] >= lo]
+        rights = [p[j] for j in lefts]
+        if q >= lo:
+            pairs = zip(lefts + [0], [q] + rights)
+        else:
+            anchors = sorted(lefts + [q])
+            fresh_mate = anchors.pop(len(lefts) - bisect.bisect(lefts, q))
+            pairs = [(fresh_mate, 0), *zip(anchors, rights)]
+        for u, v in pairs:
+            p[u], p[v] = v, u
+        t = [lo if v == 0 else v if v < lo else v + 2 for v in p]
+        p = [b] + t[1:lo] + [t[0], 0] + t[lo:]
+    return Matching(tuple(v + 1 for v in p))
 
 
 def phi_inv(m: Matching) -> Matching:
     """Exact two-sided inverse of :func:`phi`.
 
-    Detects the case from the shape of the result, undoes the surgery,
-    strips the first edge, recurses, and reinserts the first edge.
+    Reads the case off the result: with 0-based vertices, the first edge
+    (0, r) is aligned when r = 1; otherwise the fresh vertex r - 1 is a left endpoint exactly in
+    the crossed case.  Each step records r as the next insertion code
+    entry, undoes the repair and strips the first edge.
+
+    >>> phi_inv(Matching.from_pairs([(1, 6), (2, 3), (4, 5)])).to_text()
+    '(1,6),(2,5),(3,4)'
     """
     if m.n <= 1:
         return m
-    case = phi_case_inverse(m)
-    if case is PhiCase.ALIGNED:
-        n2 = m
-    elif case is PhiCase.CROSSED:
-        n2 = _cross_unwind(m)
-    else:
-        n2 = _nest_unwind(m)
-    r = m.partner_of(1)
-    if n2.partner_of(1) != r:
-        raise InvalidMatchingError(
-            "corrupted input: unwinding moved the first edge"
-        )
-    m1 = phi_inv(_strip_first_edge(n2))
-    return _reinsert_first_edge(m1, r)
+    p = [v - 1 for v in m.partner]
+    code: list[int] = []
+    while len(p) > 2:
+        r = p[0]
+        code.append(r)
+        if r == 1:
+            p = [v - 2 for v in p[2:]]
+            continue
+        # Undoing the repair deletes the fresh vertex f and brings back a
+        # vertex right after 0, which is vertex 0 once the first edge is
+        # stripped; slot f stands in for it while rewiring.
+        f = r - 1
+        lefts = [j for j in range(1, r) if p[j] > r]
+        rights = [p[j] for j in lefts]
+        if p[f] > f:
+            if not lefts or lefts[-1] != f:
+                raise InvalidMatchingError(
+                    "corrupted input: crossed-case unwind finds no fan at the first edge"
+                )
+            pairs = zip([f] + lefts[:-1], rights)
+        else:
+            anchors = sorted(lefts + [p[f]])
+            q = anchors.pop(len(lefts) - bisect.bisect(lefts, p[f]))
+            pairs = [(f, q), *zip(anchors, rights)]
+        for u, v in pairs:
+            p[u], p[v] = v, u
+        if p[0] != r:
+            raise InvalidMatchingError("corrupted input: unwinding moved the first edge")
+        t = [0 if v == f else v if v < f else v - 2 for v in p]
+        p = [t[f]] + t[1:f] + t[r + 1:]
+    code.append(1)
+    return _matching_from_code(InsertionCode(tuple(code)))
 
 
 # -- the composite bijection -------------------------------------------------

@@ -198,6 +198,7 @@ class Matching:
 
     # -- arc statistics ----------------------------------------------------
 
+    @cached_property
     def _relation_counts(self) -> tuple[int, int, int]:
         cr = ne = al = 0
         for e, f in itertools.combinations(self.edges, 2):
@@ -212,7 +213,7 @@ class Matching:
 
     def crossings(self) -> int:
         """Number of crossing pairs of edges."""
-        return self._relation_counts()[0]
+        return self._relation_counts[0]
 
     def nestings(self) -> int:
         """Number of nesting pairs of edges.
@@ -220,11 +221,11 @@ class Matching:
         >>> Matching.from_pairs([(1, 3), (2, 7), (4, 6), (5, 8), (9, 10)]).nestings()
         1
         """
-        return self._relation_counts()[1]
+        return self._relation_counts[1]
 
     def alignments(self) -> int:
         """Number of aligned pairs of edges."""
-        return self._relation_counts()[2]
+        return self._relation_counts[2]
 
     def nestings_below(self, e: Edge) -> int:
         """Count edges nested strictly below ``e``."""

@@ -8,21 +8,12 @@ sequence a_1..a_n of the east steps; the step string is a derived view.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import InvalidPathError, ParseError
 
-__all__ = ["Step", "WedgePath", "concatenate_paths"]
-
-
-class Step(enum.Enum):
-    """A unit step of a partially directed path."""
-
-    EAST = "E"
-    NORTH = "N"
-    SOUTH = "S"
+__all__ = ["WedgePath", "concatenate_paths"]
 
 
 @dataclass(frozen=True)
@@ -125,9 +116,6 @@ class WedgePath:
     def n(self) -> int:
         """Number of east steps."""
         return len(self.heights)
-
-    def steps(self) -> tuple[Step, ...]:
-        return tuple(Step(ch) for ch in self.to_steps())
 
     def to_steps(self) -> str:
         """The derived step string (canonical text form)."""

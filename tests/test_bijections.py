@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,6 @@ from wedgematch import (
     InsertionCode,
     InvalidMatchingError,
     Matching,
-    PhiCase,
     WedgePath,
     big_phi,
     big_phi_inv,
@@ -19,13 +19,11 @@ from wedgematch import (
     insertion_code,
     path_from_code,
     phi,
-    phi_case_forward,
-    phi_case_inverse,
     phi_inv,
     psi,
     psi_inv,
 )
-from wedgematch.bijections import cross_fan_context, nest_context
+from wedgematch.cli import main
 from wedgematch.enumeration import all_matchings, all_paths
 
 EXAMPLE_IMAGE = [(1, 4), (2, 14), (3, 12), (5, 8), (6, 9), (7, 11), (10, 13)]
@@ -78,62 +76,6 @@ def test_psi_inv_rejects_empty_matching():
         psi_inv(Matching(()))
 
 
-# -- case detection -------------------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "pairs,expected",
-    [
-        ([(1, 2), (3, 4)], PhiCase.ALIGNED),
-        ([(1, 3), (2, 4)], PhiCase.CROSSED),
-        ([(1, 4), (2, 3)], PhiCase.NESTED),
-    ],
-)
-def test_phi_case_forward(pairs, expected):
-    assert phi_case_forward(Matching.from_pairs(pairs)) is expected
-
-
-@pytest.mark.parametrize(
-    "pairs,expected",
-    [
-        ([(1, 2), (3, 4)], PhiCase.ALIGNED),
-        ([(1, 6), (2, 3), (4, 5)], PhiCase.NESTED),
-        ([(1, 3), (2, 4)], PhiCase.CROSSED),
-    ],
-)
-def test_phi_case_inverse(pairs, expected):
-    assert phi_case_inverse(Matching.from_pairs(pairs)) is expected
-
-
-def test_case_split_needs_two_edges():
-    with pytest.raises(ValueError):
-        phi_case_forward(Matching.from_pairs([(1, 2)]))
-    with pytest.raises(ValueError):
-        phi_case_inverse(Matching.from_pairs([(1, 2)]))
-
-
-def test_cross_fan_context():
-    ctx = cross_fan_context(Matching.from_pairs([(1, 3), (2, 4)]))
-    assert ctx.r == 3
-    assert [tuple(e) for e in ctx.fan] == [(2, 4)]
-
-
-def test_nest_context_empty_fans():
-    ctx = nest_context(Matching.from_pairs([(1, 4), (2, 3)]))
-    assert (ctx.r, ctx.q) == (4, 3)
-    assert ctx.cross_both == ctx.cross_outer == ()
-    assert ctx.anchors == (3,)
-
-
-def test_nest_context_mixed_fans():
-    # (3,8) crosses both (1,6) and (2,4); (5,7) crosses only (1,6)
-    m = Matching.from_pairs([(1, 6), (2, 4), (3, 8), (5, 7)])
-    ctx = nest_context(m)
-    assert [tuple(e) for e in ctx.cross_both] == [(3, 8)]
-    assert [tuple(e) for e in ctx.cross_outer] == [(5, 7)]
-    assert ctx.anchors == (3, 4, 5)
-
-
 # -- the rearrangement ------------------------------------------------------------
 
 
@@ -144,6 +86,16 @@ def test_phi_examples():
     )
     assert phi(Matching.from_pairs([(1, 3), (2, 4)])).to_text() == "(1,3),(2,4)"
     assert phi(Matching.from_pairs([(1, 2)])).to_text() == "(1,2)"
+    # nested, with one edge crossing both first edges and one the outer only
+    assert (
+        phi(Matching.from_pairs([(1, 6), (2, 4), (3, 8), (5, 7)])).to_text()
+        == "(1,6),(2,8),(3,5),(4,7)"
+    )
+    # crossed at every level
+    assert (
+        phi(Matching.from_pairs([(1, 5), (2, 6), (3, 7), (4, 8)])).to_text()
+        == "(1,5),(2,6),(3,7),(4,8)"
+    )
 
 
 def test_phi_inv_examples():
@@ -152,6 +104,14 @@ def test_phi_inv_examples():
         == "(1,6),(2,5),(3,4)"
     )
     assert phi_inv(Matching.from_pairs([(1, 2)])).to_text() == "(1,2)"
+    assert (
+        phi_inv(Matching.from_pairs([(1, 6), (2, 4), (3, 8), (5, 7)])).to_text()
+        == "(1,6),(2,8),(3,5),(4,7)"
+    )
+    assert (
+        phi_inv(Matching.from_pairs([(1, 5), (2, 6), (3, 7), (4, 8)])).to_text()
+        == "(1,5),(2,6),(3,7),(4,8)"
+    )
 
 
 def test_phi_inv_of_published_image():
@@ -266,6 +226,17 @@ def test_path_components_mirror_insertion_image_components(n):
         path_sizes = [c.n for c in p.components()][::-1]
         image_sizes = [c.n for _, c in psi(p).irreducible_components()]
         assert path_sizes == image_sizes
+
+
+def test_big_phi_large_path(capsys):
+    # far deeper than the interpreter's recursion limit
+    rng = random.Random(1200)
+    p = WedgePath(tuple(rng.randint(-(i - 1), i - 1) for i in range(1, 1201)))
+    image = big_phi(p)
+    assert big_phi_inv(image) == p
+    assert image.nestings() == p.north_steps()
+    assert main(["convert", "--to-matching", p.to_steps()]) == 0
+    assert capsys.readouterr().out.strip() == image.to_text()
 
 
 @given(wedge_paths())
