@@ -1,7 +1,8 @@
 """Command-line front-end: convert, stats, enumerate, verify, render.
 
 Exit codes: 0 success, 1 verification counterexample, 2 parse failure,
-3 invalid object, 4 size over the enumeration cap.
+3 invalid object, 4 size over the enumeration cap, 5 render output not
+writable.
 """
 
 from __future__ import annotations
@@ -177,7 +178,7 @@ def cmd_render(args: argparse.Namespace) -> int:
         text = render(spec)
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return 1
+        return 5
     if args.output is None:
         print(text, end="")
     return 0

@@ -100,13 +100,14 @@ def _matchings_with_forced_choices(n: int, forced: tuple[int, ...]) -> Iterator[
 
     Choice i is the rank of the chosen partner among the free vertices
     strictly right of the least free one, exactly the coordinate system of
-    the insertion code.
+    the insertion code.  One partner table is filled in place; every vertex
+    is overwritten before each leaf, so nothing is undone on the way back.
     """
-    acc: list[tuple[int, int]] = []
+    table = [0] * (2 * n)
 
     def rec(free: tuple[int, ...], depth: int) -> Iterator[Matching]:
         if not free:
-            yield Matching.from_pairs(acc)
+            yield Matching(tuple(table))
             return
         first = free[0]
         if depth < len(forced):
@@ -114,9 +115,9 @@ def _matchings_with_forced_choices(n: int, forced: tuple[int, ...]) -> Iterator[
         else:
             choices = range(1, len(free))
         for j in choices:
-            acc.append((first, free[j]))
+            mate = free[j]
+            table[first - 1], table[mate - 1] = mate, first
             yield from rec(free[1:j] + free[j + 1 :], depth + 1)
-            acc.pop()
 
     yield from rec(tuple(range(1, 2 * n + 1)), 0)
 
@@ -487,9 +488,17 @@ def verify_all(
     process pool; the report is identical for any worker count because the
     cells are merged in a fixed order.  Counterexamples are collected up to
     ``counterexample_limit`` per claim; failures beyond that are only
-    counted.
+    counted.  ``workers`` must be at least 1 and is capped at the CPU
+    count; ``counterexample_limit`` must not be negative.
     """
     _require_within_cap(n, max_n)
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    if counterexample_limit < 0:
+        raise ValueError(
+            f"counterexample limit must not be negative, got {counterexample_limit}"
+        )
+    workers = min(workers, os.cpu_count() or 1)
     if claims is None:
         selected = list(CLAIMS)
     else:

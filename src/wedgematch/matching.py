@@ -9,8 +9,8 @@ immutable; every operation returns fresh objects.
 from __future__ import annotations
 
 import enum
-import itertools
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
@@ -200,16 +200,26 @@ class Matching:
 
     @cached_property
     def _relation_counts(self) -> tuple[int, int, int]:
-        cr = ne = al = 0
-        for e, f in itertools.combinations(self.edges, 2):
-            rel = classify_pair(e, f)
-            if rel is PairRelation.CROSSING:
-                cr += 1
-            elif rel is PairRelation.NESTING:
-                ne += 1
+        """(crossings, nestings, alignments) in one left-to-right sweep.
+
+        ``open_rights`` holds, sorted, the right endpoints of the arcs
+        opened so far and not yet closed.  An arc (v, w) opening at v
+        crosses each open arc that closes before w and nests under each
+        one that closes after w.
+        """
+        n = self.n
+        cr = ne = 0
+        open_rights: list[int] = []
+        for v, w in enumerate(self.partner, start=1):
+            if v < w:
+                k = bisect_left(open_rights, w)
+                cr += k
+                ne += len(open_rights) - k
+                open_rights.insert(k, w)
             else:
-                al += 1
-        return cr, ne, al
+                # Every other open arc closes after v, so v is the least.
+                del open_rights[0]
+        return cr, ne, n * (n - 1) // 2 - cr - ne
 
     def crossings(self) -> int:
         """Number of crossing pairs of edges."""
@@ -260,10 +270,25 @@ class Matching:
     def st_total(self) -> int:
         """Total stacking statistic: sum of st_component over i = 1..n-1.
 
+        Computed in one sweep over consecutive left endpoints a < c with
+        mates b and d.  The pair is nested exactly when d < b.  Of the
+        window [d, b] it then counts d and every vertex strictly between d
+        and b, except those whose mate lies left of a (their edge comes
+        before e_i); b belongs to e_i and is not counted.
+
         >>> Matching.from_pairs([(1, 6), (2, 5), (3, 4)]).st_total()
         2
         """
-        return sum(self.st_component(i) for i in range(1, self.n))
+        partner = self.partner
+        total = 0
+        a = b = 0
+        for c, d in enumerate(partner, start=1):
+            if c > d:
+                continue
+            if d < b:
+                total += b - d - sum(1 for p in partner[d : b - 1] if p < a)
+            a, b = c, d
+        return total
 
     # -- components --------------------------------------------------------
 

@@ -232,6 +232,13 @@ def test_verify_workers_flag(capsys):
     assert "result: PASS" in out
 
 
+@pytest.mark.parametrize("flag,value", [("--workers", "0"), ("--limit", "-1")])
+def test_verify_rejects_bad_workers_or_limit(capsys, flag, value):
+    code, _, err = run_cli(capsys, "verify", "3", flag, value)
+    assert code == 2
+    assert "must" in err
+
+
 def test_verify_counterexample_exits_1(capsys, monkeypatch):
     from wedgematch.enumeration import ClaimResult, VerificationReport
 
@@ -287,5 +294,5 @@ def test_render_unwritable_output(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, "render", "-o", str(tmp_path / "no" / "dir" / "x.txt"), "(1,2)"
     )
-    assert code == 1
+    assert code == 5
     assert "cannot write" in err

@@ -190,6 +190,19 @@ def test_verify_reports_identical_across_worker_counts():
     assert serial.to_json_value() == parallel.to_json_value()
 
 
+def test_verify_workers_capped_at_cpu_count(monkeypatch):
+    import wedgematch.enumeration as enumeration
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("one CPU must not start a process pool")
+
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(enumeration, "Pool", no_pool)
+    capped = verify_all(3, workers=64)
+    serial = verify_all(3, workers=1)
+    assert capped.to_json_value() == serial.to_json_value()
+
+
 def test_verify_claims_filter():
     report = verify_all(3, claims=["theorem1"])
     assert [c.label for c in report.claims] == ["theorem1"]

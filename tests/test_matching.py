@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from strategies import matchings
 from wedgematch import (
@@ -156,6 +156,14 @@ def test_counts_match_oracle_and_sum(m):
     assert cr + ne + al == m.n * (m.n - 1) // 2
 
 
+@settings(max_examples=30, deadline=None)
+@given(matchings(max_n=300))
+def test_sweeps_match_references_large_n(m):
+    pairs = [tuple(e) for e in m.edges]
+    assert (m.crossings(), m.nestings(), m.alignments()) == raw_pair_stats(pairs)
+    assert m.st_total() == sum(m.st_component(i) for i in range(1, m.n))
+
+
 # -- nestings below an edge ----------------------------------------------------
 
 
@@ -200,12 +208,13 @@ def test_st_total_examples():
     assert Matching.from_pairs([(1, 2)]).st_total() == 0
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", range(1, 7))
 def test_st_component_positive_exactly_when_nested(n):
     for m in all_matchings(n):
         for i in range(1, n):
             nested = classify_pair(m.edges[i - 1], m.edges[i]) is PairRelation.NESTING
             assert (m.st_component(i) >= 1) == nested
+        assert m.st_total() == sum(m.st_component(i) for i in range(1, n))
 
 
 # -- irreducible components ------------------------------------------------------
