@@ -234,3 +234,110 @@ def test_report_renders_failures():
     payload = report.to_json_value()
     assert payload["passed"] is False
     assert payload["claims"]["theorem1"]["failed"] == 2
+
+
+# -- failure path ---------------------------------------------------------------------
+
+# Tallies and counterexamples of verify_all(2) with the bijection and
+# statistics broken as in test_verify_reports_failures_verbatim; claims not
+# listed pass on all 3 objects (2 keys for the distributions).
+BROKEN_N2_FAILURES = {
+    "round_trip_psi": [
+        "P=ESES: comes back as EESS",
+        "P=ENESSS: comes back as EESS",
+    ],
+    "round_trip_psi_inv": [
+        "M=(1,2),(3,4): comes back as (1,3),(2,4)",
+        "M=(1,4),(2,3): comes back as (1,3),(2,4)",
+    ],
+    "round_trip_big_phi": [
+        "P=ESES: comes back as EESS",
+        "P=ENESSS: comes back as EESS",
+    ],
+    "lemma1": [
+        "P=ESES: north=0 stacking=1 indexwise_ok=True",
+        "P=EESS: north=0 stacking=1 indexwise_ok=True",
+        "P=ENESSS: north=1 stacking=2 indexwise_ok=True",
+    ],
+    "theorem2": [
+        "M=(1,2),(3,4): stacking=1 nestings=0 first_edge_kept=True",
+        "M=(1,3),(2,4): stacking=1 nestings=0 first_edge_kept=True",
+        "M=(1,4),(2,3): stacking=2 nestings=1 first_edge_kept=True",
+    ],
+    "proposition_a": [
+        "P=ESES: south_run=2 partner_of_1=2",
+        "P=EESS: south_run=3 partner_of_1=3",
+        "P=ENESSS: south_run=4 partner_of_1=4",
+    ],
+    "proposition_b": [
+        "P=ESES: path_sizes(rev)=[] image_sizes=[1, 1] "
+        "piecewise=(1,2),(3,4) global=(1,2),(3,4)",
+        "P=EESS: path_sizes(rev)=[] image_sizes=[2] "
+        "piecewise=(1,3),(2,4) global=(1,3),(2,4)",
+        "P=ENESSS: path_sizes(rev)=[] image_sizes=[2] "
+        "piecewise=(1,4),(2,3) global=(1,4),(2,3)",
+    ],
+    "dyck_proposition": [
+        "P=ESES: nestings=0 lefts=[1, 3] expected=[] fixed=True",
+        "P=EESS: nestings=0 lefts=[1, 2] expected=[] fixed=True",
+    ],
+}
+
+
+def test_verify_reports_failures_verbatim(monkeypatch):
+    import wedgematch.enumeration as enumeration
+    from wedgematch import WedgePath
+
+    st_total = Matching.st_total
+    final_south_run = WedgePath.final_south_run
+    monkeypatch.setattr(enumeration, "psi_inv", lambda m: WedgePath((0,) * m.n))
+    monkeypatch.setattr(Matching, "st_total", lambda self: st_total(self) + 1)
+    monkeypatch.setattr(
+        WedgePath, "final_south_run", lambda self: final_south_run(self) + 1
+    )
+    monkeypatch.setattr(WedgePath, "reversed_south_positions", lambda self: set())
+    monkeypatch.setattr(WedgePath, "components", lambda self: [])
+
+    claims = verify_all(2).to_json_value()["claims"]
+    assert list(claims) == list(CLAIMS)
+    for label, result in claims.items():
+        examples = BROKEN_N2_FAILURES.get(label, [])
+        tested = 2 if label.startswith("distribution") else 3
+        assert result == {
+            "tested": tested,
+            "failed": len(examples),
+            "counterexamples": examples,
+        }, label
+    limited = verify_all(2, counterexample_limit=1).to_json_value()["claims"]
+    for label, result in limited.items():
+        assert result["failed"] == claims[label]["failed"]
+        assert result["counterexamples"] == claims[label]["counterexamples"][:1]
+
+
+def test_verify_reports_phi_inv_failures_verbatim(monkeypatch):
+    import wedgematch.enumeration as enumeration
+
+    monkeypatch.setattr(enumeration, "phi_inv", lambda m: m)
+    report = verify_all(
+        3, claims=["round_trip_phi", "round_trip_big_phi"], counterexample_limit=3
+    )
+    assert report.to_json_value()["claims"] == {
+        "round_trip_phi": {
+            "tested": 15,
+            "failed": 4,
+            "counterexamples": [
+                "M=(1,5),(2,3),(4,6): comes back as (1,5),(2,6),(3,4)",
+                "M=(1,5),(2,6),(3,4): comes back as (1,5),(2,3),(4,6)",
+                "M=(1,6),(2,3),(4,5): comes back as (1,6),(2,5),(3,4)",
+            ],
+        },
+        "round_trip_big_phi": {
+            "tested": 15,
+            "failed": 4,
+            "counterexamples": [
+                "P=ESENNESSSS: comes back as ENEESSSS",
+                "P=ESENNNESSSSS: comes back as ENENESSSSS",
+                "P=ENEESSSS: comes back as ESENNESSSS",
+            ],
+        },
+    }
