@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Sequence
 
 from .errors import InvalidMatchingError
 from .matching import Matching
@@ -130,69 +132,102 @@ def psi_inv(m: Matching) -> WedgePath:
 # first edges met on the way down are the insertion code itself, and the
 # recursion unrolls into one loop over b from last to first on a single
 # 0-based partner list.  The inverse unwinds from the outside, collecting
-# the code, and hands it to the insertion procedure.
+# the code, and hands it to the insertion procedure.  Over a whole family
+# the same fact makes phi of every size-n code one step on top of the
+# size n-1 results, which the verification harness reads from a table.
+
+
+def _phi_step(b: int, p: Sequence[int]) -> list[int]:
+    """One surgery step of :func:`phi` on 0-based partner lists.
+
+    Puts the first edge (0, b) back in front of the matching ``p`` and
+    repairs the picture according to how the first two edges relate.
+    Aligned (b = 1): nothing to repair.  Crossed: the fan of edges
+    crossing the first edge passes its right endpoints one left endpoint
+    down the line.  Nested: the edges crossing the first edge are
+    re-anchored around the second edge's right endpoint.  In both repairs
+    vertex 1 disappears and a fresh vertex appears right before b.
+    ``p`` itself is left unchanged.
+    """
+    if b == 1:
+        return [1, 0] + [v + 2 for v in p]
+    # Old vertex v keeps its index below lo = b - 1 and moves past the
+    # fresh vertex lo and the first edge's end b otherwise.  Old vertex 0
+    # is the one deleted, so its slot stands in for the fresh vertex while
+    # rewiring.  lefts/rights: the other edges crossing (0, b).
+    lo = b - 1
+    q = p[0]
+    lefts = [j for j in range(1, lo) if p[j] >= lo]
+    rights = [p[j] for j in lefts]
+    if q >= lo:
+        pairs = zip(lefts + [0], [q] + rights)
+    else:
+        anchors = sorted(lefts + [q])
+        fresh_mate = anchors.pop(len(lefts) - bisect.bisect(lefts, q))
+        pairs = [(fresh_mate, 0), *zip(anchors, rights)]
+    p = list(p)
+    for u, v in pairs:
+        p[u], p[v] = v, u
+    t = [lo if v == 0 else v if v < lo else v + 2 for v in p]
+    return [b] + t[1:lo] + [t[0], 0] + t[lo:]
 
 
 def phi(m: Matching) -> Matching:
     """First-edge-preserving rearrangement with nestings(phi(M)) = st_total(M).
 
-    With 0-based vertices, each step puts the first edge (0, b) back in
-    front of the matching built so far and repairs the picture according
-    to how the first two edges relate.  Aligned (b = 1): nothing to
-    repair.  Crossed: the fan of edges crossing the first edge passes its
-    right endpoints one left endpoint down the line.  Nested: the edges
-    crossing the first edge are re-anchored around the second edge's right
-    endpoint.  In both repairs vertex 1 disappears and a fresh vertex
-    appears right before b.
+    Walks the insertion code of ``m`` from last to first, applying one
+    surgery step (see :func:`_phi_step`) per entry.
 
     >>> phi(Matching.from_pairs([(1, 6), (2, 5), (3, 4)])).to_text()
     '(1,6),(2,3),(4,5)'
     """
-    if m.n <= 1:
-        return m
-    code = _code_from_matching(m).b
-    p = [1, 0]  # the last code entry is always 1: a single edge
-    for b in reversed(code[:-1]):
-        if b == 1:
-            p = [1, 0] + [v + 2 for v in p]
-            continue
-        # Old vertex v keeps its index below lo = b - 1 and moves past the
-        # fresh vertex lo and the first edge's end b otherwise.  Old vertex
-        # 0 is the one deleted, so its slot stands in for the fresh vertex
-        # while rewiring.  lefts/rights: the other edges crossing (0, b).
-        lo = b - 1
-        q = p[0]
-        lefts = [j for j in range(1, lo) if p[j] >= lo]
-        rights = [p[j] for j in lefts]
-        if q >= lo:
-            pairs = zip(lefts + [0], [q] + rights)
-        else:
-            anchors = sorted(lefts + [q])
-            fresh_mate = anchors.pop(len(lefts) - bisect.bisect(lefts, q))
-            pairs = [(fresh_mate, 0), *zip(anchors, rights)]
-        for u, v in pairs:
-            p[u], p[v] = v, u
-        t = [lo if v == 0 else v if v < lo else v + 2 for v in p]
-        p = [b] + t[1:lo] + [t[0], 0] + t[lo:]
+    p: list[int] = []
+    for b in reversed(_code_from_matching(m).b):
+        p = _phi_step(b, p)
     return Matching(tuple(v + 1 for v in p))
 
 
-def phi_inv(m: Matching) -> Matching:
-    """Exact two-sided inverse of :func:`phi`.
+@lru_cache(maxsize=1)
+def _phi_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """0-based phi(psi(c)) for every insertion code c of size n, in rank order.
 
-    Reads the case off the result: with 0-based vertices, the first edge
-    (0, r) is aligned when r = 1; otherwise the fresh vertex r - 1 is a left endpoint exactly in
-    the crossed case.  Each step records r as the next insertion code
-    entry, undoes the repair and strips the first edge.
-
-    >>> phi_inv(Matching.from_pairs([(1, 6), (2, 3), (4, 5)])).to_text()
-    '(1,6),(2,5),(3,4)'
+    The rank is mixed-radix with the first entry most significant, so the
+    code (b, *c) ranks (b - 1) * (2n-3)!! + rank(c), and its entry is one
+    surgery step on the entry of c.  Only the latest size is cached: a
+    process holds (2n-1)!! entries, built once per size.
     """
-    if m.n <= 1:
-        return m
+    table: list[tuple[int, ...]] = [()]
+    for k in range(1, n + 1):
+        table = [tuple(_phi_step(b, p)) for b in range(1, 2 * k) for p in table]
+    return tuple(table)
+
+
+def _phi_of_code(code: Sequence[int]) -> Matching:
+    """phi(psi(code)): one surgery step on the size n-1 table entry of code[1:].
+
+    The code is validated first, so an out-of-range entry raises instead
+    of reading another code's entry.
+    """
+    b = InsertionCode(tuple(code)).b
+    n = len(b)
+    rank = 0
+    for i in range(1, n):
+        rank = rank * (2 * (n - i) - 1) + b[i] - 1
+    p = _phi_step(b[0], _phi_table(n - 1)[rank])
+    return Matching(tuple(v + 1 for v in p))
+
+
+def _phi_inv_code(m: Matching) -> tuple[int, ...]:
+    """The insertion code of :func:`phi_inv` of ``m``, unwound from the outside.
+
+    Reads the case off the matching: with 0-based vertices, the first edge
+    (0, r) is aligned when r = 1; otherwise the fresh vertex r - 1 is a
+    left endpoint exactly in the crossed case.  Each step records r as the
+    next code entry, undoes the repair and strips the first edge.
+    """
     p = [v - 1 for v in m.partner]
     code: list[int] = []
-    while len(p) > 2:
+    while p:
         r = p[0]
         code.append(r)
         if r == 1:
@@ -220,8 +255,16 @@ def phi_inv(m: Matching) -> Matching:
             raise InvalidMatchingError("corrupted input: unwinding moved the first edge")
         t = [0 if v == f else v if v < f else v - 2 for v in p]
         p = [t[f]] + t[1:f] + t[r + 1:]
-    code.append(1)
-    return _matching_from_code(InsertionCode(tuple(code)))
+    return tuple(code)
+
+
+def phi_inv(m: Matching) -> Matching:
+    """Exact two-sided inverse of :func:`phi`.
+
+    >>> phi_inv(Matching.from_pairs([(1, 6), (2, 3), (4, 5)])).to_text()
+    '(1,6),(2,5),(3,4)'
+    """
+    return _matching_from_code(InsertionCode(_phi_inv_code(m)))
 
 
 # -- the composite bijection -------------------------------------------------

@@ -12,13 +12,7 @@ import json
 import sys
 
 from .bijections import big_phi, big_phi_inv, phi, phi_inv, psi, psi_inv
-from .enumeration import (
-    CLAIMS,
-    STATISTICS,
-    distribution,
-    resolve_cap,
-    verify_all,
-)
+from .enumeration import CLAIMS, STATISTICS, distribution, verify_ladder
 from .errors import InvalidMatchingError, InvalidPathError, OverCapError, ParseError
 from .matching import Matching
 from .paths import WedgePath
@@ -150,18 +144,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     claims = None
     if args.claims:
         claims = [c.strip() for c in args.claims.split(",") if c.strip()]
-    cap = resolve_cap(args.max_n)
-    if args.n > cap:
-        raise OverCapError(f"size {args.n} exceeds the enumeration cap {cap}")
     reports = []
-    for size in range(1, args.n + 1):
-        report = verify_all(
-            size,
-            max_n=args.max_n,
-            workers=args.workers,
-            counterexample_limit=args.limit,
-            claims=claims,
-        )
+    for report in verify_ladder(
+        args.n,
+        max_n=args.max_n,
+        workers=args.workers,
+        counterexample_limit=args.limit,
+        claims=claims,
+    ):
         reports.append(report)
         if not args.json:
             print(report.to_text(), end="")

@@ -12,11 +12,21 @@ import itertools
 import os
 import time
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import cached_property
 from multiprocessing import Pool
 from typing import Callable, Iterable, Iterator
 
-from .bijections import insertion_code, phi, phi_inv, psi, psi_inv
+from .bijections import (
+    _phi_inv_code,
+    _phi_of_code,
+    insertion_code,
+    phi,
+    phi_inv,
+    psi,
+    psi_inv,
+)
 from .errors import OverCapError
 from .matching import Matching, concatenate
 from .paths import WedgePath
@@ -34,6 +44,7 @@ __all__ = [
     "double_factorial",
     "resolve_cap",
     "verify_all",
+    "verify_ladder",
 ]
 
 DEFAULT_MAX_N = 7
@@ -92,22 +103,29 @@ def all_matchings(n: int) -> Iterator[Matching]:
     """All matchings on [2n], lexicographic in successive partner choices."""
     if n < 1:
         raise ValueError(f"size must be at least 1, got {n}")
-    yield from _matchings_with_forced_choices(n, ())
+    for _, m in _coded_matchings(n, ()):
+        yield m
 
 
-def _matchings_with_forced_choices(n: int, forced: tuple[int, ...]) -> Iterator[Matching]:
-    """Enumerate matchings whose first partner choices match ``forced``.
+def _coded_matchings(
+    n: int, forced: tuple[int, ...]
+) -> Iterator[tuple[tuple[int, ...], Matching]]:
+    """Enumerate (choices, matching) whose first partner choices match ``forced``.
 
     Choice i is the rank of the chosen partner among the free vertices
     strictly right of the least free one, exactly the coordinate system of
-    the insertion code.  One partner table is filled in place; every vertex
-    is overwritten before each leaf, so nothing is undone on the way back.
+    the insertion code, so the choices are the matching's code.  One
+    partner table and one choice list are filled in place; every slot is
+    overwritten before each leaf, so nothing is undone on the way back.
     """
     table = [0] * (2 * n)
+    code = [0] * n
 
-    def rec(free: tuple[int, ...], depth: int) -> Iterator[Matching]:
+    def rec(
+        free: tuple[int, ...], depth: int
+    ) -> Iterator[tuple[tuple[int, ...], Matching]]:
         if not free:
-            yield Matching(tuple(table))
+            yield tuple(code), Matching(tuple(table))
             return
         first = free[0]
         if depth < len(forced):
@@ -117,6 +135,7 @@ def _matchings_with_forced_choices(n: int, forced: tuple[int, ...]) -> Iterator[
         for j in choices:
             mate = free[j]
             table[first - 1], table[mate - 1] = mate, first
+            code[depth] = j
             yield from rec(free[1:j] + free[j + 1 :], depth + 1)
 
     yield from rec(tuple(range(1, 2 * n + 1)), 0)
@@ -155,7 +174,8 @@ _MATCHING_STATISTICS: dict[str, Callable[[Matching], int]] = {
     "crossings": Matching.crossings,
     "st_total": Matching.st_total,
 }
-STATISTICS = tuple(_PATH_STATISTICS) + tuple(_MATCHING_STATISTICS)
+_STATISTICS = {**_PATH_STATISTICS, **_MATCHING_STATISTICS}
+STATISTICS = tuple(_STATISTICS)
 
 
 @dataclass(frozen=True)
@@ -215,45 +235,263 @@ def distribution(n: int, statistic: str, max_n: int | None = None) -> Distributi
 
 # -- verification harness ------------------------------------------------------
 
-# Claim registry.  Descriptions state what is replayed over the full streams.
-CLAIMS: dict[str, str] = {
-    "cardinality_paths": "the path stream yields exactly (2n-1)!! objects",
-    "cardinality_matchings": "the matching stream yields exactly (2n-1)!! objects",
-    "round_trip_psi": "decoding undoes the insertion map on every path",
-    "round_trip_psi_inv": "the insertion map undoes decoding on every matching",
-    "round_trip_phi": "the inverse rearrangement undoes the rearrangement",
-    "round_trip_phi_inv": "the rearrangement undoes the inverse rearrangement",
-    "round_trip_big_phi": "the full inverse undoes the full bijection on every path",
-    "lemma1": "north steps equal the insertion image's stacking statistic, "
-    "indexwise per the code-difference formula",
-    "theorem2": "the rearrangement turns the stacking statistic into the "
-    "nesting count and keeps the first edge in place",
-    "theorem1": "the full bijection sends the north-step count to the nesting count",
-    "proposition_a": "the final south run k pairs vertex 1 with k+1 in the image",
-    "proposition_b": "path components, read backwards, match the image's "
-    "components, and the rearrangement acts componentwise",
-    "dyck_proposition": "north-free paths map to nesting-free matchings whose "
-    "left endpoints read off the reversed steps",
-    "distribution_north_nestings": "north steps and nestings are equidistributed",
-    "distribution_nestings_crossings": "nestings and crossings are equidistributed",
-}
 
-_PATH_CLAIMS = (
-    "round_trip_psi",
-    "round_trip_big_phi",
-    "lemma1",
-    "theorem1",
-    "proposition_a",
-    "proposition_b",
-    "dyck_proposition",
+class _PathFacts:
+    """A path and the values its claims read, each computed once."""
+
+    def __init__(self, path: WedgePath) -> None:
+        self.path = path
+        self.north = path.north_steps()
+        self.b = insertion_code(path).b
+        self.m = psi(path)
+        self.nm = _phi_of_code(self.b)
+
+    def __str__(self) -> str:
+        return f"P={self.path.to_steps()}"
+
+
+class _MatchingFacts:
+    """A streamed matching with its insertion code; phi of it on first use."""
+
+    def __init__(self, code: tuple[int, ...], m: Matching) -> None:
+        self.code = code
+        self.m = m
+
+    @cached_property
+    def fm(self) -> Matching:
+        return _phi_of_code(self.code)
+
+    def __str__(self) -> str:
+        return f"M={self.m.to_text()}"
+
+
+# Per-object checks: None on a pass, else the counterexample detail.
+
+
+def _round_trip_psi(f: _PathFacts) -> str | None:
+    back = psi_inv(f.m)
+    return None if back == f.path else f"comes back as {back.to_steps()}"
+
+
+def _round_trip_big_phi(f: _PathFacts) -> str | None:
+    back = psi_inv(phi_inv(f.nm))
+    return None if back == f.path else f"comes back as {back.to_steps()}"
+
+
+def _lemma1(f: _PathFacts) -> str | None:
+    b, m = f.b, f.m
+    per_index_ok = all(
+        m.st_component(i) == max(b[i - 1] - b[i] - 1, 0) for i in range(1, len(b))
+    )
+    st = m.st_total()
+    if st == f.north and per_index_ok:
+        return None
+    return f"north={f.north} stacking={st} indexwise_ok={per_index_ok}"
+
+
+def _theorem1(f: _PathFacts) -> str | None:
+    ne = f.nm.nestings()
+    return None if ne == f.north else f"north={f.north} nestings={ne}"
+
+
+def _proposition_a(f: _PathFacts) -> str | None:
+    mate = f.nm.partner_of(1)
+    run = f.path.final_south_run()
+    return None if mate == run + 1 else f"south_run={run} partner_of_1={mate}"
+
+
+def _proposition_b(f: _PathFacts) -> str | None:
+    path_sizes = [c.n for c in f.path.components()][::-1]
+    image_sizes = [c.n for _, c in f.nm.irreducible_components()]
+    piecewise = concatenate(phi(c) for _, c in f.m.irreducible_components())
+    if path_sizes == image_sizes and piecewise == f.nm:
+        return None
+    return (
+        f"path_sizes(rev)={path_sizes} image_sizes={image_sizes} "
+        f"piecewise={piecewise.to_text()} global={f.nm.to_text()}"
+    )
+
+
+def _dyck_proposition(f: _PathFacts) -> str | None:
+    if not f.path.is_dyck():
+        return None
+    nm = f.nm
+    lefts = {a for a, _ in nm.edges}
+    expected = f.path.reversed_south_positions()
+    if nm.nestings() == 0 and lefts == expected and nm == f.m:
+        return None
+    return (
+        f"nestings={nm.nestings()} lefts={sorted(lefts)} "
+        f"expected={sorted(expected)} fixed={nm == f.m}"
+    )
+
+
+def _round_trip_psi_inv(f: _MatchingFacts) -> str | None:
+    back = psi(psi_inv(f.m))
+    return None if back == f.m else f"comes back as {back.to_text()}"
+
+
+def _round_trip_phi(f: _MatchingFacts) -> str | None:
+    back = phi_inv(f.fm)
+    return None if back == f.m else f"comes back as {back.to_text()}"
+
+
+def _round_trip_phi_inv(f: _MatchingFacts) -> str | None:
+    back = _phi_of_code(_phi_inv_code(f.m))
+    return None if back == f.m else f"comes back as {back.to_text()}"
+
+
+def _theorem2(f: _MatchingFacts) -> str | None:
+    st = f.m.st_total()
+    ne = f.fm.nestings()
+    same_first = f.fm.first_edge == f.m.first_edge
+    if ne == st and same_first:
+        return None
+    return f"stacking={st} nestings={ne} first_edge_kept={same_first}"
+
+
+# Whole-stream checks: (values tested, failure details).
+
+
+def _cardinality(n: int, tables: dict) -> tuple[int, list[str]]:
+    (count,) = tables.values()
+    expected = double_factorial(n)
+    if count == expected:
+        return count, []
+    return count, [f"stream yielded {count} objects, expected {expected}"]
+
+
+def _equidistributed(n: int, tables: dict) -> tuple[int, list[str]]:
+    (left, a), (right, b) = tables.items()
+    keys = sorted(set(a) | set(b))
+    return len(keys), [
+        f"k={k}: {left}={a.get(k, 0)} {right}={b.get(k, 0)}"
+        for k in keys
+        if a.get(k, 0) != b.get(k, 0)
+    ]
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One claimed identity, replayed over all objects of a size.
+
+    A claim whose ``family`` is ``"paths"`` or ``"matchings"`` is checked
+    object by object: ``check`` gets the object's shared facts and returns
+    None on a pass or the counterexample detail on a failure, so detail
+    text is built only for failures.  Otherwise ``family`` names the
+    whole-stream tables the claim compares (``"paths"``/``"matchings"``
+    for a stream's object count, a statistic name for its distribution),
+    and ``check(n, tables)`` returns the number of values tested and the
+    failure details.
+    """
+
+    label: str
+    family: str | tuple[str, ...]
+    check: Callable
+    description: str
+
+
+# Descriptions state what is replayed over the full streams.
+_REGISTRY = (
+    Claim(
+        "cardinality_paths",
+        ("paths",),
+        _cardinality,
+        "the path stream yields exactly (2n-1)!! objects",
+    ),
+    Claim(
+        "cardinality_matchings",
+        ("matchings",),
+        _cardinality,
+        "the matching stream yields exactly (2n-1)!! objects",
+    ),
+    Claim(
+        "round_trip_psi",
+        "paths",
+        _round_trip_psi,
+        "decoding undoes the insertion map on every path",
+    ),
+    Claim(
+        "round_trip_psi_inv",
+        "matchings",
+        _round_trip_psi_inv,
+        "the insertion map undoes decoding on every matching",
+    ),
+    Claim(
+        "round_trip_phi",
+        "matchings",
+        _round_trip_phi,
+        "the inverse rearrangement undoes the rearrangement",
+    ),
+    Claim(
+        "round_trip_phi_inv",
+        "matchings",
+        _round_trip_phi_inv,
+        "the rearrangement undoes the inverse rearrangement",
+    ),
+    Claim(
+        "round_trip_big_phi",
+        "paths",
+        _round_trip_big_phi,
+        "the full inverse undoes the full bijection on every path",
+    ),
+    Claim(
+        "lemma1",
+        "paths",
+        _lemma1,
+        "north steps equal the insertion image's stacking statistic, "
+        "indexwise per the code-difference formula",
+    ),
+    Claim(
+        "theorem2",
+        "matchings",
+        _theorem2,
+        "the rearrangement turns the stacking statistic into the "
+        "nesting count and keeps the first edge in place",
+    ),
+    Claim(
+        "theorem1",
+        "paths",
+        _theorem1,
+        "the full bijection sends the north-step count to the nesting count",
+    ),
+    Claim(
+        "proposition_a",
+        "paths",
+        _proposition_a,
+        "the final south run k pairs vertex 1 with k+1 in the image",
+    ),
+    Claim(
+        "proposition_b",
+        "paths",
+        _proposition_b,
+        "path components, read backwards, match the image's "
+        "components, and the rearrangement acts componentwise",
+    ),
+    Claim(
+        "dyck_proposition",
+        "paths",
+        _dyck_proposition,
+        "north-free paths map to nesting-free matchings whose "
+        "left endpoints read off the reversed steps",
+    ),
+    Claim(
+        "distribution_north_nestings",
+        ("north_steps", "nestings"),
+        _equidistributed,
+        "north steps and nestings are equidistributed",
+    ),
+    Claim(
+        "distribution_nestings_crossings",
+        ("nestings", "crossings"),
+        _equidistributed,
+        "nestings and crossings are equidistributed",
+    ),
 )
-_MATCHING_CLAIMS = (
-    "round_trip_psi_inv",
-    "round_trip_phi",
-    "round_trip_phi_inv",
-    "theorem2",
-)
-_DISTRIBUTION_CLAIMS = ("distribution_north_nestings", "distribution_nestings_crossings")
+_CLAIMS_BY_LABEL = {claim.label: claim for claim in _REGISTRY}
+
+# The claim registry as label -> description.
+CLAIMS: dict[str, str] = {claim.label: claim.description for claim in _REGISTRY}
 
 
 @dataclass(frozen=True)
@@ -315,162 +553,139 @@ class VerificationReport:
         }
 
 
-class _Tally:
-    """Mutable per-cell accumulator for one claim."""
+@dataclass(frozen=True)
+class _Cell:
+    """One unit of work: the objects of one family whose first coordinates
+    are ``prefix``, the per-object claims replayed over them and the
+    statistics counted over them."""
 
-    __slots__ = ("tested", "failed", "examples", "limit")
-
-    def __init__(self, limit: int) -> None:
-        self.tested = 0
-        self.failed = 0
-        self.examples: list[str] = []
-        self.limit = limit
-
-
-def _eval_path_claims(
-    path: WedgePath,
-    tallies: dict[str, _Tally],
-    counters: dict[str, Counter],
-) -> None:
-    north = path.north_steps()
-    if "north_steps" in counters:
-        counters["north_steps"][north] += 1
-    if not tallies:
-        return
-    m = psi(path)
-    nm = phi(m)
-
-    def add(label: str, ok: bool, detail: str = "") -> None:
-        t = tallies.get(label)
-        if t is None:
-            return
-        t.tested += 1
-        if not ok:
-            t.failed += 1
-            if len(t.examples) < t.limit:
-                t.examples.append(f"P={path.to_steps()}: {detail}")
-
-    if "round_trip_psi" in tallies:
-        back = psi_inv(m)
-        add("round_trip_psi", back == path, f"comes back as {back.to_steps()}")
-    if "round_trip_big_phi" in tallies:
-        back = psi_inv(phi_inv(nm))
-        add("round_trip_big_phi", back == path, f"comes back as {back.to_steps()}")
-    if "lemma1" in tallies:
-        b = insertion_code(path).b
-        per_index_ok = all(
-            m.st_component(i) == max(b[i - 1] - b[i] - 1, 0)
-            for i in range(1, path.n)
-        )
-        st = m.st_total()
-        add(
-            "lemma1",
-            st == north and per_index_ok,
-            f"north={north} stacking={st} indexwise_ok={per_index_ok}",
-        )
-    if "theorem1" in tallies:
-        ne = nm.nestings()
-        add("theorem1", ne == north, f"north={north} nestings={ne}")
-    if "proposition_a" in tallies:
-        mate = nm.partner_of(1)
-        run = path.final_south_run()
-        add("proposition_a", mate == run + 1, f"south_run={run} partner_of_1={mate}")
-    if "proposition_b" in tallies:
-        path_sizes = [c.n for c in path.components()][::-1]
-        image_sizes = [c.n for _, c in nm.irreducible_components()]
-        piecewise = concatenate(phi(c) for _, c in m.irreducible_components())
-        add(
-            "proposition_b",
-            path_sizes == image_sizes and piecewise == nm,
-            f"path_sizes(rev)={path_sizes} image_sizes={image_sizes} "
-            f"piecewise={piecewise.to_text()} global={nm.to_text()}",
-        )
-    if "dyck_proposition" in tallies:
-        if path.is_dyck():
-            lefts = {a for a, _ in nm.edges}
-            expected = path.reversed_south_positions()
-            ok = nm.nestings() == 0 and lefts == expected and nm == m
-            add(
-                "dyck_proposition",
-                ok,
-                f"nestings={nm.nestings()} lefts={sorted(lefts)} "
-                f"expected={sorted(expected)} fixed={nm == m}",
-            )
-        else:
-            add("dyck_proposition", True)
+    n: int
+    family: str
+    prefix: tuple[int, ...]
+    labels: tuple[str, ...]
+    statistics: tuple[str, ...]
+    limit: int
 
 
-def _eval_matching_claims(
-    m: Matching,
-    tallies: dict[str, _Tally],
-    counters: dict[str, Counter],
-) -> None:
-    for stat in ("nestings", "crossings", "st_total"):
-        if stat in counters:
-            counters[stat][_MATCHING_STATISTICS[stat](m)] += 1
-    if not tallies:
-        return
+def _run_cell(cell: _Cell) -> tuple[int, dict[str, list], dict[str, Counter]]:
+    """Worker body: the cell's object count, [failed, examples] per claim
+    label, and a Counter per statistic.  Plain values, so the result can
+    cross a process boundary."""
+    checks = [(label, _CLAIMS_BY_LABEL[label].check) for label in cell.labels]
+    failures: dict[str, list] = {label: [0, []] for label in cell.labels}
+    counters = {name: Counter() for name in cell.statistics}
+    statistics = [(_STATISTICS[name], counters[name]) for name in cell.statistics]
 
-    def add(label: str, ok: bool, detail: str = "") -> None:
-        t = tallies.get(label)
-        if t is None:
-            return
-        t.tested += 1
-        if not ok:
-            t.failed += 1
-            if len(t.examples) < t.limit:
-                t.examples.append(f"M={m.to_text()}: {detail}")
+    def replay(facts: object) -> None:
+        for label, check in checks:
+            detail = check(facts)
+            if detail is not None:
+                slot = failures[label]
+                slot[0] += 1
+                if len(slot[1]) < cell.limit:
+                    slot[1].append(f"{facts}: {detail}")
 
-    if "round_trip_psi_inv" in tallies:
-        back = psi(psi_inv(m))
-        add("round_trip_psi_inv", back == m, f"comes back as {back.to_text()}")
-    fm = phi(m) if ("round_trip_phi" in tallies or "theorem2" in tallies) else None
-    if "round_trip_phi" in tallies:
-        back = phi_inv(fm)
-        add("round_trip_phi", back == m, f"comes back as {back.to_text()}")
-    if "round_trip_phi_inv" in tallies:
-        back = phi(phi_inv(m))
-        add("round_trip_phi_inv", back == m, f"comes back as {back.to_text()}")
-    if "theorem2" in tallies:
-        st = m.st_total()
-        ne = fm.nestings()
-        same_first = m.n == 0 or fm.first_edge == m.first_edge
-        add(
-            "theorem2",
-            ne == st and same_first,
-            f"stacking={st} nestings={ne} first_edge_kept={same_first}",
-        )
-
-
-def _run_cell(task: tuple) -> tuple[dict, dict]:
-    """Worker body: replay the selected claims over one stream cell.
-
-    Returns plain dicts so the result can cross a process boundary.
-    """
-    n, kind, prefix, labels, limit, want_dists = task
-    tallies = {label: _Tally(limit) for label in labels}
-    counters: dict[str, Counter] = {}
-    if kind == "paths":
-        if want_dists:
-            counters["north_steps"] = Counter()
-        count = 0
-        for path in _paths_with_prefix(n, prefix):
+    count = 0
+    if cell.family == "paths":
+        for path in _paths_with_prefix(cell.n, cell.prefix):
             count += 1
-            _eval_path_claims(path, tallies, counters)
+            for fn, counter in statistics:
+                counter[fn(path)] += 1
+            if checks:
+                replay(_PathFacts(path))
     else:
-        if want_dists:
-            counters.update(
-                nestings=Counter(), crossings=Counter(), st_total=Counter()
-            )
-        count = 0
-        for m in _matchings_with_forced_choices(n, prefix):
+        for code, m in _coded_matchings(cell.n, cell.prefix):
             count += 1
-            _eval_matching_claims(m, tallies, counters)
-    out = {
-        label: (t.tested, t.failed, tuple(t.examples)) for label, t in tallies.items()
+            for fn, counter in statistics:
+                counter[fn(m)] += 1
+            if checks:
+                replay(_MatchingFacts(code, m))
+    return count, failures, counters
+
+
+def _verify_size(n: int, selected: list[str], limit: int, pool) -> VerificationReport:
+    """Replay the selected claims over all objects of size n."""
+    started = time.perf_counter()
+    chosen = [claim for claim in _REGISTRY if claim.label in selected]
+    tables_read = {
+        name for claim in chosen if isinstance(claim.family, tuple) for name in claim.family
     }
-    out["__count__"] = (count, 0, ())
-    return out, {k: dict(v) for k, v in counters.items()}
+    cells = []
+    for family, prefixes, family_statistics in (
+        ("paths", _path_cells(n), _PATH_STATISTICS),
+        ("matchings", _matching_cells(n), _MATCHING_STATISTICS),
+    ):
+        labels = tuple(claim.label for claim in chosen if claim.family == family)
+        statistics = tuple(name for name in family_statistics if name in tables_read)
+        if labels or statistics or family in tables_read:
+            cells += [
+                _Cell(n, family, prefix, labels, statistics, limit) for prefix in prefixes
+            ]
+
+    if pool is not None and len(cells) > 1:
+        results = pool.map(_run_cell, cells)
+    else:
+        results = [_run_cell(cell) for cell in cells]
+
+    tables: dict[str, object] = {"paths": 0, "matchings": 0}
+    failed: Counter = Counter()
+    examples: dict[str, list[str]] = {claim.label: [] for claim in chosen}
+    for cell, (count, failures, counters) in zip(cells, results):
+        tables[cell.family] += count
+        for label, (cell_failed, cell_examples) in failures.items():
+            failed[label] += cell_failed
+            examples[label].extend(cell_examples[: limit - len(examples[label])])
+        for name, counter in counters.items():
+            tables.setdefault(name, Counter()).update(counter)
+
+    outcomes = []
+    for claim in chosen:
+        if isinstance(claim.family, tuple):
+            tested, details = claim.check(n, {name: tables[name] for name in claim.family})
+            outcome = ClaimResult(claim.label, tested, len(details), tuple(details[:limit]))
+        else:
+            outcome = ClaimResult(
+                claim.label,
+                tables[claim.family],
+                failed[claim.label],
+                tuple(examples[claim.label]),
+            )
+        outcomes.append(outcome)
+    elapsed = time.perf_counter() - started
+    return VerificationReport(n=n, claims=tuple(outcomes), elapsed=elapsed)
+
+
+def _verify_sizes(
+    first: int,
+    last: int,
+    max_n: int | None,
+    workers: int,
+    counterexample_limit: int,
+    claims: Iterable[str] | None,
+) -> Iterator[VerificationReport]:
+    """Check the arguments once, then yield the report of each size
+    first..last as it finishes.  With more than one worker, one process
+    pool serves every size."""
+    _require_within_cap(last, max_n)
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    if counterexample_limit < 0:
+        raise ValueError(
+            f"counterexample limit must not be negative, got {counterexample_limit}"
+        )
+    workers = min(workers, os.cpu_count() or 1)
+    if claims is None:
+        selected = list(CLAIMS)
+    else:
+        selected = list(claims)
+        unknown = [c for c in selected if c not in CLAIMS]
+        if unknown:
+            raise ValueError(
+                f"unknown claim labels {unknown}; choose from {', '.join(CLAIMS)}"
+            )
+    with Pool(workers) if workers > 1 else nullcontext() as pool:
+        for n in range(first, last + 1):
+            yield _verify_size(n, selected, counterexample_limit, pool)
 
 
 def verify_all(
@@ -491,107 +706,19 @@ def verify_all(
     counted.  ``workers`` must be at least 1 and is capped at the CPU
     count; ``counterexample_limit`` must not be negative.
     """
-    _require_within_cap(n, max_n)
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
-    if counterexample_limit < 0:
-        raise ValueError(
-            f"counterexample limit must not be negative, got {counterexample_limit}"
-        )
-    workers = min(workers, os.cpu_count() or 1)
-    if claims is None:
-        selected = list(CLAIMS)
-    else:
-        selected = list(claims)
-        unknown = [c for c in selected if c not in CLAIMS]
-        if unknown:
-            raise ValueError(
-                f"unknown claim labels {unknown}; choose from {', '.join(CLAIMS)}"
-            )
-    started = time.perf_counter()
+    (report,) = _verify_sizes(n, n, max_n, workers, counterexample_limit, claims)
+    return report
 
-    want_dists = any(label in selected for label in _DISTRIBUTION_CLAIMS)
-    path_labels = tuple(c for c in _PATH_CLAIMS if c in selected)
-    matching_labels = tuple(c for c in _MATCHING_CLAIMS if c in selected)
-    need_paths = bool(path_labels) or want_dists or "cardinality_paths" in selected
-    need_matchings = (
-        bool(matching_labels) or want_dists or "cardinality_matchings" in selected
-    )
 
-    tasks = []
-    if need_paths:
-        for prefix in _path_cells(n):
-            tasks.append((n, "paths", prefix, path_labels, counterexample_limit, want_dists))
-    if need_matchings:
-        for prefix in _matching_cells(n):
-            tasks.append(
-                (n, "matchings", prefix, matching_labels, counterexample_limit, want_dists)
-            )
-
-    if workers > 1 and len(tasks) > 1:
-        with Pool(workers) as pool:
-            results = pool.map(_run_cell, tasks)
-    else:
-        results = [_run_cell(task) for task in tasks]
-
-    merged: dict[str, list] = {
-        label: [0, 0, []] for label in tuple(CLAIMS) if label in selected
-    }
-    counts = {"paths": 0, "matchings": 0}
-    dists: dict[str, Counter] = {}
-    for task, (tally, counters) in zip(tasks, results):
-        kind = task[1]
-        counts[kind] += tally.pop("__count__")[0]
-        for label, (tested, failed, examples) in tally.items():
-            slot = merged[label]
-            slot[0] += tested
-            slot[1] += failed
-            if len(slot[2]) < counterexample_limit:
-                slot[2].extend(examples[: counterexample_limit - len(slot[2])])
-        for stat, counter in counters.items():
-            dists.setdefault(stat, Counter()).update(counter)
-
-    expected = double_factorial(n)
-    results_by_label: dict[str, ClaimResult] = {}
-    for kind, label in (("paths", "cardinality_paths"), ("matchings", "cardinality_matchings")):
-        if label in selected:
-            count = counts[kind]
-            ok = count == expected
-            results_by_label[label] = ClaimResult(
-                label=label,
-                tested=count,
-                failed=0 if ok else 1,
-                counterexamples=()
-                if ok
-                else (f"stream yielded {count} objects, expected {expected}",),
-            )
-    for label, (left, right) in {
-        "distribution_north_nestings": ("north_steps", "nestings"),
-        "distribution_nestings_crossings": ("nestings", "crossings"),
-    }.items():
-        if label not in selected:
-            continue
-        a, b = dists.get(left, Counter()), dists.get(right, Counter())
-        keys = sorted(set(a) | set(b))
-        bad = [k for k in keys if a.get(k, 0) != b.get(k, 0)]
-        results_by_label[label] = ClaimResult(
-            label=label,
-            tested=len(keys),
-            failed=len(bad),
-            counterexamples=tuple(
-                f"k={k}: {left}={a.get(k, 0)} {right}={b.get(k, 0)}"
-                for k in bad[:counterexample_limit]
-            ),
-        )
-    for label in path_labels + matching_labels:
-        tested, failed, examples = merged[label]
-        results_by_label[label] = ClaimResult(
-            label=label,
-            tested=tested,
-            failed=failed,
-            counterexamples=tuple(examples[:counterexample_limit]),
-        )
-
-    ordered = tuple(results_by_label[label] for label in CLAIMS if label in results_by_label)
-    elapsed = time.perf_counter() - started
-    return VerificationReport(n=n, claims=ordered, elapsed=elapsed)
+def verify_ladder(
+    n: int,
+    *,
+    max_n: int | None = None,
+    workers: int = 1,
+    counterexample_limit: int = 10,
+    claims: Iterable[str] | None = None,
+) -> Iterator[VerificationReport]:
+    """:func:`verify_all` for each size 1..n, yielding each report as it
+    finishes; the arguments are checked before any size runs, and one
+    process pool serves every size."""
+    return _verify_sizes(1, n, max_n, workers, counterexample_limit, claims)

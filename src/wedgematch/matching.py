@@ -274,20 +274,26 @@ class Matching:
         mates b and d.  The pair is nested exactly when d < b.  Of the
         window [d, b] it then counts d and every vertex strictly between d
         and b, except those whose mate lies left of a (their edge comes
-        before e_i); b belongs to e_i and is not counted.
+        before e_i); b belongs to e_i and is not counted.  Those excepted
+        vertices are the right endpoints in (d, b) of the arcs still open
+        when c is reached, as the only left endpoint in [a, c) is a; the
+        sweep keeps them sorted, as :attr:`_relation_counts` does.
 
         >>> Matching.from_pairs([(1, 6), (2, 5), (3, 4)]).st_total()
         2
         """
-        partner = self.partner
         total = 0
-        a = b = 0
-        for c, d in enumerate(partner, start=1):
+        b = 0
+        open_rights: list[int] = []
+        for c, d in enumerate(self.partner, start=1):
             if c > d:
+                del open_rights[0]
                 continue
+            k = bisect_left(open_rights, d)
             if d < b:
-                total += b - d - sum(1 for p in partner[d : b - 1] if p < a)
-            a, b = c, d
+                total += b - d - (bisect_left(open_rights, b) - k)
+            open_rights.insert(k, d)
+            b = d
         return total
 
     # -- components --------------------------------------------------------

@@ -23,8 +23,9 @@ from wedgematch import (
     psi,
     psi_inv,
 )
+from wedgematch.bijections import _code_from_matching, _phi_inv_code, _phi_of_code
 from wedgematch.cli import main
-from wedgematch.enumeration import all_matchings, all_paths
+from wedgematch.enumeration import _coded_matchings, all_matchings, all_paths
 
 EXAMPLE_IMAGE = [(1, 4), (2, 14), (3, 12), (5, 8), (6, 9), (7, 11), (10, 13)]
 
@@ -158,6 +159,22 @@ def test_phi_golden_digest(n):
         forward.update((phi(m).to_text() + "\n").encode())
         inverse.update((phi_inv(m).to_text() + "\n").encode())
     assert (forward.hexdigest(), inverse.hexdigest()) == PHI_DIGESTS[n]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_table_phi_matches_direct(n):
+    # The harness reads phi off the size n-1 table and the stream's choices.
+    for code, m in _coded_matchings(n, ()):
+        assert code == _code_from_matching(m).b
+        assert _phi_of_code(code) == phi(m)
+        assert _phi_inv_code(m) == _code_from_matching(phi_inv(m)).b
+
+
+# (1, 1, 2) and (1, 0, 1) would rank inside the size-2 table.
+@pytest.mark.parametrize("code", [(1, 1, 2), (1, 0, 1), (6, 1, 1), (2, 1, 1, 9)])
+def test_table_phi_rejects_out_of_range_code(code):
+    with pytest.raises(ValueError, match="outside"):
+        _phi_of_code(code)
 
 
 @given(matchings())

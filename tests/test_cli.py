@@ -251,7 +251,7 @@ def test_verify_counterexample_exits_1(capsys, monkeypatch):
         ),
         elapsed=0.0,
     )
-    monkeypatch.setattr("wedgematch.cli.verify_all", lambda *a, **kw: broken)
+    monkeypatch.setattr("wedgematch.enumeration._verify_size", lambda *a, **kw: broken)
     code, out, _ = run_cli(capsys, "verify", "1")
     assert code == 1
     assert "result: FAIL" in out

@@ -19,6 +19,7 @@ from wedgematch.enumeration import (
     ClaimResult,
     VerificationReport,
     resolve_cap,
+    verify_ladder,
 )
 
 # Frozen by an independent brute-force enumeration (raw pairing recursion
@@ -201,6 +202,23 @@ def test_verify_workers_capped_at_cpu_count(monkeypatch):
     capped = verify_all(3, workers=64)
     serial = verify_all(3, workers=1)
     assert capped.to_json_value() == serial.to_json_value()
+
+
+def test_verify_ladder_shares_one_pool(monkeypatch):
+    import wedgematch.enumeration as enumeration
+
+    real_pool = enumeration.Pool
+    started = []
+
+    def counting_pool(workers):
+        started.append(workers)
+        return real_pool(workers)
+
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(enumeration, "Pool", counting_pool)
+    reports = [r.to_json_value() for r in verify_ladder(3, workers=2)]
+    assert started == [2]
+    assert reports == [verify_all(n).to_json_value() for n in (1, 2, 3)]
 
 
 def test_verify_claims_filter():
