@@ -627,7 +627,7 @@ def _verify_size(n: int, selected: list[str], limit: int, pool) -> VerificationR
     else:
         results = [_run_cell(cell) for cell in cells]
 
-    tables: dict[str, object] = {"paths": 0, "matchings": 0}
+    tables: dict = {"paths": 0, "matchings": 0}
     failed: Counter = Counter()
     examples: dict[str, list[str]] = {claim.label: [] for claim in chosen}
     for cell, (count, failures, counters) in zip(cells, results):
