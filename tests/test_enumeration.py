@@ -1,5 +1,6 @@
 """Generators, distribution tables, and the verification harness."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -89,6 +90,35 @@ def test_streams_match_independent_enumeration(n):
     assert ours == theirs
     assert len(ours) == double_factorial(n)
     assert len({p.heights for p in all_paths(n)}) == double_factorial(n)
+
+
+# sha256 of the streams' lines in order: to_steps() of every path,
+# to_text() of every matching.  Pins the order, not just the sets (n=7,
+# checked by hand: 80c27c5e99c7... / bb54521ff9c8...).
+STREAM_DIGESTS = {
+    1: ("7f40c8419c0797bd7b6e43466ec8654e2d651d66d27bb980af30d0217dfb007d",
+        "82fb7f354fa62efa66d874e51717795aaa392ab0589d0879df06a643909610d8"),
+    2: ("1e5f6e2fbcd2609eee641d350cc55a880f35445a7120c81dc03d7118f552cb62",
+        "a581d257b47f53341afd89e150ba5d137fe0664f37ab82b0a1e89c8d1be4be8d"),
+    3: ("81a17ca092ce9ff9e6869a9c4f5b9d3e630e089bb3fa785ec249fcd505771988",
+        "89684ee3dda5e0e1138fdd243d557698e0af10266eaa79916055e7e89a6f15de"),
+    4: ("eee2870b3816a41b182c842b51c835d43775578235205efab3ba06255e9c72a2",
+        "77b5b11d5ef379fb8ee27d57c8e42f9ac422e60f094790e09372a4f76a52f8cb"),
+    5: ("a6f6c3394986f850a52ca35b64823b7c1c67cc9dd64614692aee536b1f15c1f8",
+        "668c2f128a81da316e64b86c1139612d9b83dbdd5703dea34d765c92ac136b0c"),
+    6: ("b0d27e89e700fb52ed62e04bdaf3365aabcd5584a4c97af903d0ab44fdbe24f7",
+        "10db2ec37afb38b5a0d4bf728215a4460d07d42e1e6f36ddf0a66af1825142e6"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(STREAM_DIGESTS))
+def test_stream_golden_digest(n):
+    paths, matchings = hashlib.sha256(), hashlib.sha256()
+    for p in all_paths(n):
+        paths.update((p.to_steps() + "\n").encode())
+    for m in all_matchings(n):
+        matchings.update((m.to_text() + "\n").encode())
+    assert (paths.hexdigest(), matchings.hexdigest()) == STREAM_DIGESTS[n]
 
 
 def test_streams_reject_nonpositive_size():
