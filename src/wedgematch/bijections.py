@@ -77,17 +77,14 @@ def path_from_code(code: InsertionCode) -> WedgePath:
     return WedgePath(tuple(heights))
 
 
-def _matching_from_code(code: InsertionCode) -> Matching:
-    """Run the insertion procedure on 2n free vertices."""
-    n = code.n
-    free = list(range(1, 2 * n + 1))
-    table = [0] * (2 * n)
-    for bi in code.b:
-        left = free[0]
-        right = free[bi]
+def _matching_from_code(b: Sequence[int]) -> Matching:
+    """Run the insertion procedure for the code b on 2n free vertices."""
+    free = list(range(1, 2 * len(b) + 1))
+    table = [0] * len(free)
+    for bi in b:
+        right = free.pop(bi)
+        left = free.pop(0)
         table[left - 1], table[right - 1] = right, left
-        free.pop(bi)
-        free.pop(0)
     return Matching(tuple(table))
 
 
@@ -110,7 +107,7 @@ def psi(path: WedgePath) -> Matching:
     >>> psi(WedgePath((0, 1))).to_text()
     '(1,4),(2,3)'
     """
-    return _matching_from_code(insertion_code(path))
+    return _matching_from_code(insertion_code(path).b)
 
 
 def psi_inv(m: Matching) -> WedgePath:
@@ -264,7 +261,7 @@ def phi_inv(m: Matching) -> Matching:
     >>> phi_inv(Matching.from_pairs([(1, 6), (2, 3), (4, 5)])).to_text()
     '(1,6),(2,5),(3,4)'
     """
-    return _matching_from_code(InsertionCode(_phi_inv_code(m)))
+    return _matching_from_code(InsertionCode(_phi_inv_code(m)).b)
 
 
 # -- the composite bijection -------------------------------------------------

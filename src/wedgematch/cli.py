@@ -142,7 +142,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     claims = None
-    if args.claims:
+    if args.claims is not None:
         claims = [c.strip() for c in args.claims.split(",") if c.strip()]
     reports = []
     for report in verify_ladder(

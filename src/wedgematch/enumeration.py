@@ -19,6 +19,7 @@ from multiprocessing import Pool
 from typing import Callable, Iterable, Iterator
 
 from .bijections import (
+    _matching_from_code,
     _phi_inv_code,
     _phi_of_code,
     insertion_code,
@@ -88,93 +89,64 @@ def double_factorial(n: int) -> int:
 
 
 # -- streams -----------------------------------------------------------------
+#
+# Both families of size n are products of per-coordinate ranges, i = 1..n:
+# a path is its heights a_i in [-(i-1), i-1], a matching its insertion code
+# b_i in [1, 2(n-i)+1].  Per family: the range of coordinate i, the object
+# built from all n coordinates, and how many leading coordinates one cell
+# of the verification harness fixes (a_1 has a single value, so a path
+# cell fixes four).
+
+_FAMILIES: dict[str, tuple[Callable[[int, int], range], Callable, int]] = {
+    "paths": (lambda n, i: range(-(i - 1), i), WedgePath, 4),
+    "matchings": (lambda n, i: range(1, 2 * (n - i) + 2), _matching_from_code, 2),
+}
+
+
+def _objects(
+    family: str, n: int, prefix: tuple[int, ...] = ()
+) -> Iterator[tuple[tuple[int, ...], object]]:
+    """(coordinates, object) for every object of the family whose
+    coordinates start with ``prefix``, lexicographic in the rest."""
+    coordinate_range, build, _ = _FAMILIES[family]
+    ranges = [range(c, c + 1) for c in prefix]
+    ranges += [coordinate_range(n, i) for i in range(len(prefix) + 1, n + 1)]
+    for coordinates in itertools.product(*ranges):
+        yield coordinates, build(coordinates)
+
+
+def _cells(family: str, n: int) -> list[tuple[int, ...]]:
+    """Partition of the family by its leading coordinates, in stream order."""
+    coordinate_range, _, depth = _FAMILIES[family]
+    ranges = [coordinate_range(n, i) for i in range(1, min(depth, n) + 1)]
+    return list(itertools.product(*ranges))
 
 
 def all_paths(n: int) -> Iterator[WedgePath]:
     """All wedge paths with n east steps, lexicographic in their heights."""
     if n < 1:
         raise ValueError(f"size must be at least 1, got {n}")
-    ranges = [range(-(i - 1), i) for i in range(1, n + 1)]
-    for heights in itertools.product(*ranges):
-        yield WedgePath(heights)
+    for _, path in _objects("paths", n):
+        yield path
 
 
 def all_matchings(n: int) -> Iterator[Matching]:
-    """All matchings on [2n], lexicographic in successive partner choices."""
+    """All matchings on [2n], lexicographic in their insertion codes."""
     if n < 1:
         raise ValueError(f"size must be at least 1, got {n}")
-    for _, m in _coded_matchings(n, ()):
+    for _, m in _objects("matchings", n):
         yield m
-
-
-def _coded_matchings(
-    n: int, forced: tuple[int, ...]
-) -> Iterator[tuple[tuple[int, ...], Matching]]:
-    """Enumerate (choices, matching) whose first partner choices match ``forced``.
-
-    Choice i is the rank of the chosen partner among the free vertices
-    strictly right of the least free one, exactly the coordinate system of
-    the insertion code, so the choices are the matching's code.  One
-    partner table and one choice list are filled in place; every slot is
-    overwritten before each leaf, so nothing is undone on the way back.
-    """
-    table = [0] * (2 * n)
-    code = [0] * n
-
-    def rec(
-        free: tuple[int, ...], depth: int
-    ) -> Iterator[tuple[tuple[int, ...], Matching]]:
-        if not free:
-            yield tuple(code), Matching(tuple(table))
-            return
-        first = free[0]
-        if depth < len(forced):
-            choices: Iterable[int] = (forced[depth],)
-        else:
-            choices = range(1, len(free))
-        for j in choices:
-            mate = free[j]
-            table[first - 1], table[mate - 1] = mate, first
-            code[depth] = j
-            yield from rec(free[1:j] + free[j + 1 :], depth + 1)
-
-    yield from rec(tuple(range(1, 2 * n + 1)), 0)
-
-
-def _paths_with_prefix(n: int, prefix: tuple[int, ...]) -> Iterator[WedgePath]:
-    """Paths whose heights start with (0, *prefix), lexicographic in the rest."""
-    fixed = [range(0, 1)] + [range(a, a + 1) for a in prefix]
-    rest = [range(-(i - 1), i) for i in range(len(prefix) + 2, n + 1)]
-    for heights in itertools.product(*fixed, *rest):
-        yield WedgePath(heights)
-
-
-def _path_cells(n: int) -> list[tuple[int, ...]]:
-    """Partition of the height space by the a_2..a_4 prefix."""
-    if n == 1:
-        return [()]
-    ranges = [range(-(i - 1), i) for i in range(2, min(4, n) + 1)]
-    return [tuple(c) for c in itertools.product(*ranges)]
-
-
-def _matching_cells(n: int) -> list[tuple[int, ...]]:
-    """Partition of the matching stream by its first two partner choices."""
-    depth = min(2, n)
-    ranges = [range(1, 2 * (n + 1 - i) - 1 + 1) for i in range(1, depth + 1)]
-    return [tuple(c) for c in itertools.product(*ranges)]
 
 
 # -- distribution tables ------------------------------------------------------
 
-_PATH_STATISTICS: dict[str, Callable[[WedgePath], int]] = {
-    "north_steps": WedgePath.north_steps,
+# Each statistic with the family it is counted over.
+_STATISTICS: dict[str, tuple[str, Callable]] = {
+    "north_steps": ("paths", WedgePath.north_steps),
+    "nestings": ("matchings", Matching.nestings),
+    "crossings": ("matchings", Matching.crossings),
+    "st_total": ("matchings", Matching.st_total),
 }
-_MATCHING_STATISTICS: dict[str, Callable[[Matching], int]] = {
-    "nestings": Matching.nestings,
-    "crossings": Matching.crossings,
-    "st_total": Matching.st_total,
-}
-_STATISTICS = {**_PATH_STATISTICS, **_MATCHING_STATISTICS}
 STATISTICS = tuple(_STATISTICS)
 
 
@@ -220,16 +192,12 @@ def distribution(n: int, statistic: str, max_n: int | None = None) -> Distributi
     '0:2 1:1'
     """
     _require_within_cap(n, max_n)
-    if statistic in _PATH_STATISTICS:
-        fn = _PATH_STATISTICS[statistic]
-        counts = Counter(fn(p) for p in all_paths(n))
-    elif statistic in _MATCHING_STATISTICS:
-        fn = _MATCHING_STATISTICS[statistic]
-        counts = Counter(fn(m) for m in all_matchings(n))
-    else:
+    if statistic not in _STATISTICS:
         raise ValueError(
             f"unknown statistic {statistic!r}; choose from {', '.join(STATISTICS)}"
         )
+    family, fn = _STATISTICS[statistic]
+    counts = Counter(fn(obj) for _, obj in _objects(family, n))
     return DistributionTable(n=n, statistic=statistic, counts=dict(counts))
 
 
@@ -237,9 +205,11 @@ def distribution(n: int, statistic: str, max_n: int | None = None) -> Distributi
 
 
 class _PathFacts:
-    """A path and the values its claims read, each computed once."""
+    """A streamed path and the values its claims read, each computed once.
 
-    def __init__(self, path: WedgePath) -> None:
+    The heights are the path's own, so only the path is kept."""
+
+    def __init__(self, heights: tuple[int, ...], path: WedgePath) -> None:
         self.path = path
         self.north = path.north_steps()
         self.b = insertion_code(path).b
@@ -264,6 +234,9 @@ class _MatchingFacts:
     def __str__(self) -> str:
         return f"M={self.m.to_text()}"
 
+
+# The facts of each family, built from a streamed (coordinates, object).
+_FACTS = {"paths": _PathFacts, "matchings": _MatchingFacts}
 
 # Per-object checks: None on a pass, else the counterexample detail.
 
@@ -574,32 +547,24 @@ def _run_cell(cell: _Cell) -> tuple[int, dict[str, list], dict[str, Counter]]:
     checks = [(label, _CLAIMS_BY_LABEL[label].check) for label in cell.labels]
     failures: dict[str, list] = {label: [0, []] for label in cell.labels}
     counters = {name: Counter() for name in cell.statistics}
-    statistics = [(_STATISTICS[name], counters[name]) for name in cell.statistics]
+    statistics = [(_STATISTICS[name][1], counters[name]) for name in cell.statistics]
 
-    def replay(facts: object) -> None:
+    facts = _FACTS[cell.family]
+    count = 0
+    for coordinates, obj in _objects(cell.family, cell.n, cell.prefix):
+        count += 1
+        for fn, counter in statistics:
+            counter[fn(obj)] += 1
+        if not checks:
+            continue
+        f = facts(coordinates, obj)
         for label, check in checks:
-            detail = check(facts)
+            detail = check(f)
             if detail is not None:
                 slot = failures[label]
                 slot[0] += 1
                 if len(slot[1]) < cell.limit:
-                    slot[1].append(f"{facts}: {detail}")
-
-    count = 0
-    if cell.family == "paths":
-        for path in _paths_with_prefix(cell.n, cell.prefix):
-            count += 1
-            for fn, counter in statistics:
-                counter[fn(path)] += 1
-            if checks:
-                replay(_PathFacts(path))
-    else:
-        for code, m in _coded_matchings(cell.n, cell.prefix):
-            count += 1
-            for fn, counter in statistics:
-                counter[fn(m)] += 1
-            if checks:
-                replay(_MatchingFacts(code, m))
+                    slot[1].append(f"{f}: {detail}")
     return count, failures, counters
 
 
@@ -611,15 +576,17 @@ def _verify_size(n: int, selected: list[str], limit: int, pool) -> VerificationR
         name for claim in chosen if isinstance(claim.family, tuple) for name in claim.family
     }
     cells = []
-    for family, prefixes, family_statistics in (
-        ("paths", _path_cells(n), _PATH_STATISTICS),
-        ("matchings", _matching_cells(n), _MATCHING_STATISTICS),
-    ):
+    for family in _FAMILIES:
         labels = tuple(claim.label for claim in chosen if claim.family == family)
-        statistics = tuple(name for name in family_statistics if name in tables_read)
+        statistics = tuple(
+            name
+            for name, (counted_over, _) in _STATISTICS.items()
+            if counted_over == family and name in tables_read
+        )
         if labels or statistics or family in tables_read:
             cells += [
-                _Cell(n, family, prefix, labels, statistics, limit) for prefix in prefixes
+                _Cell(n, family, prefix, labels, statistics, limit)
+                for prefix in _cells(family, n)
             ]
 
     if pool is not None and len(cells) > 1:
@@ -683,6 +650,8 @@ def _verify_sizes(
             raise ValueError(
                 f"unknown claim labels {unknown}; choose from {', '.join(CLAIMS)}"
             )
+        if not selected:
+            raise ValueError(f"no claims selected; choose from {', '.join(CLAIMS)}")
     with Pool(workers) if workers > 1 else nullcontext() as pool:
         for n in range(first, last + 1):
             yield _verify_size(n, selected, counterexample_limit, pool)
@@ -699,12 +668,13 @@ def verify_all(
     """Replay every claim exhaustively over all objects of size n.
 
     ``claims`` selects a subset of labels from :data:`CLAIMS`; by default
-    everything runs.  ``workers`` > 1 fans the stream cells out over a
-    process pool; the report is identical for any worker count because the
-    cells are merged in a fixed order.  Counterexamples are collected up to
-    ``counterexample_limit`` per claim; failures beyond that are only
-    counted.  ``workers`` must be at least 1 and is capped at the CPU
-    count; ``counterexample_limit`` must not be negative.
+    everything runs, and an empty selection is rejected.  ``workers`` > 1
+    fans the stream cells out over a process pool; the report is identical
+    for any worker count because the cells are merged in a fixed order.
+    Counterexamples are collected up to ``counterexample_limit`` per claim;
+    failures beyond that are only counted.  ``workers`` must be at least 1
+    and is capped at the CPU count; ``counterexample_limit`` must not be
+    negative.
     """
     (report,) = _verify_sizes(n, n, max_n, workers, counterexample_limit, claims)
     return report

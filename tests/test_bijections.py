@@ -25,7 +25,7 @@ from wedgematch import (
 )
 from wedgematch.bijections import _code_from_matching, _phi_inv_code, _phi_of_code
 from wedgematch.cli import main
-from wedgematch.enumeration import _coded_matchings, all_matchings, all_paths
+from wedgematch.enumeration import _objects, all_matchings, all_paths
 
 EXAMPLE_IMAGE = [(1, 4), (2, 14), (3, 12), (5, 8), (6, 9), (7, 11), (10, 13)]
 
@@ -163,8 +163,8 @@ def test_phi_golden_digest(n):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_table_phi_matches_direct(n):
-    # The harness reads phi off the size n-1 table and the stream's choices.
-    for code, m in _coded_matchings(n, ()):
+    # The harness reads phi off the size n-1 table and the stream's codes.
+    for code, m in _objects("matchings", n):
         assert code == _code_from_matching(m).b
         assert _phi_of_code(code) == phi(m)
         assert _phi_inv_code(m) == _code_from_matching(phi_inv(m)).b

@@ -207,6 +207,15 @@ def test_verify_unknown_claim_exits_2(capsys):
     assert "unknown claim" in err
 
 
+@pytest.mark.parametrize("selection", [",", ""])
+@pytest.mark.parametrize("mode", [(), ("--json",)])
+def test_verify_empty_claim_selection_exits_2(capsys, mode, selection):
+    code, out, err = run_cli(capsys, "verify", "2", "--claims", selection, *mode)
+    assert code == 2
+    assert out == ""
+    assert "no claims selected" in err
+
+
 def test_verify_json(capsys):
     code, out, _ = run_cli(capsys, "verify", "--json", "2")
     assert code == 0

@@ -19,6 +19,8 @@ from wedgematch.enumeration import (
     CLAIMS,
     ClaimResult,
     VerificationReport,
+    _cells,
+    _objects,
     resolve_cap,
     verify_ladder,
 )
@@ -119,6 +121,27 @@ def test_stream_golden_digest(n):
     for m in all_matchings(n):
         matchings.update((m.to_text() + "\n").encode())
     assert (paths.hexdigest(), matchings.hexdigest()) == STREAM_DIGESTS[n]
+
+
+# The cells of each family at n = 1, 2, 3, 4, 5, 6: paths fix a_1..a_4,
+# matchings b_1 and b_2, so the counts are 1, 3, 15, then 105, and 1, then
+# (2n-1)(2n-3).  The partition keeps reports independent of the worker count.
+CELL_COUNTS = {
+    "paths": [1, 3, 15, 105, 105, 105],
+    "matchings": [1, 3, 15, 35, 63, 99],
+}
+
+
+@pytest.mark.parametrize("family", sorted(CELL_COUNTS))
+@pytest.mark.parametrize("n", range(1, 7))
+def test_cells_partition_the_stream(family, n):
+    cells = _cells(family, n)
+    assert len(cells) == CELL_COUNTS[family][n - 1]
+    stream = [coordinates for coordinates, _ in _objects(family, n)]
+    pieces = [
+        coordinates for prefix in cells for coordinates, _ in _objects(family, n, prefix)
+    ]
+    assert pieces == stream
 
 
 def test_streams_reject_nonpositive_size():
@@ -257,6 +280,13 @@ def test_verify_claims_filter():
     assert report.claims[0].tested == 15
     with pytest.raises(ValueError, match="unknown claim labels"):
         verify_all(3, claims=["theorem9"])
+
+
+def test_verify_rejects_empty_claim_selection():
+    with pytest.raises(ValueError, match="no claims selected; choose from cardinality"):
+        verify_all(2, claims=[])
+    with pytest.raises(ValueError, match="no claims selected"):
+        next(verify_ladder(2, claims=()))
 
 
 def test_verify_report_reproducible():
