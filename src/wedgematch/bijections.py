@@ -89,15 +89,23 @@ def _matching_from_code(b: Sequence[int]) -> Matching:
 
 
 def _code_from_matching(m: Matching) -> InsertionCode:
-    """Reverse the insertion steps one by one to recover the code."""
-    free = list(range(1, 2 * m.n + 1))
+    """Recover the code in one left-to-right sweep of the partner table.
+
+    Insertion step i connects the i-th left endpoint v to its mate w, and
+    b_i is the position of w among the vertices still free, v being at 0.
+    The vertices of (v, w) taken by earlier steps are the right endpoints
+    before w of the arcs still open at v, which the sweep keeps sorted as
+    :meth:`Matching.st_total` does, so b_i = w - v - (that count).
+    """
     b: list[int] = []
-    for _ in range(m.n):
-        left = free[0]
-        mate = m.partner_of(left)
-        b.append(free.index(mate))
-        free.remove(mate)
-        free.pop(0)
+    open_rights: list[int] = []
+    for v, w in enumerate(m.partner, start=1):
+        if v > w:
+            del open_rights[0]
+            continue
+        k = bisect.bisect_left(open_rights, w)
+        b.append(w - v - k)
+        open_rights.insert(k, w)
     return InsertionCode(tuple(b))
 
 
@@ -169,6 +177,15 @@ def _phi_step(b: int, p: Sequence[int]) -> list[int]:
     return [b] + t[1:lo] + [t[0], 0] + t[lo:]
 
 
+def _phi_walk(code: Sequence[int]) -> Matching:
+    """phi(psi(code)): one surgery step (see :func:`_phi_step`) per entry
+    of the code, from last to first."""
+    p: list[int] = []
+    for b in reversed(code):
+        p = _phi_step(b, p)
+    return Matching(tuple(v + 1 for v in p))
+
+
 def phi(m: Matching) -> Matching:
     """First-edge-preserving rearrangement with nestings(phi(M)) = st_total(M).
 
@@ -178,10 +195,7 @@ def phi(m: Matching) -> Matching:
     >>> phi(Matching.from_pairs([(1, 6), (2, 5), (3, 4)])).to_text()
     '(1,6),(2,3),(4,5)'
     """
-    p: list[int] = []
-    for b in reversed(_code_from_matching(m).b):
-        p = _phi_step(b, p)
-    return Matching(tuple(v + 1 for v in p))
+    return _phi_walk(_code_from_matching(m).b)
 
 
 @lru_cache(maxsize=1)
@@ -265,6 +279,10 @@ def phi_inv(m: Matching) -> Matching:
 
 
 # -- the composite bijection -------------------------------------------------
+#
+# Both directions factor through the insertion code: phi walks the code
+# psi would insert, and phi_inv unwinds to the code psi_inv would read, so
+# the intermediate matching is never built.
 
 
 def big_phi(path: WedgePath) -> Matching:
@@ -275,9 +293,11 @@ def big_phi(path: WedgePath) -> Matching:
     >>> big_phi(WedgePath((0, -1, -2))).nestings()
     0
     """
-    return phi(psi(path))
+    return _phi_walk(insertion_code(path).b)
 
 
 def big_phi_inv(m: Matching) -> WedgePath:
     """Inverse of :func:`big_phi`: psi_inv after phi_inv."""
-    return psi_inv(phi_inv(m))
+    if m.n == 0:
+        raise InvalidMatchingError("the empty matching has no path preimage")
+    return path_from_code(InsertionCode(_phi_inv_code(m)))

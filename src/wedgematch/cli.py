@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 verification counterexample, 2 parse failure,
 3 invalid object, 4 size over the enumeration cap, 5 render output not
-writable.
+writable, 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -275,6 +275,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 def run() -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import signal
 import time
 from collections import Counter
 from contextlib import nullcontext
@@ -652,7 +653,12 @@ def _verify_sizes(
             )
         if not selected:
             raise ValueError(f"no claims selected; choose from {', '.join(CLAIMS)}")
-    with Pool(workers) if workers > 1 else nullcontext() as pool:
+    # Workers ignore Ctrl-C, so only this process reports the interrupt.
+    with (
+        Pool(workers, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN))
+        if workers > 1
+        else nullcontext()
+    ) as pool:
         for n in range(first, last + 1):
             yield _verify_size(n, selected, counterexample_limit, pool)
 

@@ -151,10 +151,7 @@ _UNIT = 30
 
 def _matching_svg(m: Matching) -> str:
     size = 2 * m.n
-    levels = _arc_levels(m) if m.n else {}
-    max_radius = max(
-        ((b - a) * _UNIT / 2 for (a, b) in levels), default=_UNIT
-    )
+    max_radius = max(((b - a) * _UNIT / 2 for a, b in m.edges), default=_UNIT)
     width = (size + 1) * _UNIT
     base = max_radius + 1.5 * _UNIT
     height = base + 2 * _UNIT
@@ -163,7 +160,7 @@ def _matching_svg(m: Matching) -> str:
         f'<line x1="{_UNIT / 2}" y1="{base}" x2="{width - _UNIT / 2}" y2="{base}" '
         'stroke="#999" stroke-width="1"/>\n'
     )
-    for (a, b) in sorted(levels):
+    for a, b in m.edges:
         x1, x2 = a * _UNIT, b * _UNIT
         radius = (x2 - x1) / 2
         parts.append(

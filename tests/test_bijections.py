@@ -75,6 +75,41 @@ def test_psi_inv_examples():
 def test_psi_inv_rejects_empty_matching():
     with pytest.raises(InvalidMatchingError):
         psi_inv(Matching(()))
+    with pytest.raises(InvalidMatchingError, match="empty matching has no path preimage"):
+        big_phi_inv(Matching(()))
+
+
+def _free_list_code(m):
+    """Reference decoder: undo the insertion steps one by one on the list of
+    free vertices, as the insertion procedure itself runs."""
+    free = list(range(1, 2 * m.n + 1))
+    b = []
+    for _ in range(m.n):
+        mate = m.partner_of(free[0])
+        b.append(free.index(mate))
+        free.remove(mate)
+        free.pop(0)
+    return tuple(b)
+
+
+def _check_code_sweep(m):
+    code = _code_from_matching(m).b
+    assert code == _free_list_code(m)
+    p = path_from_code(InsertionCode(code))
+    assert big_phi(p) == phi(psi(p))
+    assert big_phi_inv(m) == psi_inv(phi_inv(m))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_code_sweep_matches_free_list_exhaustive(n):
+    for m in all_matchings(n):
+        _check_code_sweep(m)
+
+
+@given(matchings(max_n=300))
+@settings(deadline=None)
+def test_code_sweep_matches_free_list_random(m):
+    _check_code_sweep(m)
 
 
 # -- the rearrangement ------------------------------------------------------------

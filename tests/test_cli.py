@@ -267,6 +267,17 @@ def test_verify_counterexample_exits_1(capsys, monkeypatch):
     assert "counterexample: P=ES: bad" in out
 
 
+def test_verify_interrupt_exits_130(capsys, monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("wedgematch.cli.verify_ladder", interrupted)
+    code, out, err = run_cli(capsys, "verify", "3", "--workers", "2")
+    assert code == 130
+    assert out == ""
+    assert err == "error: interrupted\n"
+
+
 # -- render ----------------------------------------------------------------------
 
 

@@ -263,9 +263,9 @@ def test_verify_ladder_shares_one_pool(monkeypatch):
     real_pool = enumeration.Pool
     started = []
 
-    def counting_pool(workers):
+    def counting_pool(workers, **kwargs):
         started.append(workers)
-        return real_pool(workers)
+        return real_pool(workers, **kwargs)
 
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(enumeration, "Pool", counting_pool)
