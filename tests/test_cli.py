@@ -95,6 +95,31 @@ def test_convert_invalid_object_exits_3(capsys):
     assert code == 3
 
 
+PIN_PATH = "ESESENNESSSS"
+PIN_MATCHING = "(1,5),(2,3),(4,8),(6,7)"
+
+
+@pytest.mark.parametrize(
+    "direction,via,valid,expected,wrong,kind",
+    [
+        ("--to-matching", "Phi", PIN_PATH, "(1,5),(2,6),(3,4),(7,8)", PIN_MATCHING, "a path (steps or heights)"),
+        ("--to-matching", "psi", PIN_PATH, "(1,5),(2,3),(4,6),(7,8)", PIN_MATCHING, "a path (steps or heights)"),
+        ("--to-matching", "phi", PIN_MATCHING, "(1,5),(2,8),(3,4),(6,7)", PIN_PATH, "a matching (pair list)"),
+        ("--to-path", "Phi", PIN_MATCHING, "ENENESSESSSS", PIN_PATH, "a matching (pair list)"),
+        ("--to-path", "psi", PIN_MATCHING, "ENESSSENNESSSS", PIN_PATH, "a matching (pair list)"),
+        ("--to-path", "phi", PIN_MATCHING, "(1,5),(2,8),(3,7),(4,6)", PIN_PATH, "a matching (pair list)"),
+    ],
+)
+def test_convert_pinned_per_direction_and_map(
+    capsys, direction, via, valid, expected, wrong, kind
+):
+    code, out, err = run_cli(capsys, "convert", direction, "--via", via, valid)
+    assert (code, out, err) == (0, expected + "\n", "")
+    code, out, err = run_cli(capsys, "convert", direction, "--via", via, wrong)
+    assert (code, out) == (3, "")
+    assert err == f"error: {direction} via {via} needs {kind} as input\n"
+
+
 def test_convert_wrong_object_kind_exits_3(capsys):
     code, _, _ = run_cli(capsys, "convert", "--to-matching", "--via", "psi", "(1,2)")
     assert code == 3
