@@ -23,7 +23,7 @@ from .enumeration import (
     verify_all,
 )
 from .errors import InvalidMatchingError, InvalidPathError, OverCapError, ParseError
-from .matching import Edge, Matching, PairRelation, classify_pair, concatenate
+from .matching import Edge, Matching, concatenate
 from .paths import WedgePath, concatenate_paths
 
 __version__ = "0.1.0"
@@ -37,7 +37,6 @@ __all__ = [
     "InvalidPathError",
     "Matching",
     "OverCapError",
-    "PairRelation",
     "ParseError",
     "VerificationReport",
     "WedgePath",
@@ -45,7 +44,6 @@ __all__ = [
     "all_paths",
     "big_phi",
     "big_phi_inv",
-    "classify_pair",
     "concatenate",
     "concatenate_paths",
     "distribution",

@@ -2,21 +2,23 @@
 
 Exit codes: 0 success, 1 verification counterexample, 2 parse failure,
 3 invalid object, 4 size over the enumeration cap, 5 render output not
-writable, 130 interrupted (Ctrl-C).
+writable, 130 interrupted (Ctrl-C), 141 stdout closed early (broken pipe).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from typing import Callable
 
 from .bijections import big_phi, big_phi_inv, phi, phi_inv, psi, psi_inv
-from .enumeration import CLAIMS, STATISTICS, distribution, verify_ladder
+from .enumeration import CLAIMS, DEFAULT_MAX_N, STATISTICS, distribution, verify_ladder
 from .errors import InvalidMatchingError, InvalidPathError, OverCapError, ParseError
 from .matching import Matching
 from .paths import WedgePath
-from .render import RenderSpec, render
+from .render import render_ascii, render_svg
 
 _FORMAT_WORDS = ("pairs", "steps", "heights")
 
@@ -59,35 +61,31 @@ def parse_object(tokens: list[str]) -> Matching | WedgePath:
     return WedgePath.from_height_text(text)
 
 
-def _need_path(obj: Matching | WedgePath, why: str) -> WedgePath:
-    if not isinstance(obj, WedgePath):
-        raise InvalidPathError(f"{why} needs a path (steps or heights) as input")
-    return obj
+# (--to-matching?, --via) -> (map, the object kind it takes)
+_CONVERSIONS: dict[tuple[bool, str], tuple[Callable, type]] = {
+    (True, "Phi"): (big_phi, WedgePath),
+    (True, "psi"): (psi, WedgePath),
+    (True, "phi"): (phi, Matching),
+    (False, "Phi"): (big_phi_inv, Matching),
+    (False, "psi"): (psi_inv, Matching),
+    (False, "phi"): (phi_inv, Matching),
+}
 
-
-def _need_matching(obj: Matching | WedgePath, why: str) -> Matching:
-    if not isinstance(obj, Matching):
-        raise InvalidMatchingError(f"{why} needs a matching (pair list) as input")
-    return obj
+# object kind -> (how the wrong-kind error names it, the error raised)
+_KINDS: dict[type, tuple[str, type[Exception]]] = {
+    WedgePath: ("a path (steps or heights)", InvalidPathError),
+    Matching: ("a matching (pair list)", InvalidMatchingError),
+}
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
     obj = parse_object(args.input)
-    via = args.via
-    if args.to_matching:
-        if via == "Phi":
-            out: Matching | WedgePath = big_phi(_need_path(obj, "--to-matching via Phi"))
-        elif via == "psi":
-            out = psi(_need_path(obj, "--to-matching via psi"))
-        else:
-            out = phi(_need_matching(obj, "--to-matching via phi"))
-    else:
-        if via == "Phi":
-            out = big_phi_inv(_need_matching(obj, "--to-path via Phi"))
-        elif via == "psi":
-            out = psi_inv(_need_matching(obj, "--to-path via psi"))
-        else:
-            out = phi_inv(_need_matching(obj, "--to-path via phi"))
+    convert, kind = _CONVERSIONS[args.to_matching, args.via]
+    if not isinstance(obj, kind):
+        noun, error = _KINDS[kind]
+        direction = "--to-matching" if args.to_matching else "--to-path"
+        raise error(f"{direction} via {args.via} needs {noun} as input")
+    out = convert(obj)
     if args.json:
         print(json.dumps(out.to_json_value()))
     elif isinstance(out, Matching):
@@ -163,14 +161,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_render(args: argparse.Namespace) -> int:
     obj = parse_object(args.input)
-    spec = RenderSpec(target=args.target, obj=obj, output=args.output)
+    text = render_ascii(obj) if args.target == "ascii" else render_svg(obj)
+    if args.output is None:
+        print(text, end="")
+        return 0
     try:
-        text = render(spec)
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 5
-    if args.output is None:
-        print(text, end="")
     return 0
 
 
@@ -187,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-n",
         type=int,
         default=None,
-        help="enumeration cap (default: $WEDGEMATCH_MAX_N or 7)",
+        help=f"enumeration cap (default: {DEFAULT_MAX_N})",
     )
     json_flag = argparse.ArgumentParser(add_help=False)
     json_flag.add_argument("--json", action="store_true", help="emit JSON")
@@ -281,7 +281,17 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    raise SystemExit(main())
+    """Process entry point: :func:`main`, then exit 141 if stdout was
+    closed early (as by ``| head``) rather than print a traceback."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at devnull so the interpreter's own flush at exit
+        # does not fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 from multiprocessing import Pool
-from typing import Callable, Iterable, Iterator
+from typing import Callable, ClassVar, Iterable, Iterator
 
 from .bijections import (
     _matching_from_code,
@@ -38,39 +38,22 @@ __all__ = [
     "ClaimResult",
     "DEFAULT_MAX_N",
     "DistributionTable",
-    "ENV_MAX_N",
     "VerificationReport",
     "all_matchings",
     "all_paths",
     "distribution",
     "double_factorial",
-    "resolve_cap",
     "verify_all",
     "verify_ladder",
 ]
 
 DEFAULT_MAX_N = 7
-ENV_MAX_N = "WEDGEMATCH_MAX_N"
-REPORT_FORMAT_VERSION = 1
-
-
-def resolve_cap(max_n: int | None = None) -> int:
-    """The enumeration cap: explicit argument, else $WEDGEMATCH_MAX_N, else 7."""
-    if max_n is not None:
-        return max_n
-    env = os.environ.get(ENV_MAX_N)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"{ENV_MAX_N} must be an integer, got {env!r}") from None
-    return DEFAULT_MAX_N
 
 
 def _require_within_cap(n: int, max_n: int | None) -> None:
     if n < 1:
         raise ValueError(f"size must be at least 1, got {n}")
-    cap = resolve_cap(max_n)
+    cap = DEFAULT_MAX_N if max_n is None else max_n
     if n > cap:
         raise OverCapError(f"size {n} exceeds the enumeration cap {cap}")
 
@@ -492,7 +475,7 @@ class VerificationReport:
     n: int
     claims: tuple[ClaimResult, ...]
     elapsed: float
-    format_version: int = REPORT_FORMAT_VERSION
+    format_version: ClassVar[int] = 1
 
     @property
     def passed(self) -> bool:

@@ -8,7 +8,6 @@ immutable; every operation returns fresh objects.
 
 from __future__ import annotations
 
-import enum
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -17,21 +16,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import InvalidMatchingError, ParseError
 
-__all__ = [
-    "Edge",
-    "Matching",
-    "PairRelation",
-    "classify_pair",
-    "concatenate",
-]
-
-
-class PairRelation(enum.Enum):
-    """The three mutually exclusive relations of two arcs."""
-
-    CROSSING = "crossing"
-    NESTING = "nesting"
-    ALIGNMENT = "alignment"
+__all__ = ["Edge", "Matching", "concatenate"]
 
 
 class Edge(NamedTuple):
@@ -41,32 +26,9 @@ class Edge(NamedTuple):
     right: int
 
 
-def classify_pair(e: Edge, f: Edge) -> PairRelation:
-    """Classify two distinct edges as crossing, nesting, or alignment.
-
-    With the edges ordered so that ``e.left < f.left``, the pair crosses
-    when ``e.left < f.left < e.right < f.right``, nests when
-    ``e.left < f.left < f.right < e.right``, and aligns otherwise.
-
-    >>> classify_pair(Edge(2, 7), Edge(4, 6))
-    <PairRelation.NESTING: 'nesting'>
-    >>> classify_pair(Edge(1, 3), Edge(2, 7))
-    <PairRelation.CROSSING: 'crossing'>
-    >>> classify_pair(Edge(1, 3), Edge(9, 10))
-    <PairRelation.ALIGNMENT: 'alignment'>
-    """
-    if e == f:
-        raise ValueError(f"cannot classify an edge against itself: {e}")
-    if e.left > f.left:
-        e, f = f, e
-    if e.left < f.left < e.right < f.right:
-        return PairRelation.CROSSING
-    if e.left < f.left < f.right < e.right:
-        return PairRelation.NESTING
-    return PairRelation.ALIGNMENT
-
-
-_PAIR_TEXT = re.compile(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)")
+# Matched against the text with all whitespace removed.
+_PAIR_TEXT = re.compile(r"\((\d+),(\d+)\)")
+_MATCHING_TEXT = re.compile(r"\(\d+,\d+\)(?:,\(\d+,\d+\))*")
 
 
 @dataclass(frozen=True)
@@ -139,12 +101,9 @@ class Matching:
         do not form a matching.
         """
         stripped = re.sub(r"\s+", "", text)
-        pairs = [(int(a), int(b)) for a, b in _PAIR_TEXT.findall(stripped)]
-        if _PAIR_TEXT.sub("", stripped).strip(",") != "":
+        if stripped and not _MATCHING_TEXT.fullmatch(stripped):
             raise ParseError(f"malformed matching text: {text!r}")
-        if not pairs and stripped != "":
-            raise ParseError(f"malformed matching text: {text!r}")
-        return cls.from_pairs(pairs)
+        return cls.from_pairs((int(a), int(b)) for a, b in _PAIR_TEXT.findall(stripped))
 
     @classmethod
     def from_json_value(cls, value: object) -> Matching:
@@ -237,13 +196,6 @@ class Matching:
         """Number of aligned pairs of edges."""
         return self._relation_counts[2]
 
-    def nestings_below(self, e: Edge) -> int:
-        """Count edges nested strictly below ``e``."""
-        a, b = e
-        if not (1 <= a <= 2 * self.n) or self.partner[a - 1] != b or a >= b:
-            raise ValueError(f"edge {e} is not in this matching")
-        return sum(1 for c, d in self.edges if a < c < d < b)
-
     def st_component(self, i: int) -> int:
         """Stacking contribution of the consecutive edge pair (e_i, e_{i+1}).
 
@@ -315,9 +267,6 @@ class Matching:
                 components.append((start, Matching(block)))
                 start = v
         return components
-
-    def is_irreducible(self) -> bool:
-        return self.n > 0 and len(self.irreducible_components()) == 1
 
 
 def concatenate(parts: Iterable[Matching]) -> Matching:

@@ -9,7 +9,7 @@ sequence a_1..a_n of the east steps; the step string is a derived view.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import InvalidPathError, ParseError
 
@@ -46,11 +46,6 @@ class WedgePath:
                 )
 
     # -- construction ------------------------------------------------------
-
-    @classmethod
-    def from_heights(cls, heights: Sequence[int] | Iterable[int]) -> WedgePath:
-        """Build from the east-step height sequence a_1..a_n."""
-        return cls(tuple(heights))
 
     @classmethod
     def parse_steps(cls, text: str) -> WedgePath:
@@ -165,9 +160,6 @@ class WedgePath:
 
     def east_steps(self) -> int:
         return self.n
-
-    def step_count(self) -> int:
-        return self.n + self.north_steps() + self.south_steps()
 
     def final_south_run(self) -> int:
         """Number of south steps on the line x = n (always >= 1)."""

@@ -7,42 +7,16 @@ SVG 1.1 with the format version embedded as a comment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from .matching import Matching
 from .paths import WedgePath
 
-__all__ = ["RenderSpec", "SVG_FORMAT_VERSION", "render", "render_ascii", "render_svg"]
+__all__ = ["SVG_FORMAT_VERSION", "render_ascii", "render_svg"]
 
 SVG_FORMAT_VERSION = "wedgematch-svg/1"
 
 Renderable = Union[Matching, WedgePath]
-
-
-@dataclass(frozen=True)
-class RenderSpec:
-    """What to draw, how, and where.
-
-    ``output`` is a file path, or None to only return the text.
-    """
-
-    target: str
-    obj: Renderable
-    output: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.target not in ("ascii", "svg"):
-            raise ValueError(f"unknown render target {self.target!r}")
-
-
-def render(spec: RenderSpec) -> str:
-    """Render per the spec, writing to ``spec.output`` when set."""
-    text = render_ascii(spec.obj) if spec.target == "ascii" else render_svg(spec.obj)
-    if spec.output is not None:
-        with open(spec.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return text
 
 
 def render_ascii(obj: Renderable) -> str:

@@ -1,11 +1,19 @@
 """Command-line behaviour: formats, directions, and exit codes."""
 
 import json
+import os
+import random
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import wedgematch
+from wedgematch import Matching
 from wedgematch.cli import main
+from wedgematch.render import render_svg
 
 EXAMPLE_IMAGE_TEXT = "(1,4),(2,14),(3,12),(5,8),(6,9),(7,11),(10,13)"
 
@@ -164,6 +172,12 @@ def test_stats_json(capsys):
     assert data["component_sizes"] == [2]
 
 
+def test_stats_malformed_matching_text_exits_2(capsys):
+    code, out, err = run_cli(capsys, "stats", "(1,2),,(3,4)")
+    assert (code, out) == (2, "")
+    assert err == "error: malformed matching text: '(1,2),,(3,4)'\n"
+
+
 # -- enumerate ------------------------------------------------------------------
 
 
@@ -197,15 +211,6 @@ def test_enumerate_over_cap_exits_4(capsys):
     code, _, err = run_cli(capsys, "enumerate", "9", "nestings")
     assert code == 4
     assert "cap" in err
-
-
-def test_enumerate_env_cap(capsys, monkeypatch):
-    monkeypatch.setenv("WEDGEMATCH_MAX_N", "2")
-    code, _, _ = run_cli(capsys, "enumerate", "3", "nestings")
-    assert code == 4
-    # explicit flag overrides the environment
-    code, _, _ = run_cli(capsys, "enumerate", "--max-n", "3", "3", "nestings")
-    assert code == 0
 
 
 # -- verify -----------------------------------------------------------------------
@@ -333,6 +338,7 @@ def test_render_to_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     ET.fromstring(target.read_text())
+    assert target.read_text() == render_svg(Matching.from_text("(1,2)"))
 
 
 def test_render_unwritable_output(capsys, tmp_path):
@@ -341,3 +347,28 @@ def test_render_unwritable_output(capsys, tmp_path):
     )
     assert code == 5
     assert "cannot write" in err
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    # The SVG of a matching on 2048 vertices is far larger than a pipe
+    # buffer, so the write fails once the reader has gone.  Under
+    # PYTHONUNBUFFERED the failed write is a silent short write instead, so
+    # the child runs with buffered stdout, as from a plain shell.
+    order = list(range(1, 2049))
+    random.Random(1024).shuffle(order)
+    text = ",".join(f"({a},{b})" for a, b in zip(order[::2], order[1::2]))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(wedgematch.__file__).parents[1])
+    with subprocess.Popen(
+        [sys.executable, "-m", "wedgematch.cli", "render", "--format", "svg", text],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    ) as proc:
+        assert proc.stdout.readline().startswith(b"<?xml")
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    assert code == 141
+    assert "Traceback" not in err
+    assert "Exception ignored" not in err

@@ -21,7 +21,6 @@ from wedgematch.enumeration import (
     VerificationReport,
     _cells,
     _objects,
-    resolve_cap,
     verify_ladder,
 )
 
@@ -196,20 +195,7 @@ def test_distribution_table_validates_total():
 # -- enumeration cap --------------------------------------------------------------
 
 
-def test_cap_default_and_override(monkeypatch):
-    monkeypatch.delenv("WEDGEMATCH_MAX_N", raising=False)
-    assert resolve_cap() == 7
-    assert resolve_cap(3) == 3
-    monkeypatch.setenv("WEDGEMATCH_MAX_N", "5")
-    assert resolve_cap() == 5
-    assert resolve_cap(9) == 9
-    monkeypatch.setenv("WEDGEMATCH_MAX_N", "many")
-    with pytest.raises(ValueError):
-        resolve_cap()
-
-
-def test_over_cap_errors(monkeypatch):
-    monkeypatch.delenv("WEDGEMATCH_MAX_N", raising=False)
+def test_over_cap_errors():
     with pytest.raises(OverCapError):
         distribution(8, "nestings")
     with pytest.raises(OverCapError):

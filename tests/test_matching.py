@@ -10,9 +10,7 @@ from wedgematch import (
     Edge,
     InvalidMatchingError,
     Matching,
-    PairRelation,
     ParseError,
-    classify_pair,
     concatenate,
 )
 from wedgematch.enumeration import all_matchings
@@ -102,32 +100,14 @@ def test_from_text_malformed():
         Matching.from_text("1,3")
     with pytest.raises(ParseError):
         Matching.from_text("(1,3),(2,x)")
+    for text in ("(1,2)(3,4)", "(1,2),,(3,4)", ",(1,2),"):
+        with pytest.raises(ParseError):
+            Matching.from_text(text)
 
 
 def test_json_round_trip():
     m = Matching.from_pairs(FIGURE_PAIRS)
     assert Matching.from_json_value(m.to_json_value()) == m
-
-
-# -- pair classification ------------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "e,f,expected",
-    [
-        (Edge(2, 7), Edge(4, 6), PairRelation.NESTING),
-        (Edge(1, 3), Edge(2, 7), PairRelation.CROSSING),
-        (Edge(1, 3), Edge(9, 10), PairRelation.ALIGNMENT),
-    ],
-)
-def test_classify_pair(e, f, expected):
-    assert classify_pair(e, f) is expected
-    assert classify_pair(f, e) is expected
-
-
-def test_classify_pair_identical_edges():
-    with pytest.raises(ValueError):
-        classify_pair(Edge(1, 2), Edge(1, 2))
 
 
 # -- global statistics --------------------------------------------------------
@@ -164,23 +144,6 @@ def test_sweeps_match_references_large_n(m):
     assert m.st_total() == sum(m.st_component(i) for i in range(1, m.n))
 
 
-# -- nestings below an edge ----------------------------------------------------
-
-
-def test_nestings_below():
-    m = Matching.from_pairs(FIGURE_PAIRS)
-    assert m.nestings_below(Edge(2, 7)) == 1
-    assert m.nestings_below(Edge(9, 10)) == 0
-    deep = Matching.from_pairs([(1, 6), (2, 5), (3, 4)])
-    assert deep.nestings_below(Edge(1, 6)) == 2
-
-
-def test_nestings_below_foreign_edge():
-    m = Matching.from_pairs(FIGURE_PAIRS)
-    with pytest.raises(ValueError, match="not in this matching"):
-        m.nestings_below(Edge(1, 2))
-
-
 # -- stacking statistic ---------------------------------------------------------
 
 
@@ -212,7 +175,8 @@ def test_st_total_examples():
 def test_st_component_positive_exactly_when_nested(n):
     for m in all_matchings(n):
         for i in range(1, n):
-            nested = classify_pair(m.edges[i - 1], m.edges[i]) is PairRelation.NESTING
+            (a, b), (c, d) = m.edges[i - 1], m.edges[i]
+            nested = a < c < d < b
             assert (m.st_component(i) >= 1) == nested
         assert m.st_total() == sum(m.st_component(i) for i in range(1, n))
 
@@ -239,7 +203,7 @@ def test_components_idempotent_and_concatenation(n):
     for m in all_matchings(n):
         comps = m.irreducible_components()
         for _, c in comps:
-            assert c.is_irreducible()
+            assert len(c.irreducible_components()) == 1
         assert concatenate(c for _, c in comps) == m
 
 

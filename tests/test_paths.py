@@ -28,20 +28,20 @@ def walk(steps: str) -> tuple[int, int]:
 
 
 def test_from_heights_basic():
-    p = WedgePath.from_heights([0, -1])
+    p = WedgePath([0, -1])
     assert p.to_steps() == "ESES"
     assert walk(p.to_steps()) == (2, -2)
 
 
 def test_from_heights_bound_violation():
     with pytest.raises(InvalidPathError, match=r"height 2 at east step 2"):
-        WedgePath.from_heights([0, 2])
+        WedgePath([0, 2])
     with pytest.raises(InvalidPathError, match=r"height -1 at east step 1"):
-        WedgePath.from_heights([-1])
+        WedgePath([-1])
 
 
 def test_from_heights_singleton():
-    assert WedgePath.from_heights([0]).to_steps() == "ES"
+    assert WedgePath([0]).to_steps() == "ES"
 
 
 def test_empty_heights_rejected():
@@ -129,7 +129,7 @@ def test_step_bookkeeping(p):
     assert p.north_steps() == steps.count("N")
     assert p.south_steps() == steps.count("S")
     assert p.east_steps() == steps.count("E") == p.n
-    assert p.step_count() == len(steps) == 2 * p.n + 2 * p.north_steps()
+    assert len(steps) == 2 * p.n + 2 * p.north_steps()
     assert walk(steps) == (p.n, -p.n)
     assert p.is_dyck() == (len(steps) == 2 * p.n)
 

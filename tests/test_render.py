@@ -10,8 +10,6 @@ from wedgematch import Matching, WedgePath
 from wedgematch.enumeration import all_matchings, all_paths
 from wedgematch.render import (
     SVG_FORMAT_VERSION,
-    RenderSpec,
-    render,
     render_ascii,
     render_svg,
 )
@@ -54,7 +52,7 @@ def test_svg_path_unit_segments():
     path = WedgePath.parse_steps("ESES")
     svg = render_svg(path)
     ET.fromstring(svg)  # well-formed XML
-    assert svg.count('class="step"') == path.step_count() == 4
+    assert svg.count('class="step"') == len(path.to_steps()) == 4
     assert SVG_FORMAT_VERSION in svg
 
 
@@ -71,19 +69,6 @@ def test_render_deterministic():
     m = Matching.from_pairs([(1, 3), (2, 7), (4, 6), (5, 8), (9, 10)])
     assert render_svg(m) == render_svg(m)
     assert render_ascii(m) == render_ascii(m)
-
-
-def test_render_spec_validates_target():
-    with pytest.raises(ValueError):
-        RenderSpec(target="png", obj=WedgePath((0,)))
-
-
-def test_render_spec_writes_file(tmp_path):
-    out = tmp_path / "pic.svg"
-    spec = RenderSpec(target="svg", obj=WedgePath((0,)), output=str(out))
-    text = render(spec)
-    assert out.read_text() == text
-    ET.fromstring(text)
 
 
 # sha256 of render_svg then render_ascii of every object, all_matchings(n)
