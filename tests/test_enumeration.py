@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -273,6 +274,23 @@ def test_verify_rejects_empty_claim_selection():
         verify_all(2, claims=[])
     with pytest.raises(ValueError, match="no claims selected"):
         next(verify_ladder(2, claims=()))
+
+
+# sha256 of json.dumps(verify_all(n).to_json_value()) on one worker: the
+# whole reproducible payload, every claim's tallies and order included.
+VERIFY_PAYLOAD_DIGESTS = {
+    1: "3c25ca76e29054f1aef2c6a0a5a9469d9691909af52bd29501390801135cfc7f",
+    2: "5c8a717fe9e594e41a9d9a1394b185600f88bc37357ca6633d2d3b5740a1a126",
+    3: "21f7efa7e4058f9c6fdadc6bc8d1d803ea2cb0348090f5ede93ac4f56f7b422e",
+    4: "3c73a91b5cf89bb109029a7031f61ef98c2dde624f0d87e8b708ba8dec98414b",
+    5: "421f61ada44e04daa198b616d70f5157fedf836d9918927709f1162a0be7fcf8",
+}
+
+
+@pytest.mark.parametrize("n", sorted(VERIFY_PAYLOAD_DIGESTS))
+def test_verify_payload_golden_digest(n):
+    payload = json.dumps(verify_all(n, workers=1).to_json_value())
+    assert hashlib.sha256(payload.encode()).hexdigest() == VERIFY_PAYLOAD_DIGESTS[n]
 
 
 def test_verify_report_reproducible():
