@@ -44,17 +44,25 @@ class InsertionCode:
     b: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        b = tuple(self.b)
-        object.__setattr__(self, "b", b)
-        n = len(b)
-        for i, bi in enumerate(b, start=1):
-            hi = 2 * (n + 1 - i) - 1
-            if not 1 <= bi <= hi:
-                raise ValueError(f"code entry {bi} at position {i} is outside 1..{hi}")
+        object.__setattr__(self, "b", _check_code(tuple(self.b)))
 
     @property
     def n(self) -> int:
         return len(self.b)
+
+
+def _check_code(b: tuple[int, ...]) -> tuple[int, ...]:
+    """Return ``b`` if every entry is in range, else raise ValueError."""
+    n = len(b)
+    for i, bi in enumerate(b, start=1):
+        hi = 2 * (n + 1 - i) - 1
+        if not 1 <= bi <= hi:
+            raise ValueError(f"code entry {bi} at position {i} is outside 1..{hi}")
+    return b
+
+
+def _code_from_heights(a: Sequence[int]) -> tuple[int, ...]:
+    return tuple(h + j for j, h in enumerate(a, start=1))[::-1]
 
 
 def insertion_code(path: WedgePath) -> InsertionCode:
@@ -63,9 +71,7 @@ def insertion_code(path: WedgePath) -> InsertionCode:
     >>> insertion_code(WedgePath((0, 1))).b
     (3, 1)
     """
-    n = path.n
-    a = path.heights
-    return InsertionCode(tuple(a[n - i] + n + 1 - i for i in range(1, n + 1)))
+    return InsertionCode(_code_from_heights(path.heights))
 
 
 def path_from_code(code: InsertionCode) -> WedgePath:
@@ -77,7 +83,7 @@ def path_from_code(code: InsertionCode) -> WedgePath:
     return WedgePath(tuple(heights))
 
 
-def _matching_from_code(b: Sequence[int]) -> Matching:
+def _partner_from_code(b: Sequence[int]) -> tuple[int, ...]:
     """Run the insertion procedure for the code b on 2n free vertices."""
     free = list(range(1, 2 * len(b) + 1))
     table = [0] * len(free)
@@ -85,10 +91,10 @@ def _matching_from_code(b: Sequence[int]) -> Matching:
         right = free.pop(bi)
         left = free.pop(0)
         table[left - 1], table[right - 1] = right, left
-    return Matching(tuple(table))
+    return tuple(table)
 
 
-def _code_from_matching(m: Matching) -> InsertionCode:
+def _code_from_partner(partner: Sequence[int]) -> tuple[int, ...]:
     """Recover the code in one left-to-right sweep of the partner table.
 
     Insertion step i connects the i-th left endpoint v to its mate w, and
@@ -99,14 +105,14 @@ def _code_from_matching(m: Matching) -> InsertionCode:
     """
     b: list[int] = []
     open_rights: list[int] = []
-    for v, w in enumerate(m.partner, start=1):
+    for v, w in enumerate(partner, start=1):
         if v > w:
             del open_rights[0]
             continue
         k = bisect.bisect_left(open_rights, w)
         b.append(w - v - k)
         open_rights.insert(k, w)
-    return InsertionCode(tuple(b))
+    return tuple(b)
 
 
 def psi(path: WedgePath) -> Matching:
@@ -115,7 +121,7 @@ def psi(path: WedgePath) -> Matching:
     >>> psi(WedgePath((0, 1))).to_text()
     '(1,4),(2,3)'
     """
-    return _matching_from_code(insertion_code(path).b)
+    return Matching(_partner_from_code(insertion_code(path).b))
 
 
 def psi_inv(m: Matching) -> WedgePath:
@@ -126,7 +132,7 @@ def psi_inv(m: Matching) -> WedgePath:
     """
     if m.n == 0:
         raise InvalidMatchingError("the empty matching has no path preimage")
-    return path_from_code(_code_from_matching(m))
+    return path_from_code(InsertionCode(_code_from_partner(m.partner)))
 
 
 # -- the three-case rearrangement -------------------------------------------
@@ -177,13 +183,18 @@ def _phi_step(b: int, p: Sequence[int]) -> list[int]:
     return [b] + t[1:lo] + [t[0], 0] + t[lo:]
 
 
-def _phi_walk(code: Sequence[int]) -> Matching:
+def _phi_walk(code: Sequence[int]) -> tuple[int, ...]:
     """phi(psi(code)): one surgery step (see :func:`_phi_step`) per entry
     of the code, from last to first."""
     p: list[int] = []
     for b in reversed(code):
         p = _phi_step(b, p)
-    return Matching(tuple(v + 1 for v in p))
+    return tuple(v + 1 for v in p)
+
+
+def _phi_partner(partner: Sequence[int]) -> tuple[int, ...]:
+    """The kernel of :func:`phi`: read the code, then walk it."""
+    return _phi_walk(_code_from_partner(partner))
 
 
 def phi(m: Matching) -> Matching:
@@ -195,7 +206,7 @@ def phi(m: Matching) -> Matching:
     >>> phi(Matching.from_pairs([(1, 6), (2, 5), (3, 4)])).to_text()
     '(1,6),(2,3),(4,5)'
     """
-    return _phi_walk(_code_from_matching(m).b)
+    return Matching(_phi_partner(m.partner))
 
 
 @lru_cache(maxsize=1)
@@ -213,30 +224,29 @@ def _phi_table(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(table)
 
 
-def _phi_of_code(code: Sequence[int]) -> Matching:
+def _phi_of_code(code: Sequence[int]) -> tuple[int, ...]:
     """phi(psi(code)): one surgery step on the size n-1 table entry of code[1:].
 
-    The code is validated first, so an out-of-range entry raises instead
-    of reading another code's entry.
+    The code is range-checked first, so an out-of-range entry raises
+    instead of reading another code's entry.
     """
-    b = InsertionCode(tuple(code)).b
+    b = _check_code(tuple(code))
     n = len(b)
     rank = 0
     for i in range(1, n):
         rank = rank * (2 * (n - i) - 1) + b[i] - 1
-    p = _phi_step(b[0], _phi_table(n - 1)[rank])
-    return Matching(tuple(v + 1 for v in p))
+    return tuple(v + 1 for v in _phi_step(b[0], _phi_table(n - 1)[rank]))
 
 
-def _phi_inv_code(m: Matching) -> tuple[int, ...]:
-    """The insertion code of :func:`phi_inv` of ``m``, unwound from the outside.
+def _phi_inv_code(partner: Sequence[int]) -> tuple[int, ...]:
+    """The code of :func:`phi_inv` of a partner tuple, unwound from the outside.
 
     Reads the case off the matching: with 0-based vertices, the first edge
     (0, r) is aligned when r = 1; otherwise the fresh vertex r - 1 is a
     left endpoint exactly in the crossed case.  Each step records r as the
     next code entry, undoes the repair and strips the first edge.
     """
-    p = [v - 1 for v in m.partner]
+    p = [v - 1 for v in partner]
     code: list[int] = []
     while p:
         r = p[0]
@@ -269,13 +279,18 @@ def _phi_inv_code(m: Matching) -> tuple[int, ...]:
     return tuple(code)
 
 
+def _phi_inv_partner(partner: Sequence[int]) -> tuple[int, ...]:
+    """The kernel of :func:`phi_inv`: unwind the code, then insert it."""
+    return _partner_from_code(_check_code(_phi_inv_code(partner)))
+
+
 def phi_inv(m: Matching) -> Matching:
     """Exact two-sided inverse of :func:`phi`.
 
     >>> phi_inv(Matching.from_pairs([(1, 6), (2, 3), (4, 5)])).to_text()
     '(1,6),(2,5),(3,4)'
     """
-    return _matching_from_code(InsertionCode(_phi_inv_code(m)).b)
+    return Matching(_phi_inv_partner(m.partner))
 
 
 # -- the composite bijection -------------------------------------------------
@@ -293,11 +308,11 @@ def big_phi(path: WedgePath) -> Matching:
     >>> big_phi(WedgePath((0, -1, -2))).nestings()
     0
     """
-    return _phi_walk(insertion_code(path).b)
+    return Matching(_phi_walk(insertion_code(path).b))
 
 
 def big_phi_inv(m: Matching) -> WedgePath:
     """Inverse of :func:`big_phi`: psi_inv after phi_inv."""
     if m.n == 0:
         raise InvalidMatchingError("the empty matching has no path preimage")
-    return path_from_code(InsertionCode(_phi_inv_code(m)))
+    return path_from_code(InsertionCode(_phi_inv_code(m.partner)))

@@ -8,6 +8,7 @@ writable, 130 interrupted (Ctrl-C), 141 stdout closed early (broken pipe).
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -283,6 +284,11 @@ def main(argv: list[str] | None = None) -> int:
 def run() -> None:
     """Process entry point: :func:`main`, then exit 141 if stdout was
     closed early (as by ``| head``) rather than print a traceback."""
+    out = sys.stdout
+    if isinstance(getattr(out, "buffer", None), io.RawIOBase):
+        # Unbuffered (python -u), a short write into a closed pipe is lost.
+        raw = io.BufferedWriter(out.buffer)
+        sys.stdout = io.TextIOWrapper(raw, out.encoding, out.errors, line_buffering=True)
     try:
         code = main()
         sys.stdout.flush()

@@ -20,17 +20,18 @@ from multiprocessing import Pool
 from typing import Callable, ClassVar, Iterable, Iterator
 
 from .bijections import (
-    _matching_from_code,
+    InsertionCode,
+    _code_from_heights,
+    _code_from_partner,
+    _partner_from_code,
     _phi_inv_code,
+    _phi_inv_partner,
     _phi_of_code,
-    insertion_code,
-    phi,
-    phi_inv,
-    psi,
-    psi_inv,
+    _phi_partner,
+    path_from_code,
 )
 from .errors import OverCapError
-from .matching import Matching, concatenate
+from .matching import Matching, _arc_counts, _blocks, _check_partner, _st_total, _stacking
 from .paths import WedgePath
 
 __all__ = [
@@ -77,13 +78,15 @@ def double_factorial(n: int) -> int:
 # Both families of size n are products of per-coordinate ranges, i = 1..n:
 # a path is its heights a_i in [-(i-1), i-1], a matching its insertion code
 # b_i in [1, 2(n-i)+1].  Per family: the range of coordinate i, the object
-# built from all n coordinates, and how many leading coordinates one cell
-# of the verification harness fixes (a_1 has a single value, so a path
-# cell fixes four).
+# built from all n coordinates (a matching as its partner tuple, checked as
+# Matching checks it), and how many leading coordinates one cell of the
+# verification harness fixes (a_1 has a single value, so a path cell fixes
+# four).
 
 _FAMILIES: dict[str, tuple[Callable[[int, int], range], Callable, int]] = {
     "paths": (lambda n, i: range(-(i - 1), i), WedgePath, 4),
-    "matchings": (lambda n, i: range(1, 2 * (n - i) + 2), _matching_from_code, 2),
+    "matchings": (lambda n, i: range(1, 2 * (n - i) + 2),
+                  lambda b: _check_partner(_partner_from_code(b)), 2),
 }
 
 
@@ -118,8 +121,8 @@ def all_matchings(n: int) -> Iterator[Matching]:
     """All matchings on [2n], lexicographic in their insertion codes."""
     if n < 1:
         raise ValueError(f"size must be at least 1, got {n}")
-    for _, m in _objects("matchings", n):
-        yield m
+    for _, partner in _objects("matchings", n):
+        yield Matching(partner)
 
 
 # -- distribution tables ------------------------------------------------------
@@ -127,9 +130,9 @@ def all_matchings(n: int) -> Iterator[Matching]:
 # Each statistic with the family it is counted over.
 _STATISTICS: dict[str, tuple[str, Callable]] = {
     "north_steps": ("paths", WedgePath.north_steps),
-    "nestings": ("matchings", Matching.nestings),
-    "crossings": ("matchings", Matching.crossings),
-    "st_total": ("matchings", Matching.st_total),
+    "nestings": ("matchings", lambda partner: _arc_counts(partner)[1]),
+    "crossings": ("matchings", lambda partner: _arc_counts(partner)[0]),
+    "st_total": ("matchings", _st_total),
 }
 STATISTICS = tuple(_STATISTICS)
 
@@ -189,15 +192,14 @@ def distribution(n: int, statistic: str, max_n: int | None = None) -> Distributi
 
 
 class _PathFacts:
-    """A streamed path and the values its claims read, each computed once.
-
-    The heights are the path's own, so only the path is kept."""
+    """A streamed path and the values its claims read, each computed once:
+    the code ``b`` and the partner tuples of ``psi`` and ``big_phi`` of it."""
 
     def __init__(self, heights: tuple[int, ...], path: WedgePath) -> None:
         self.path = path
         self.north = path.north_steps()
-        self.b = insertion_code(path).b
-        self.m = psi(path)
+        self.b = _code_from_heights(heights)
+        self.m = _partner_from_code(self.b)
         self.nm = _phi_of_code(self.b)
 
     def __str__(self) -> str:
@@ -205,67 +207,67 @@ class _PathFacts:
 
 
 class _MatchingFacts:
-    """A streamed matching with its insertion code; phi of it on first use."""
+    """A streamed partner tuple with its insertion code; phi of it on first use."""
 
-    def __init__(self, code: tuple[int, ...], m: Matching) -> None:
+    def __init__(self, code: tuple[int, ...], m: tuple[int, ...]) -> None:
         self.code = code
         self.m = m
 
     @cached_property
-    def fm(self) -> Matching:
+    def fm(self) -> tuple[int, ...]:
         return _phi_of_code(self.code)
 
     def __str__(self) -> str:
-        return f"M={self.m.to_text()}"
+        return f"M={Matching(self.m)}"
 
 
 # The facts of each family, built from a streamed (coordinates, object).
 _FACTS = {"paths": _PathFacts, "matchings": _MatchingFacts}
 
-# Per-object checks: None on a pass, else the counterexample detail.
+
+# Per-object checks: None on a pass, else the counterexample detail.  They run
+# the public maps' kernels on the facts' tuples; objects only write the detail.
 
 
 def _round_trip_psi(f: _PathFacts) -> str | None:
-    back = psi_inv(f.m)
-    return None if back == f.path else f"comes back as {back.to_steps()}"
+    back = _code_from_partner(f.m)
+    return None if back == f.b else f"comes back as {path_from_code(InsertionCode(back))}"
 
 
 def _round_trip_big_phi(f: _PathFacts) -> str | None:
-    back = psi_inv(phi_inv(f.nm))
-    return None if back == f.path else f"comes back as {back.to_steps()}"
+    back = _code_from_partner(_phi_inv_partner(f.nm))
+    return None if back == f.b else f"comes back as {path_from_code(InsertionCode(back))}"
 
 
 def _lemma1(f: _PathFacts) -> str | None:
-    b, m = f.b, f.m
-    per_index_ok = all(
-        m.st_component(i) == max(b[i - 1] - b[i] - 1, 0) for i in range(1, len(b))
-    )
-    st = m.st_total()
+    b = f.b
+    per_index_ok = _stacking(f.m) == [max(b[i - 1] - b[i] - 1, 0) for i in range(1, len(b))]
+    st = _st_total(f.m)
     if st == f.north and per_index_ok:
         return None
     return f"north={f.north} stacking={st} indexwise_ok={per_index_ok}"
 
 
 def _theorem1(f: _PathFacts) -> str | None:
-    ne = f.nm.nestings()
+    ne = _arc_counts(f.nm)[1]
     return None if ne == f.north else f"north={f.north} nestings={ne}"
 
 
 def _proposition_a(f: _PathFacts) -> str | None:
-    mate = f.nm.partner_of(1)
+    mate = f.nm[0]
     run = f.path.final_south_run()
     return None if mate == run + 1 else f"south_run={run} partner_of_1={mate}"
 
 
 def _proposition_b(f: _PathFacts) -> str | None:
     path_sizes = [c.n for c in f.path.components()][::-1]
-    image_sizes = [c.n for _, c in f.nm.irreducible_components()]
-    piecewise = concatenate(phi(c) for _, c in f.m.irreducible_components())
+    image_sizes = [len(block) // 2 for _, block in _blocks(f.nm)]
+    piecewise = tuple(v + s for s, block in _blocks(f.m) for v in _phi_partner(block))
     if path_sizes == image_sizes and piecewise == f.nm:
         return None
     return (
         f"path_sizes(rev)={path_sizes} image_sizes={image_sizes} "
-        f"piecewise={piecewise.to_text()} global={f.nm.to_text()}"
+        f"piecewise={Matching(piecewise)} global={Matching(f.nm)}"
     )
 
 
@@ -273,35 +275,36 @@ def _dyck_proposition(f: _PathFacts) -> str | None:
     if not f.path.is_dyck():
         return None
     nm = f.nm
-    lefts = {a for a, _ in nm.edges}
+    ne = _arc_counts(nm)[1]
+    lefts = {v for v, w in enumerate(nm, start=1) if v < w}
     expected = f.path.reversed_south_positions()
-    if nm.nestings() == 0 and lefts == expected and nm == f.m:
+    if ne == 0 and lefts == expected and nm == f.m:
         return None
     return (
-        f"nestings={nm.nestings()} lefts={sorted(lefts)} "
+        f"nestings={ne} lefts={sorted(lefts)} "
         f"expected={sorted(expected)} fixed={nm == f.m}"
     )
 
 
 def _round_trip_psi_inv(f: _MatchingFacts) -> str | None:
-    back = psi(psi_inv(f.m))
-    return None if back == f.m else f"comes back as {back.to_text()}"
+    back = _partner_from_code(_code_from_partner(f.m))
+    return None if back == f.m else f"comes back as {Matching(back)}"
 
 
 def _round_trip_phi(f: _MatchingFacts) -> str | None:
-    back = phi_inv(f.fm)
-    return None if back == f.m else f"comes back as {back.to_text()}"
+    back = _phi_inv_partner(f.fm)
+    return None if back == f.m else f"comes back as {Matching(back)}"
 
 
 def _round_trip_phi_inv(f: _MatchingFacts) -> str | None:
     back = _phi_of_code(_phi_inv_code(f.m))
-    return None if back == f.m else f"comes back as {back.to_text()}"
+    return None if back == f.m else f"comes back as {Matching(back)}"
 
 
 def _theorem2(f: _MatchingFacts) -> str | None:
-    st = f.m.st_total()
-    ne = f.fm.nestings()
-    same_first = f.fm.first_edge == f.m.first_edge
+    st = _st_total(f.m)
+    ne = _arc_counts(f.fm)[1]
+    same_first = f.fm[0] == f.m[0]
     if ne == st and same_first:
         return None
     return f"stacking={st} nestings={ne} first_edge_kept={same_first}"

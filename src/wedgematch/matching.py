@@ -3,7 +3,9 @@
 A matching is stored as an involution table: ``partner[v - 1]`` is the
 vertex matched to ``v``.  Vertices are numbered 1..2n from left to right,
 and the derived edge list is kept sorted by left endpoint.  All values are
-immutable; every operation returns fresh objects.
+immutable; every operation returns fresh objects.  The checks and sweeps
+are module-level functions of the partner tuple, which the verification
+harness calls on the plain tuples it streams.
 """
 
 from __future__ import annotations
@@ -43,22 +45,7 @@ class Matching:
     partner: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        table = tuple(self.partner)
-        object.__setattr__(self, "partner", table)
-        size = len(table)
-        if size % 2 != 0:
-            raise InvalidMatchingError(f"partner table has odd length {size}")
-        for v1, p in enumerate(table, start=1):
-            if not isinstance(p, int) or isinstance(p, bool):
-                raise InvalidMatchingError(f"partner of {v1} is not an integer: {p!r}")
-            if not 1 <= p <= size:
-                raise InvalidMatchingError(f"vertex {p} out of range 1..{size}")
-            if p == v1:
-                raise InvalidMatchingError(f"vertex {v1} is matched to itself")
-            if table[p - 1] != v1:
-                raise InvalidMatchingError(
-                    f"partner table is not an involution at vertex {v1}"
-                )
+        object.__setattr__(self, "partner", _check_partner(tuple(self.partner)))
 
     # -- construction ------------------------------------------------------
 
@@ -159,26 +146,7 @@ class Matching:
 
     @cached_property
     def _relation_counts(self) -> tuple[int, int, int]:
-        """(crossings, nestings, alignments) in one left-to-right sweep.
-
-        ``open_rights`` holds, sorted, the right endpoints of the arcs
-        opened so far and not yet closed.  An arc (v, w) opening at v
-        crosses each open arc that closes before w and nests under each
-        one that closes after w.
-        """
-        n = self.n
-        cr = ne = 0
-        open_rights: list[int] = []
-        for v, w in enumerate(self.partner, start=1):
-            if v < w:
-                k = bisect_left(open_rights, w)
-                cr += k
-                ne += len(open_rights) - k
-                open_rights.insert(k, w)
-            else:
-                # Every other open arc closes after v, so v is the least.
-                del open_rights[0]
-        return cr, ne, n * (n - 1) // 2 - cr - ne
+        return _arc_counts(self.partner)
 
     def crossings(self) -> int:
         """Number of crossing pairs of edges."""
@@ -212,41 +180,15 @@ class Matching:
         c, d = edges[i]
         if not (a < c < d < b):
             return 0
-        return sum(
-            1
-            for edge in edges[i:]
-            for v in edge
-            if d <= v <= b
-        )
+        return sum(d <= v <= b for edge in edges[i:] for v in edge)
 
     def st_total(self) -> int:
         """Total stacking statistic: sum of st_component over i = 1..n-1.
 
-        Computed in one sweep over consecutive left endpoints a < c with
-        mates b and d.  The pair is nested exactly when d < b.  Of the
-        window [d, b] it then counts d and every vertex strictly between d
-        and b, except those whose mate lies left of a (their edge comes
-        before e_i); b belongs to e_i and is not counted.  Those excepted
-        vertices are the right endpoints in (d, b) of the arcs still open
-        when c is reached, as the only left endpoint in [a, c) is a; the
-        sweep keeps them sorted, as :attr:`_relation_counts` does.
-
         >>> Matching.from_pairs([(1, 6), (2, 5), (3, 4)]).st_total()
         2
         """
-        total = 0
-        b = 0
-        open_rights: list[int] = []
-        for c, d in enumerate(self.partner, start=1):
-            if c > d:
-                del open_rights[0]
-                continue
-            k = bisect_left(open_rights, d)
-            if d < b:
-                total += b - d - (bisect_left(open_rights, b) - k)
-            open_rights.insert(k, d)
-            b = d
-        return total
+        return _st_total(self.partner)
 
     # -- components --------------------------------------------------------
 
@@ -257,16 +199,7 @@ class Matching:
         component is renumbered to start at vertex 1, and concatenating the
         components reproduces this matching.
         """
-        components: list[tuple[int, Matching]] = []
-        start = 0
-        reach = 0
-        for v in range(1, 2 * self.n + 1):
-            reach = max(reach, self.partner[v - 1])
-            if reach == v:
-                block = tuple(p - start for p in self.partner[start:v])
-                components.append((start, Matching(block)))
-                start = v
-        return components
+        return [(start, Matching(block)) for start, block in _blocks(self.partner)]
 
 
 def concatenate(parts: Iterable[Matching]) -> Matching:
@@ -280,3 +213,86 @@ def concatenate(parts: Iterable[Matching]) -> Matching:
         offset = len(table)
         table.extend(p + offset for p in part.partner)
     return Matching(tuple(table))
+
+
+def _check_partner(table: tuple[int, ...]) -> tuple[int, ...]:
+    """Return ``table`` if it is a fixed-point-free involution of 1..len."""
+    size = len(table)
+    if size % 2 != 0:
+        raise InvalidMatchingError(f"partner table has odd length {size}")
+    for v1, p in enumerate(table, start=1):
+        if not isinstance(p, int) or isinstance(p, bool):
+            raise InvalidMatchingError(f"partner of {v1} is not an integer: {p!r}")
+        if not 1 <= p <= size:
+            raise InvalidMatchingError(f"vertex {p} out of range 1..{size}")
+        if p == v1:
+            raise InvalidMatchingError(f"vertex {v1} is matched to itself")
+        if table[p - 1] != v1:
+            raise InvalidMatchingError(f"partner table is not an involution at vertex {v1}")
+    return table
+
+
+def _arc_counts(partner: tuple[int, ...]) -> tuple[int, int, int]:
+    """(crossings, nestings, alignments) in one left-to-right sweep.
+
+    ``open_rights`` holds, sorted, the right endpoints of the arcs opened
+    so far and not yet closed.  An arc (v, w) opening at v crosses each
+    open arc that closes before w and nests under each one that closes
+    after w.
+    """
+    n = len(partner) // 2
+    cr = ne = 0
+    open_rights: list[int] = []
+    for v, w in enumerate(partner, start=1):
+        if v < w:
+            k = bisect_left(open_rights, w)
+            cr += k
+            ne += len(open_rights) - k
+            open_rights.insert(k, w)
+        else:
+            # Every other open arc closes after v, so v is the least.
+            del open_rights[0]
+    return cr, ne, n * (n - 1) // 2 - cr - ne
+
+
+def _stacking(partner: tuple[int, ...]) -> list[int]:
+    """``st_component(i)`` for i = 1..n-1, in one sweep.
+
+    The sweep meets consecutive left endpoints a < c with mates b and d.
+    The pair is nested exactly when d < b.  Of the window [d, b] it then
+    counts d and every vertex strictly between d and b, except those
+    whose mate lies left of a (their edge comes before e_i); b belongs to
+    e_i and is not counted.  Those excepted vertices are the right
+    endpoints in (d, b) of the arcs still open when c is reached, as the
+    only left endpoint in [a, c) is a; the sweep keeps them sorted, as
+    :func:`_arc_counts` does.
+    """
+    values: list[int] = []
+    b = 0
+    open_rights: list[int] = []
+    for c, d in enumerate(partner, start=1):
+        if c > d:
+            del open_rights[0]
+            continue
+        k = bisect_left(open_rights, d)
+        if b:
+            values.append(b - d - (bisect_left(open_rights, b) - k) if d < b else 0)
+        open_rights.insert(k, d)
+        b = d
+    return values
+
+
+def _st_total(partner: tuple[int, ...]) -> int:
+    return sum(_stacking(partner))
+
+
+def _blocks(partner: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+    """The irreducible blocks as (offset, partner tuple renumbered from 1)."""
+    blocks = []
+    start = reach = 0
+    for v, w in enumerate(partner, start=1):
+        reach = max(reach, w)
+        if reach == v:
+            blocks.append((start, tuple(u - start for u in partner[start:v])))
+            start = v
+    return blocks

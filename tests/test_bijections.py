@@ -23,7 +23,7 @@ from wedgematch import (
     psi,
     psi_inv,
 )
-from wedgematch.bijections import _code_from_matching, _phi_inv_code, _phi_of_code
+from wedgematch.bijections import _code_from_partner, _phi_inv_code, _phi_of_code
 from wedgematch.cli import main
 from wedgematch.enumeration import _objects, all_matchings, all_paths
 
@@ -93,7 +93,7 @@ def _free_list_code(m):
 
 
 def _check_code_sweep(m):
-    code = _code_from_matching(m).b
+    code = _code_from_partner(m.partner)
     assert code == _free_list_code(m)
     p = path_from_code(InsertionCode(code))
     assert big_phi(p) == phi(psi(p))
@@ -199,10 +199,11 @@ def test_phi_golden_digest(n):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_table_phi_matches_direct(n):
     # The harness reads phi off the size n-1 table and the stream's codes.
-    for code, m in _objects("matchings", n):
-        assert code == _code_from_matching(m).b
-        assert _phi_of_code(code) == phi(m)
-        assert _phi_inv_code(m) == _code_from_matching(phi_inv(m)).b
+    for code, partner in _objects("matchings", n):
+        m = Matching(partner)
+        assert code == _code_from_partner(partner)
+        assert _phi_of_code(code) == phi(m).partner
+        assert _phi_inv_code(partner) == _code_from_partner(phi_inv(m).partner)
 
 
 # (1, 1, 2) and (1, 0, 1) would rank inside the size-2 table.

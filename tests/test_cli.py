@@ -349,26 +349,41 @@ def test_render_unwritable_output(capsys, tmp_path):
     assert "cannot write" in err
 
 
-def test_closed_stdout_exits_141_without_traceback():
-    # The SVG of a matching on 2048 vertices is far larger than a pipe
-    # buffer, so the write fails once the reader has gone.  Under
-    # PYTHONUNBUFFERED the failed write is a silent short write instead, so
-    # the child runs with buffered stdout, as from a plain shell.
+def _closed_pipe_render(env_update, read):
+    """Exit code and stderr of rendering a large SVG into a pipe that is
+    closed after ``read(pipe)``."""
     order = list(range(1, 2049))
     random.Random(1024).shuffle(order)
     text = ",".join(f"({a},{b})" for a, b in zip(order[::2], order[1::2]))
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(Path(wedgematch.__file__).parents[1])
+    env.update(env_update)
     with subprocess.Popen(
         [sys.executable, "-m", "wedgematch.cli", "render", "--format", "svg", text],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,
     ) as proc:
-        assert proc.stdout.readline().startswith(b"<?xml")
+        assert read(proc.stdout).startswith(b"<?xml")
         proc.stdout.close()
         err = proc.stderr.read().decode()
         code = proc.wait(timeout=60)
+    return code, err
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    # The SVG of a matching on 2048 vertices is far larger than a pipe
+    # buffer, so the write fails once the reader has gone.
+    code, err = _closed_pipe_render({}, lambda pipe: pipe.readline())
+    assert code == 141
+    assert "Traceback" not in err
+    assert "Exception ignored" not in err
+
+
+def test_closed_unbuffered_stdout_exits_141_without_traceback():
+    # Unbuffered, the raw write into the closed pipe comes back short
+    # instead of failing; the tail must not be dropped silently.
+    code, err = _closed_pipe_render({"PYTHONUNBUFFERED": "1"}, lambda pipe: pipe.read(20))
     assert code == 141
     assert "Traceback" not in err
     assert "Exception ignored" not in err

@@ -370,10 +370,14 @@ def test_verify_reports_failures_verbatim(monkeypatch):
     import wedgematch.enumeration as enumeration
     from wedgematch import WedgePath
 
-    st_total = Matching.st_total
+    # The harness runs psi_inv and st_total as the kernels on partner
+    # tuples: decoding now reads the code of the all-zero path.
+    st_total = enumeration._st_total
     final_south_run = WedgePath.final_south_run
-    monkeypatch.setattr(enumeration, "psi_inv", lambda m: WedgePath((0,) * m.n))
-    monkeypatch.setattr(Matching, "st_total", lambda self: st_total(self) + 1)
+    monkeypatch.setattr(
+        enumeration, "_code_from_partner", lambda p: tuple(range(len(p) // 2, 0, -1))
+    )
+    monkeypatch.setattr(enumeration, "_st_total", lambda p: st_total(p) + 1)
     monkeypatch.setattr(
         WedgePath, "final_south_run", lambda self: final_south_run(self) + 1
     )
@@ -399,7 +403,7 @@ def test_verify_reports_failures_verbatim(monkeypatch):
 def test_verify_reports_phi_inv_failures_verbatim(monkeypatch):
     import wedgematch.enumeration as enumeration
 
-    monkeypatch.setattr(enumeration, "phi_inv", lambda m: m)
+    monkeypatch.setattr(enumeration, "_phi_inv_partner", lambda p: p)
     report = verify_all(
         3, claims=["round_trip_phi", "round_trip_big_phi"], counterexample_limit=3
     )
@@ -422,4 +426,31 @@ def test_verify_reports_phi_inv_failures_verbatim(monkeypatch):
                 "P=ENEESSSS: comes back as ESENNESSSS",
             ],
         },
+    }
+
+
+def test_proposition_b_walks_components_against_the_table(monkeypatch):
+    # The path facts read big_phi off the size n-1 table; proposition_b runs
+    # phi's own kernel (code read plus walk) on every component.  Corrupt
+    # only the table image of the code (5, 3, 1), to its unrearranged psi
+    # image, and the walk must disagree with it.
+    import wedgematch.enumeration as enumeration
+    from wedgematch.bijections import _partner_from_code
+
+    table_image = enumeration._phi_of_code
+
+    def corrupted(code):
+        if tuple(code) == (5, 3, 1):
+            return _partner_from_code(code)
+        return table_image(code)
+
+    monkeypatch.setattr(enumeration, "_phi_of_code", corrupted)
+    report = verify_all(3, claims=["proposition_b"])
+    assert report.to_json_value()["claims"]["proposition_b"] == {
+        "tested": 15,
+        "failed": 1,
+        "counterexamples": [
+            "P=ENENESSSSS: path_sizes(rev)=[3] image_sizes=[3] "
+            "piecewise=(1,6),(2,3),(4,5) global=(1,6),(2,5),(3,4)"
+        ],
     }

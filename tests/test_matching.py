@@ -1,6 +1,7 @@
 """Matching construction, arc statistics, and component structure."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from wedgematch import (
     concatenate,
 )
 from wedgematch.enumeration import all_matchings
+from wedgematch.matching import _stacking
 
 FIGURE_PAIRS = [(1, 3), (2, 7), (4, 6), (5, 8), (9, 10)]
 
@@ -179,6 +181,23 @@ def test_st_component_positive_exactly_when_nested(n):
             nested = a < c < d < b
             assert (m.st_component(i) >= 1) == nested
         assert m.st_total() == sum(m.st_component(i) for i in range(1, n))
+
+
+def _random_matching(rng, n):
+    order = list(range(1, 2 * n + 1))
+    rng.shuffle(order)
+    return Matching.from_pairs(zip(order[::2], order[1::2]))
+
+
+def test_stacking_sweep_matches_st_component():
+    # The one-sweep per-index values against the windowed reference, on
+    # every matching up to n=6 and on seeded random ones at n=256.
+    rng = random.Random(256)
+    sample = [_random_matching(rng, 256) for _ in range(20)]
+    for m in itertools.chain.from_iterable(
+        [all_matchings(n) for n in range(1, 7)] + [sample]
+    ):
+        assert _stacking(m.partner) == [m.st_component(i) for i in range(1, m.n)]
 
 
 # -- irreducible components ------------------------------------------------------
