@@ -62,7 +62,8 @@ def _check_code(b: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _code_from_heights(a: Sequence[int]) -> tuple[int, ...]:
-    return tuple(h + j for j, h in enumerate(a, start=1))[::-1]
+    n = len(a)
+    return tuple(a[n - i] + n + 1 - i for i in range(1, n + 1))
 
 
 def insertion_code(path: WedgePath) -> InsertionCode:

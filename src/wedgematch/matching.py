@@ -3,9 +3,7 @@
 A matching is stored as an involution table: ``partner[v - 1]`` is the
 vertex matched to ``v``.  Vertices are numbered 1..2n from left to right,
 and the derived edge list is kept sorted by left endpoint.  All values are
-immutable; every operation returns fresh objects.  The checks and sweeps
-are module-level functions of the partner tuple, which the verification
-harness calls on the plain tuples it streams.
+immutable; every operation returns fresh objects.
 """
 
 from __future__ import annotations
