@@ -286,9 +286,10 @@ def run() -> None:
     closed early (as by ``| head``) rather than print a traceback."""
     out = sys.stdout
     if isinstance(getattr(out, "buffer", None), io.RawIOBase):
-        # Unbuffered (python -u), a short write into a closed pipe is lost.
-        raw = io.BufferedWriter(out.buffer)
-        sys.stdout = io.TextIOWrapper(raw, out.encoding, out.errors, line_buffering=True)
+        # Unbuffered (python -u), the text layer drops the rest of a short write
+        # into a closed pipe; a buffered writer retries it and gets the error.
+        writer = io.BufferedWriter(out.buffer)
+        sys.stdout = io.TextIOWrapper(writer, out.encoding, out.errors, line_buffering=True)
     try:
         code = main()
         sys.stdout.flush()

@@ -224,7 +224,6 @@ class _MatchingFacts:
 # The facts of each family, built from a streamed (coordinates, object).
 _FACTS = {"paths": _PathFacts, "matchings": _MatchingFacts}
 
-
 # Per-object checks: None on a pass, else the counterexample detail.  They run
 # the public maps' kernels on the facts' tuples; objects only write the detail.
 

@@ -370,8 +370,8 @@ def test_verify_reports_failures_verbatim(monkeypatch):
     import wedgematch.enumeration as enumeration
     from wedgematch import WedgePath
 
-    # The harness runs psi_inv and st_total as the kernels on partner
-    # tuples: decoding now reads the code of the all-zero path.
+    # psi_inv and st_total are broken where the harness calls them, as
+    # kernels on partner tuples; decoding returns the all-zero path's code.
     st_total = enumeration._st_total
     final_south_run = WedgePath.final_south_run
     monkeypatch.setattr(
