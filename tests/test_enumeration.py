@@ -16,6 +16,7 @@ from wedgematch import (
     double_factorial,
     verify_all,
 )
+from wedgematch.bijections import _code_from_heights, _partner_from_code
 from wedgematch.enumeration import (
     CLAIMS,
     ClaimResult,
@@ -142,6 +143,19 @@ def test_cells_partition_the_stream(family, n):
         coordinates for prefix in cells for coordinates, _ in _objects(family, n, prefix)
     ]
     assert pieces == stream
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_path_codes_insert_to_the_matching_stream(n):
+    # The harness checks both families' per-object claims on the path
+    # stream: each path's insertion image must be one matching of the
+    # matching stream, and each matching the image of exactly one path.
+    images = [
+        _partner_from_code(_code_from_heights(heights)) for heights, _ in _objects("paths", n)
+    ]
+    matchings = [partner for _, partner in _objects("matchings", n)]
+    assert sorted(images) == sorted(matchings)
+    assert len(set(matchings)) == double_factorial(n)
 
 
 def test_streams_reject_nonpositive_size():
