@@ -129,6 +129,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
+    if args.json and args.csv:
+        raise ValueError("--json and --csv cannot be combined; choose one")
     table = distribution(args.n, args.statistic, max_n=args.max_n)
     if args.json:
         print(json.dumps(table.to_json_value()))

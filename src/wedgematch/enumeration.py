@@ -191,9 +191,11 @@ def distribution(n: int, statistic: str, max_n: int | None = None) -> Distributi
 # -- verification harness ------------------------------------------------------
 
 
-class _PathFacts:
-    """A streamed path and the values its claims read, each computed once:
-    the code ``b`` and the partner tuples of ``psi`` and ``big_phi`` of it."""
+class _Facts:
+    """A streamed path and its insertion image, the values the per-object
+    claims of both families read: the code ``b``, ``m = psi(b)`` and
+    ``nm = phi(m)`` off the table, each computed once, and ``phi_inv(nm)``
+    on first use."""
 
     def __init__(self, heights: tuple[int, ...], path: WedgePath) -> None:
         self.path = path
@@ -202,43 +204,30 @@ class _PathFacts:
         self.m = _partner_from_code(self.b)
         self.nm = _phi_of_code(self.b)
 
-    def __str__(self) -> str:
-        return f"P={self.path.to_steps()}"
-
-
-class _MatchingFacts:
-    """A streamed partner tuple with its insertion code; phi of it on first use."""
-
-    def __init__(self, code: tuple[int, ...], m: tuple[int, ...]) -> None:
-        self.code = code
-        self.m = m
-
     @cached_property
-    def fm(self) -> tuple[int, ...]:
-        return _phi_of_code(self.code)
+    def back(self) -> tuple[int, ...]:
+        return _phi_inv_partner(self.nm)
 
-    def __str__(self) -> str:
-        return f"M={Matching(self.m)}"
+    def name(self, family: str) -> str:
+        """The counterexample's name: the path, or its insertion image."""
+        return f"P={self.path.to_steps()}" if family == "paths" else f"M={Matching(self.m)}"
 
-
-# The facts of each family, built from a streamed (coordinates, object).
-_FACTS = {"paths": _PathFacts, "matchings": _MatchingFacts}
 
 # Per-object checks: None on a pass, else the counterexample detail.  They run
 # the public maps' kernels on the facts' tuples; objects only write the detail.
 
 
-def _round_trip_psi(f: _PathFacts) -> str | None:
+def _round_trip_psi(f: _Facts) -> str | None:
     back = _code_from_partner(f.m)
     return None if back == f.b else f"comes back as {path_from_code(InsertionCode(back))}"
 
 
-def _round_trip_big_phi(f: _PathFacts) -> str | None:
-    back = _code_from_partner(_phi_inv_partner(f.nm))
+def _round_trip_big_phi(f: _Facts) -> str | None:
+    back = _code_from_partner(f.back)
     return None if back == f.b else f"comes back as {path_from_code(InsertionCode(back))}"
 
 
-def _lemma1(f: _PathFacts) -> str | None:
+def _lemma1(f: _Facts) -> str | None:
     b = f.b
     per_index_ok = _stacking(f.m) == [max(b[i - 1] - b[i] - 1, 0) for i in range(1, len(b))]
     st = _st_total(f.m)
@@ -247,18 +236,18 @@ def _lemma1(f: _PathFacts) -> str | None:
     return f"north={f.north} stacking={st} indexwise_ok={per_index_ok}"
 
 
-def _theorem1(f: _PathFacts) -> str | None:
+def _theorem1(f: _Facts) -> str | None:
     ne = _arc_counts(f.nm)[1]
     return None if ne == f.north else f"north={f.north} nestings={ne}"
 
 
-def _proposition_a(f: _PathFacts) -> str | None:
+def _proposition_a(f: _Facts) -> str | None:
     mate = f.nm[0]
     run = f.path.final_south_run()
     return None if mate == run + 1 else f"south_run={run} partner_of_1={mate}"
 
 
-def _proposition_b(f: _PathFacts) -> str | None:
+def _proposition_b(f: _Facts) -> str | None:
     path_sizes = [c.n for c in f.path.components()][::-1]
     image_sizes = [len(block) // 2 for _, block in _blocks(f.nm)]
     piecewise = tuple(v + s for s, block in _blocks(f.m) for v in _phi_partner(block))
@@ -270,7 +259,7 @@ def _proposition_b(f: _PathFacts) -> str | None:
     )
 
 
-def _dyck_proposition(f: _PathFacts) -> str | None:
+def _dyck_proposition(f: _Facts) -> str | None:
     if not f.path.is_dyck():
         return None
     nm = f.nm
@@ -285,25 +274,24 @@ def _dyck_proposition(f: _PathFacts) -> str | None:
     )
 
 
-def _round_trip_psi_inv(f: _MatchingFacts) -> str | None:
+def _round_trip_psi_inv(f: _Facts) -> str | None:
     back = _partner_from_code(_code_from_partner(f.m))
     return None if back == f.m else f"comes back as {Matching(back)}"
 
 
-def _round_trip_phi(f: _MatchingFacts) -> str | None:
-    back = _phi_inv_partner(f.fm)
-    return None if back == f.m else f"comes back as {Matching(back)}"
+def _round_trip_phi(f: _Facts) -> str | None:
+    return None if f.back == f.m else f"comes back as {Matching(f.back)}"
 
 
-def _round_trip_phi_inv(f: _MatchingFacts) -> str | None:
+def _round_trip_phi_inv(f: _Facts) -> str | None:
     back = _phi_of_code(_phi_inv_code(f.m))
     return None if back == f.m else f"comes back as {Matching(back)}"
 
 
-def _theorem2(f: _MatchingFacts) -> str | None:
+def _theorem2(f: _Facts) -> str | None:
     st = _st_total(f.m)
-    ne = _arc_counts(f.fm)[1]
-    same_first = f.fm[0] == f.m[0]
+    ne = _arc_counts(f.nm)[1]
+    same_first = f.nm[0] == f.m[0]
     if ne == st and same_first:
         return None
     return f"stacking={st} nestings={ne} first_edge_kept={same_first}"
@@ -335,9 +323,13 @@ class Claim:
     """One claimed identity, replayed over all objects of a size.
 
     A claim whose ``family`` is ``"paths"`` or ``"matchings"`` is checked
-    object by object: ``check`` gets the object's shared facts and returns
-    None on a pass or the counterexample detail on a failure, so detail
-    text is built only for failures.  Otherwise ``family`` names the
+    object by object, on one facts record per path: the path and its
+    insertion image, and the images are the matching stream's tuples, each
+    once.  ``check`` gets the record and returns None on a pass or the
+    counterexample detail on a failure, so detail text is built only for
+    failures; ``family`` only chooses whether the counterexample names the
+    path (``P=``) or its image (``M=``), and ``tested`` counts the
+    records.  Otherwise ``family`` names the
     whole-stream tables the claim compares (``"paths"``/``"matchings"``
     for a stream's object count, a statistic name for its distribution),
     and ``check(n, tables)`` returns the number of values tested and the
@@ -515,8 +507,8 @@ class VerificationReport:
 @dataclass(frozen=True)
 class _Cell:
     """One unit of work: the objects of one family whose first coordinates
-    are ``prefix``, the per-object claims replayed over them and the
-    statistics counted over them."""
+    are ``prefix``, the per-object claims replayed over them (path cells
+    only) and the statistics counted over them."""
 
     n: int
     family: str
@@ -530,12 +522,11 @@ def _run_cell(cell: _Cell) -> tuple[int, dict[str, list], dict[str, Counter]]:
     """Worker body: the cell's object count, [failed, examples] per claim
     label, and a Counter per statistic.  Plain values, so the result can
     cross a process boundary."""
-    checks = [(label, _CLAIMS_BY_LABEL[label].check) for label in cell.labels]
+    checks = [_CLAIMS_BY_LABEL[label] for label in cell.labels]
     failures: dict[str, list] = {label: [0, []] for label in cell.labels}
     counters = {name: Counter() for name in cell.statistics}
     statistics = [(_STATISTICS[name][1], counters[name]) for name in cell.statistics]
 
-    facts = _FACTS[cell.family]
     count = 0
     for coordinates, obj in _objects(cell.family, cell.n, cell.prefix):
         count += 1
@@ -543,14 +534,14 @@ def _run_cell(cell: _Cell) -> tuple[int, dict[str, list], dict[str, Counter]]:
             counter[fn(obj)] += 1
         if not checks:
             continue
-        f = facts(coordinates, obj)
-        for label, check in checks:
-            detail = check(f)
+        f = _Facts(coordinates, obj)
+        for claim in checks:
+            detail = claim.check(f)
             if detail is not None:
-                slot = failures[label]
+                slot = failures[claim.label]
                 slot[0] += 1
                 if len(slot[1]) < cell.limit:
-                    slot[1].append(f"{f}: {detail}")
+                    slot[1].append(f"{f.name(claim.family)}: {detail}")
     return count, failures, counters
 
 
@@ -561,9 +552,10 @@ def _verify_size(n: int, selected: list[str], limit: int, pool) -> VerificationR
     tables_read = {
         name for claim in chosen if isinstance(claim.family, tuple) for name in claim.family
     }
+    per_object = tuple(claim.label for claim in chosen if isinstance(claim.family, str))
     cells = []
     for family in _FAMILIES:
-        labels = tuple(claim.label for claim in chosen if claim.family == family)
+        labels = per_object if family == "paths" else ()
         statistics = tuple(
             name
             for name, (counted_over, _) in _STATISTICS.items()
@@ -599,7 +591,7 @@ def _verify_size(n: int, selected: list[str], limit: int, pool) -> VerificationR
         else:
             outcome = ClaimResult(
                 claim.label,
-                tables[claim.family],
+                tables["paths"],
                 failed[claim.label],
                 tuple(examples[claim.label]),
             )

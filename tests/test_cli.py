@@ -207,6 +207,13 @@ def test_enumerate_csv_and_json(capsys):
     assert json.loads(out)["counts"] == {"0": 2, "1": 1}
 
 
+def test_enumerate_rejects_json_with_csv(capsys):
+    code, out, err = run_cli(capsys, "enumerate", "--json", "--csv", "2", "nestings")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --json and --csv cannot be combined; choose one\n"
+
+
 def test_enumerate_over_cap_exits_4(capsys):
     code, _, err = run_cli(capsys, "enumerate", "9", "nestings")
     assert code == 4

@@ -417,6 +417,8 @@ def test_verify_reports_failures_verbatim(monkeypatch):
 def test_verify_reports_phi_inv_failures_verbatim(monkeypatch):
     import wedgematch.enumeration as enumeration
 
+    # Matching claims run on each path's insertion image, so their
+    # counterexamples come in path-stream order, not insertion-code order.
     monkeypatch.setattr(enumeration, "_phi_inv_partner", lambda p: p)
     report = verify_all(
         3, claims=["round_trip_phi", "round_trip_big_phi"], counterexample_limit=3
@@ -427,8 +429,8 @@ def test_verify_reports_phi_inv_failures_verbatim(monkeypatch):
             "failed": 4,
             "counterexamples": [
                 "M=(1,5),(2,3),(4,6): comes back as (1,5),(2,6),(3,4)",
-                "M=(1,5),(2,6),(3,4): comes back as (1,5),(2,3),(4,6)",
                 "M=(1,6),(2,3),(4,5): comes back as (1,6),(2,5),(3,4)",
+                "M=(1,5),(2,6),(3,4): comes back as (1,5),(2,3),(4,6)",
             ],
         },
         "round_trip_big_phi": {
@@ -468,3 +470,45 @@ def test_proposition_b_walks_components_against_the_table(monkeypatch):
             "piecewise=(1,6),(2,3),(4,5) global=(1,6),(2,5),(3,4)"
         ],
     }
+
+
+# Every kernel the claims call through the harness, with a wrong answer for
+# one size-3 input: the code (5, 3, 1) or its insertion image, the fully
+# nested matching (1,6),(2,5),(3,4).
+def _other_partner(p):
+    return (2, 1, 4, 3, 6, 5) if p != (2, 1, 4, 3, 6, 5) else (6, 5, 4, 3, 2, 1)
+
+
+def _other_code(b):
+    return (1, 1, 1) if b != (1, 1, 1) else (2, 1, 1)
+
+
+CODE, NESTED = (5, 3, 1), (6, 5, 4, 3, 2, 1)
+KERNEL_FAULTS = {
+    "_partner_from_code": (CODE, _other_partner),
+    "_code_from_partner": (NESTED, _other_code),
+    "_phi_of_code": (CODE, _other_partner),
+    "_phi_inv_code": (NESTED, _other_code),
+    "_phi_inv_partner": (NESTED, _other_partner),
+    "_phi_partner": (NESTED, _other_partner),
+    "_arc_counts": (NESTED, lambda c: (c[0], c[1] + 1, c[2])),
+    "_stacking": (NESTED, lambda s: [s[0] + 1, *s[1:]]),
+    "_st_total": (NESTED, lambda st: st + 1),
+    "_blocks": (NESTED, lambda blocks: blocks[:-1]),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNEL_FAULTS))
+def test_every_kernel_is_checked_by_some_claim(monkeypatch, kernel):
+    import wedgematch.enumeration as enumeration
+
+    trigger, wrong = KERNEL_FAULTS[kernel]
+    right = getattr(enumeration, kernel)
+
+    def faulty(arg):
+        out = right(arg)
+        return wrong(out) if tuple(arg) == trigger else out
+
+    monkeypatch.setattr(enumeration, kernel, faulty)
+    report = verify_all(3)
+    assert not report.passed, kernel
