@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 from .errors import InvalidMatchingError
@@ -145,8 +144,8 @@ def psi_inv(m: Matching) -> WedgePath:
 # recursion unrolls into one loop over b from last to first on a single
 # 0-based partner list.  The inverse unwinds from the outside, collecting
 # the code, and hands it to the insertion procedure.  Over a whole family
-# the same fact makes phi of every size-n code one step on top of the
-# size n-1 results, which the verification harness reads from a table.
+# the same fact makes the phi images one tree, walked depth-first by the
+# path stream, along which the verification harness folds _phi_step.
 
 
 def _phi_step(b: int, p: Sequence[int]) -> list[int]:
@@ -208,35 +207,6 @@ def phi(m: Matching) -> Matching:
     '(1,6),(2,3),(4,5)'
     """
     return Matching(_phi_partner(m.partner))
-
-
-@lru_cache(maxsize=1)
-def _phi_table(n: int) -> tuple[tuple[int, ...], ...]:
-    """0-based phi(psi(c)) for every insertion code c of size n, in rank order.
-
-    The rank is mixed-radix with the first entry most significant, so the
-    code (b, *c) ranks (b - 1) * (2n-3)!! + rank(c), and its entry is one
-    surgery step on the entry of c.  Only the latest size is cached: a
-    process holds (2n-1)!! entries, built once per size.
-    """
-    table: list[tuple[int, ...]] = [()]
-    for k in range(1, n + 1):
-        table = [tuple(_phi_step(b, p)) for b in range(1, 2 * k) for p in table]
-    return tuple(table)
-
-
-def _phi_of_code(code: Sequence[int]) -> tuple[int, ...]:
-    """phi(psi(code)): one surgery step on the size n-1 table entry of code[1:].
-
-    The code is range-checked first, so an out-of-range entry raises
-    instead of reading another code's entry.
-    """
-    b = _check_code(tuple(code))
-    n = len(b)
-    rank = 0
-    for i in range(1, n):
-        rank = rank * (2 * (n - i) - 1) + b[i] - 1
-    return tuple(v + 1 for v in _phi_step(b[0], _phi_table(n - 1)[rank]))
 
 
 def _phi_inv_code(partner: Sequence[int]) -> tuple[int, ...]:

@@ -21,13 +21,15 @@ from typing import Callable, ClassVar, Iterable, Iterator
 
 from .bijections import (
     InsertionCode,
+    _check_code,
     _code_from_heights,
     _code_from_partner,
     _partner_from_code,
     _phi_inv_code,
     _phi_inv_partner,
-    _phi_of_code,
     _phi_partner,
+    _phi_step,
+    _phi_walk,
     path_from_code,
 )
 from .errors import OverCapError
@@ -192,17 +194,22 @@ def distribution(n: int, statistic: str, max_n: int | None = None) -> Distributi
 
 
 class _Facts:
-    """A streamed path and its insertion image, the values the per-object
-    claims of both families read: the code ``b``, ``m = psi(b)`` and
-    ``nm = phi(m)`` off the table, each computed once, and ``phi_inv(nm)``
-    on first use."""
+    """A streamed path and its insertion image, the values the claims and
+    statistics read: the code ``b``, ``m = psi(b)`` and ``nm = phi(m)``, each
+    once, and on first use the arc counts of ``m`` and ``phi_inv(nm)``."""
 
-    def __init__(self, heights: tuple[int, ...], path: WedgePath) -> None:
+    def __init__(
+        self, heights: tuple[int, ...], path: WedgePath, nm: tuple[int, ...]
+    ) -> None:
         self.path = path
         self.north = path.north_steps()
         self.b = _code_from_heights(heights)
         self.m = _partner_from_code(self.b)
-        self.nm = _phi_of_code(self.b)
+        self.nm = nm
+
+    @cached_property
+    def arcs(self) -> tuple[int, int, int]:
+        return _arc_counts(self.m)
 
     @cached_property
     def back(self) -> tuple[int, ...]:
@@ -211,6 +218,31 @@ class _Facts:
     def name(self, family: str) -> str:
         """The counterexample's name: the path, or its insertion image."""
         return f"P={self.path.to_steps()}" if family == "paths" else f"M={Matching(self.m)}"
+
+
+def _path_records(n: int, prefix: tuple[int, ...] = ()) -> Iterator[_Facts]:
+    """One facts record per path whose heights start with ``prefix``, in
+    stream order.  phi(psi(b)) is one step with b_1 on phi(psi(b[1:])), and
+    b[1:] is the code of the first n-1 east steps, so the stream walks the
+    tree of images depth-first: the 0-based image of each depth is kept, and
+    a path redoes only the depths after the first height it changes."""
+    images: list[list[int]] = [[]] * (n + 1)
+    previous: tuple[int, ...] = ()
+    for heights, path in _objects("paths", n, prefix):
+        k = next((i for i, (x, y) in enumerate(zip(heights, previous)) if x != y), 0)
+        for i in range(k, n):
+            images[i + 1] = _phi_step(heights[i] + i + 1, images[i])
+        previous = heights
+        yield _Facts(heights, path, tuple(v + 1 for v in images[n]))
+
+
+# The statistics the distribution claims read, counted on the path records: their
+# images m are exactly the matching stream, and one arc sweep gives both arc counts.
+_RECORD_STATISTICS: dict[str, Callable[[_Facts], int]] = {
+    "north_steps": lambda f: f.north,
+    "nestings": lambda f: f.arcs[1],
+    "crossings": lambda f: f.arcs[0],
+}
 
 
 # Per-object checks: None on a pass, else the counterexample detail.  They run
@@ -284,7 +316,7 @@ def _round_trip_phi(f: _Facts) -> str | None:
 
 
 def _round_trip_phi_inv(f: _Facts) -> str | None:
-    back = _phi_of_code(_phi_inv_code(f.m))
+    back = _phi_walk(_check_code(_phi_inv_code(f.m)))
     return None if back == f.m else f"comes back as {Matching(back)}"
 
 
@@ -507,8 +539,8 @@ class VerificationReport:
 @dataclass(frozen=True)
 class _Cell:
     """One unit of work: the objects of one family whose first coordinates
-    are ``prefix``, the per-object claims replayed over them (path cells
-    only) and the statistics counted over them."""
+    are ``prefix``.  Path cells replay the per-object claims and count the
+    statistics on their records; matching cells only count objects."""
 
     n: int
     family: str
@@ -525,16 +557,15 @@ def _run_cell(cell: _Cell) -> tuple[int, dict[str, list], dict[str, Counter]]:
     checks = [_CLAIMS_BY_LABEL[label] for label in cell.labels]
     failures: dict[str, list] = {label: [0, []] for label in cell.labels}
     counters = {name: Counter() for name in cell.statistics}
-    statistics = [(_STATISTICS[name][1], counters[name]) for name in cell.statistics]
+    statistics = [(_RECORD_STATISTICS[name], counters[name]) for name in cell.statistics]
+    if cell.family == "matchings":
+        return sum(1 for _ in _objects(cell.family, cell.n, cell.prefix)), failures, counters
 
     count = 0
-    for coordinates, obj in _objects(cell.family, cell.n, cell.prefix):
+    for f in _path_records(cell.n, cell.prefix):
         count += 1
         for fn, counter in statistics:
-            counter[fn(obj)] += 1
-        if not checks:
-            continue
-        f = _Facts(coordinates, obj)
+            counter[fn(f)] += 1
         for claim in checks:
             detail = claim.check(f)
             if detail is not None:
@@ -553,14 +584,9 @@ def _verify_size(n: int, selected: list[str], limit: int, pool) -> VerificationR
         name for claim in chosen if isinstance(claim.family, tuple) for name in claim.family
     }
     per_object = tuple(claim.label for claim in chosen if isinstance(claim.family, str))
+    counted = tuple(name for name in _RECORD_STATISTICS if name in tables_read)
     cells = []
-    for family in _FAMILIES:
-        labels = per_object if family == "paths" else ()
-        statistics = tuple(
-            name
-            for name, (counted_over, _) in _STATISTICS.items()
-            if counted_over == family and name in tables_read
-        )
+    for family, labels, statistics in (("paths", per_object, counted), ("matchings", (), ())):
         if labels or statistics or family in tables_read:
             cells += [
                 _Cell(n, family, prefix, labels, statistics, limit)

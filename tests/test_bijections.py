@@ -23,9 +23,9 @@ from wedgematch import (
     psi,
     psi_inv,
 )
-from wedgematch.bijections import _code_from_partner, _phi_inv_code, _phi_of_code
+from wedgematch.bijections import _code_from_partner, _phi_inv_code, _phi_walk
 from wedgematch.cli import main
-from wedgematch.enumeration import _objects, all_matchings, all_paths
+from wedgematch.enumeration import _path_records, all_matchings, all_paths
 
 EXAMPLE_IMAGE = [(1, 4), (2, 14), (3, 12), (5, 8), (6, 9), (7, 11), (10, 13)]
 
@@ -44,6 +44,10 @@ def test_insertion_code_bounds_validated():
         InsertionCode((4, 1))  # 4 > 2*2-1
     with pytest.raises(ValueError):
         InsertionCode((1, 0))
+    # One entry out of range: too low in the middle, too high first or last.
+    for code in [(1, 1, 2), (1, 0, 1), (6, 1, 1), (2, 1, 1, 9)]:
+        with pytest.raises(ValueError, match="outside"):
+            InsertionCode(code)
 
 
 def test_path_from_code_examples():
@@ -197,20 +201,13 @@ def test_phi_golden_digest(n):
 
 
 @pytest.mark.parametrize("n", range(1, 7))
-def test_table_phi_matches_direct(n):
-    # The harness reads phi off the size n-1 table and the stream's codes.
-    for code, partner in _objects("matchings", n):
-        m = Matching(partner)
-        assert code == _code_from_partner(partner)
-        assert _phi_of_code(code) == phi(m).partner
-        assert _phi_inv_code(partner) == _code_from_partner(phi_inv(m).partner)
-
-
-# (1, 1, 2) and (1, 0, 1) would rank inside the size-2 table.
-@pytest.mark.parametrize("code", [(1, 1, 2), (1, 0, 1), (6, 1, 1), (2, 1, 1, 9)])
-def test_table_phi_rejects_out_of_range_code(code):
-    with pytest.raises(ValueError, match="outside"):
-        _phi_of_code(code)
+def test_path_records_fold_phi(n):
+    # The harness folds phi along the path stream, one step per changed depth.
+    for f in _path_records(n):
+        m = Matching(f.m)
+        assert f.b == _code_from_partner(f.m)
+        assert f.nm == _phi_walk(f.b) == phi(m).partner
+        assert _phi_inv_code(f.m) == _code_from_partner(phi_inv(m).partner)
 
 
 @given(matchings())

@@ -445,22 +445,29 @@ def test_verify_reports_phi_inv_failures_verbatim(monkeypatch):
     }
 
 
+# A size-3 input for the failure tests: the code (5, 3, 1), its insertion
+# image, the fully nested matching (1,6),(2,5),(3,4), and the step of the
+# harness's phi fold that makes its image: 5 on the 0-based image of (3, 1).
+CODE, NESTED = (5, 3, 1), (6, 5, 4, 3, 2, 1)
+FOLD_STEP = (5, [3, 2, 1, 0])
+
+
 def test_proposition_b_walks_components_against_the_table(monkeypatch):
-    # The path facts read big_phi off the size n-1 table; proposition_b runs
-    # phi's own kernel (code read plus walk) on every component.  Corrupt
-    # only the table image of the code (5, 3, 1), to its unrearranged psi
-    # image, and the walk must disagree with it.
+    # The path records fold big_phi along the stream, one surgery step per
+    # depth; proposition_b runs phi's own kernel (code read plus walk) on
+    # every component.  Corrupt only the fold step that makes the image of
+    # the code (5, 3, 1), to its unrearranged psi image, and the walk must
+    # disagree with it.
     import wedgematch.enumeration as enumeration
-    from wedgematch.bijections import _partner_from_code
 
-    table_image = enumeration._phi_of_code
+    step = enumeration._phi_step
 
-    def corrupted(code):
-        if tuple(code) == (5, 3, 1):
-            return _partner_from_code(code)
-        return table_image(code)
+    def corrupted(b, p):
+        if (b, p) == FOLD_STEP:
+            return [v - 1 for v in NESTED]
+        return step(b, p)
 
-    monkeypatch.setattr(enumeration, "_phi_of_code", corrupted)
+    monkeypatch.setattr(enumeration, "_phi_step", corrupted)
     report = verify_all(3, claims=["proposition_b"])
     assert report.to_json_value()["claims"]["proposition_b"] == {
         "tested": 15,
@@ -473,8 +480,7 @@ def test_proposition_b_walks_components_against_the_table(monkeypatch):
 
 
 # Every kernel the claims call through the harness, with a wrong answer for
-# one size-3 input: the code (5, 3, 1) or its insertion image, the fully
-# nested matching (1,6),(2,5),(3,4).
+# one size-3 input (see CODE above).
 def _other_partner(p):
     return (2, 1, 4, 3, 6, 5) if p != (2, 1, 4, 3, 6, 5) else (6, 5, 4, 3, 2, 1)
 
@@ -483,18 +489,19 @@ def _other_code(b):
     return (1, 1, 1) if b != (1, 1, 1) else (2, 1, 1)
 
 
-CODE, NESTED = (5, 3, 1), (6, 5, 4, 3, 2, 1)
+# kernel: (the arguments on which it answers wrongly, the wrong answer).
 KERNEL_FAULTS = {
-    "_partner_from_code": (CODE, _other_partner),
-    "_code_from_partner": (NESTED, _other_code),
-    "_phi_of_code": (CODE, _other_partner),
-    "_phi_inv_code": (NESTED, _other_code),
-    "_phi_inv_partner": (NESTED, _other_partner),
-    "_phi_partner": (NESTED, _other_partner),
-    "_arc_counts": (NESTED, lambda c: (c[0], c[1] + 1, c[2])),
-    "_stacking": (NESTED, lambda s: [s[0] + 1, *s[1:]]),
-    "_st_total": (NESTED, lambda st: st + 1),
-    "_blocks": (NESTED, lambda blocks: blocks[:-1]),
+    "_partner_from_code": ((CODE,), _other_partner),
+    "_code_from_partner": ((NESTED,), _other_code),
+    "_phi_step": (FOLD_STEP, lambda p: [1, 0, 3, 2, 5, 4]),
+    "_phi_walk": ((CODE,), _other_partner),
+    "_phi_inv_code": ((NESTED,), _other_code),
+    "_phi_inv_partner": ((NESTED,), _other_partner),
+    "_phi_partner": ((NESTED,), _other_partner),
+    "_arc_counts": ((NESTED,), lambda c: (c[0], c[1] + 1, c[2])),
+    "_stacking": ((NESTED,), lambda s: [s[0] + 1, *s[1:]]),
+    "_st_total": ((NESTED,), lambda st: st + 1),
+    "_blocks": ((NESTED,), lambda blocks: blocks[:-1]),
 }
 
 
@@ -505,9 +512,9 @@ def test_every_kernel_is_checked_by_some_claim(monkeypatch, kernel):
     trigger, wrong = KERNEL_FAULTS[kernel]
     right = getattr(enumeration, kernel)
 
-    def faulty(arg):
-        out = right(arg)
-        return wrong(out) if tuple(arg) == trigger else out
+    def faulty(*args):
+        out = right(*args)
+        return wrong(out) if args == trigger else out
 
     monkeypatch.setattr(enumeration, kernel, faulty)
     report = verify_all(3)
