@@ -23,7 +23,12 @@ from wedgematch import (
     psi,
     psi_inv,
 )
-from wedgematch.bijections import _code_from_partner, _phi_inv_code, _phi_walk
+from wedgematch.bijections import (
+    _check_code,
+    _code_from_partner,
+    _phi_inv_code,
+    _phi_walk,
+)
 from wedgematch.cli import main
 from wedgematch.enumeration import _path_records, all_matchings, all_paths
 
@@ -44,10 +49,6 @@ def test_insertion_code_bounds_validated():
         InsertionCode((4, 1))  # 4 > 2*2-1
     with pytest.raises(ValueError):
         InsertionCode((1, 0))
-    # One entry out of range: too low in the middle, too high first or last.
-    for code in [(1, 1, 2), (1, 0, 1), (6, 1, 1), (2, 1, 1, 9)]:
-        with pytest.raises(ValueError, match="outside"):
-            InsertionCode(code)
 
 
 def test_path_from_code_examples():
@@ -208,6 +209,16 @@ def test_path_records_fold_phi(n):
         assert f.b == _code_from_partner(f.m)
         assert f.nm == _phi_walk(f.b) == phi(m).partner
         assert _phi_inv_code(f.m) == _code_from_partner(phi_inv(m).partner)
+
+
+# One entry out of range: too low in the middle, too high first or last.
+# The harness range-checks a code before it walks phi along it.
+@pytest.mark.parametrize("code", [(1, 1, 2), (1, 0, 1), (6, 1, 1), (2, 1, 1, 9)])
+def test_table_phi_rejects_out_of_range_code(code):
+    with pytest.raises(ValueError, match="outside"):
+        _phi_walk(_check_code(code))
+    with pytest.raises(ValueError, match="outside"):
+        InsertionCode(code)
 
 
 @given(matchings())
