@@ -143,9 +143,11 @@ def psi_inv(m: Matching) -> WedgePath:
 # first edges met on the way down are the insertion code itself, and the
 # recursion unrolls into one loop over b from last to first on a single
 # 0-based partner list.  The inverse unwinds from the outside, collecting
-# the code, and hands it to the insertion procedure.  Over a whole family
-# the same fact makes the phi images one tree, walked depth-first by the
-# path stream, along which the verification harness folds _phi_step.
+# the code, and hands it to the insertion procedure; _phi_walk and
+# _phi_inv_code are the folds of _phi_step and _phi_inv_step.  Over a whole
+# family the same fact makes the phi images one tree, walked depth-first by
+# the path stream, along which the verification harness folds _phi_step and
+# checks each node against its parent with _phi_inv_step.
 
 
 def _phi_step(b: int, p: Sequence[int]) -> list[int]:
@@ -209,44 +211,53 @@ def phi(m: Matching) -> Matching:
     return Matching(_phi_partner(m.partner))
 
 
-def _phi_inv_code(partner: Sequence[int]) -> tuple[int, ...]:
-    """The code of :func:`phi_inv` of a partner tuple, unwound from the outside.
+def _phi_inv_step(p: Sequence[int]) -> tuple[int, list[int]]:
+    """One unwinding step of :func:`phi_inv` on 0-based partner lists, the
+    inverse of :func:`_phi_step`: ``(r, parent)`` with
+    ``_phi_step(r, parent) == p``.
 
-    Reads the case off the matching: with 0-based vertices, the first edge
-    (0, r) is aligned when r = 1; otherwise the fresh vertex r - 1 is a
-    left endpoint exactly in the crossed case.  Each step records r as the
-    next code entry, undoes the repair and strips the first edge.
+    Reads the case off the matching: the first edge (0, r) is aligned when
+    r = 1; otherwise the fresh vertex r - 1 is a left endpoint exactly in
+    the crossed case.  Undoes the repair and strips the first edge.  ``p``
+    itself is left unchanged.
     """
+    r = p[0]
+    if r == 1:
+        return r, [v - 2 for v in p[2:]]
+    # Undoing the repair deletes the fresh vertex f and brings back a
+    # vertex right after 0, which is vertex 0 once the first edge is
+    # stripped; slot f stands in for it while rewiring.
+    f = r - 1
+    lefts = [j for j in range(1, r) if p[j] > r]
+    rights = [p[j] for j in lefts]
+    if p[f] > f:
+        if not lefts or lefts[-1] != f:
+            raise InvalidMatchingError(
+                "corrupted input: crossed-case unwind finds no fan at the first edge"
+            )
+        pairs = zip([f] + lefts[:-1], rights)
+    else:
+        anchors = sorted(lefts + [p[f]])
+        q = anchors.pop(len(lefts) - bisect.bisect(lefts, p[f]))
+        pairs = [(f, q), *zip(anchors, rights)]
+    p = list(p)
+    for u, v in pairs:
+        p[u], p[v] = v, u
+    if p[0] != r:
+        raise InvalidMatchingError("corrupted input: unwinding moved the first edge")
+    t = [0 if v == f else v if v < f else v - 2 for v in p]
+    return r, [t[f]] + t[1:f] + t[r + 1:]
+
+
+def _phi_inv_code(partner: Sequence[int]) -> tuple[int, ...]:
+    """The code of :func:`phi_inv` of a partner tuple, unwound from the
+    outside: one step (see :func:`_phi_inv_step`) per edge, each giving the
+    next code entry."""
     p = [v - 1 for v in partner]
     code: list[int] = []
     while p:
-        r = p[0]
+        r, p = _phi_inv_step(p)
         code.append(r)
-        if r == 1:
-            p = [v - 2 for v in p[2:]]
-            continue
-        # Undoing the repair deletes the fresh vertex f and brings back a
-        # vertex right after 0, which is vertex 0 once the first edge is
-        # stripped; slot f stands in for it while rewiring.
-        f = r - 1
-        lefts = [j for j in range(1, r) if p[j] > r]
-        rights = [p[j] for j in lefts]
-        if p[f] > f:
-            if not lefts or lefts[-1] != f:
-                raise InvalidMatchingError(
-                    "corrupted input: crossed-case unwind finds no fan at the first edge"
-                )
-            pairs = zip([f] + lefts[:-1], rights)
-        else:
-            anchors = sorted(lefts + [p[f]])
-            q = anchors.pop(len(lefts) - bisect.bisect(lefts, p[f]))
-            pairs = [(f, q), *zip(anchors, rights)]
-        for u, v in pairs:
-            p[u], p[v] = v, u
-        if p[0] != r:
-            raise InvalidMatchingError("corrupted input: unwinding moved the first edge")
-        t = [0 if v == f else v if v < f else v - 2 for v in p]
-        p = [t[f]] + t[1:f] + t[r + 1:]
     return tuple(code)
 
 

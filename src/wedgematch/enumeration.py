@@ -15,18 +15,17 @@ import time
 from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import cached_property
 from multiprocessing import Pool
 from typing import Callable, ClassVar, Iterable, Iterator
 
 from .bijections import (
     InsertionCode,
     _check_code,
-    _code_from_heights,
     _code_from_partner,
     _partner_from_code,
     _phi_inv_code,
     _phi_inv_partner,
+    _phi_inv_step,
     _phi_partner,
     _phi_step,
     _phi_walk,
@@ -193,47 +192,131 @@ def distribution(n: int, statistic: str, max_n: int | None = None) -> Distributi
 # -- verification harness ------------------------------------------------------
 
 
+class _once:
+    """``functools.cached_property`` without the lock it takes before
+    Python 3.12: computed on first read and stored on the instance, whose
+    attribute then shadows it."""
+
+    def __init__(self, fn: Callable) -> None:
+        self.fn = fn
+        self.name = fn.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 class _Facts:
-    """A streamed path and its insertion image, the values the claims and
-    statistics read: the code ``b``, ``m = psi(b)`` and ``nm = phi(m)``, each
-    once, and on first use the arc counts of ``m`` and ``phi_inv(nm)``."""
+    """One node of the code tree, with the values the claims and statistics
+    read.
+
+    The node of depth k stands for the first k east steps of a streamed
+    path.  Its code ``b`` = (a_k + k, ..., a_1 + 1) is the parent's code
+    with b_1 in front, and ``image``, the 0-based partner list of
+    phi(psi(b)), is one surgery step with b_1 on the parent's image.  A
+    record (a leaf, depth n) also holds its path and north steps.  The
+    rest is computed on first use, once: ``m = psi(b)``, ``nm = phi(m)``,
+    the code read of ``m``, the arc counts of ``m`` and ``nm``, the
+    stacking total and blocks of ``m``, ``phi_inv(nm)``, and whether one
+    unwinding step of the image gives back the parent's.
+    """
 
     def __init__(
-        self, heights: tuple[int, ...], path: WedgePath, nm: tuple[int, ...]
+        self,
+        b: tuple[int, ...],
+        parent: _Facts | None,
+        image: list[int],
+        path: WedgePath | None = None,
     ) -> None:
+        self.b = b
+        self.parent = parent
+        self.image = image
         self.path = path
-        self.north = path.north_steps()
-        self.b = _code_from_heights(heights)
-        self.m = _partner_from_code(self.b)
-        self.nm = nm
+        if path is not None:
+            self.north = path.north_steps()
 
-    @cached_property
+    @_once
+    def m(self) -> tuple[int, ...]:
+        return _partner_from_code(self.b)
+
+    @_once
+    def nm(self) -> tuple[int, ...]:
+        return tuple(v + 1 for v in self.image)
+
+    @_once
+    def code_back(self) -> tuple[int, ...]:
+        return _code_from_partner(self.m)
+
+    @_once
     def arcs(self) -> tuple[int, int, int]:
         return _arc_counts(self.m)
 
-    @cached_property
+    @_once
+    def image_arcs(self) -> tuple[int, int, int]:
+        return _arc_counts(self.nm)
+
+    @_once
+    def st(self) -> int:
+        return _st_total(self.m)
+
+    @_once
+    def blocks(self) -> list[tuple[int, tuple[int, ...]]]:
+        return _blocks(self.m)
+
+    @_once
     def back(self) -> tuple[int, ...]:
         return _phi_inv_partner(self.nm)
+
+    @_once
+    def unwinds(self) -> bool:
+        """One unwinding step of the image gives back b_1 and the parent's image."""
+        return _phi_inv_step(self.image) == (self.b[0], self.parent.image)
+
+    def ancestor(self, depth: int) -> _Facts:
+        """The node of this one's chain at the given depth."""
+        node = self
+        for _ in range(len(self.b) - depth):
+            node = node.parent
+        return node
 
     def name(self, family: str) -> str:
         """The counterexample's name: the path, or its insertion image."""
         return f"P={self.path.to_steps()}" if family == "paths" else f"M={Matching(self.m)}"
 
 
-def _path_records(n: int, prefix: tuple[int, ...] = ()) -> Iterator[_Facts]:
-    """One facts record per path whose heights start with ``prefix``, in
-    stream order.  phi(psi(b)) is one step with b_1 on phi(psi(b[1:])), and
-    b[1:] is the code of the first n-1 east steps, so the stream walks the
-    tree of images depth-first: the 0-based image of each depth is kept, and
-    a path redoes only the depths after the first height it changes."""
-    images: list[list[int]] = [[]] * (n + 1)
+def _code_tree(n: int, prefix: tuple[int, ...] = ()) -> Iterator[_Facts]:
+    """Every node of depths 1..n on the chains of the paths whose heights
+    start with ``prefix``, each once, a parent before its children; the
+    leaves are the paths' records, in stream order.
+
+    phi(psi(b)) is one step with b_1 on phi(psi(b[1:])), and b[1:] is the
+    code of the first n-1 east steps, so the stream walks the tree of codes
+    depth-first: the node of each depth is kept, and a path makes new nodes
+    only for the depths after the first height it changes.  A node whose
+    depth the prefix fixes is yielded only by the first cell that shares it,
+    the one whose remaining prefix coordinates are at their lowest, so the
+    cells of a size partition the nodes of its tree."""
+    owned = len(prefix)
+    while owned and prefix[owned - 1] == _FAMILIES["paths"][0](n, owned)[0]:
+        owned -= 1
+    chain: list[_Facts] = [_Facts((), None, [])] * (n + 1)
     previous: tuple[int, ...] = ()
     for heights, path in _objects("paths", n, prefix):
         k = next((i for i, (x, y) in enumerate(zip(heights, previous)) if x != y), 0)
         for i in range(k, n):
-            images[i + 1] = _phi_step(heights[i] + i + 1, images[i])
+            parent = chain[i]
+            b1 = heights[i] + i + 1
+            chain[i + 1] = _Facts(
+                (b1,) + parent.b,
+                parent,
+                _phi_step(b1, parent.image),
+                path if i + 1 == n else None,
+            )
+            if i + 1 >= owned:
+                yield chain[i + 1]
         previous = heights
-        yield _Facts(heights, path, tuple(v + 1 for v in images[n]))
 
 
 # The statistics the distribution claims read, counted on the path records: their
@@ -250,7 +333,7 @@ _RECORD_STATISTICS: dict[str, Callable[[_Facts], int]] = {
 
 
 def _round_trip_psi(f: _Facts) -> str | None:
-    back = _code_from_partner(f.m)
+    back = f.code_back
     return None if back == f.b else f"comes back as {path_from_code(InsertionCode(back))}"
 
 
@@ -262,14 +345,14 @@ def _round_trip_big_phi(f: _Facts) -> str | None:
 def _lemma1(f: _Facts) -> str | None:
     b = f.b
     per_index_ok = _stacking(f.m) == [max(b[i - 1] - b[i] - 1, 0) for i in range(1, len(b))]
-    st = _st_total(f.m)
+    st = f.st
     if st == f.north and per_index_ok:
         return None
     return f"north={f.north} stacking={st} indexwise_ok={per_index_ok}"
 
 
 def _theorem1(f: _Facts) -> str | None:
-    ne = _arc_counts(f.nm)[1]
+    ne = f.image_arcs[1]
     return None if ne == f.north else f"north={f.north} nestings={ne}"
 
 
@@ -279,10 +362,15 @@ def _proposition_a(f: _Facts) -> str | None:
     return None if mate == run + 1 else f"south_run={run} partner_of_1={mate}"
 
 
-def _proposition_b(f: _Facts) -> str | None:
+def _component_sizes(f: _Facts) -> tuple[list[int], list[int]]:
+    """The path's component sizes, read backwards, and the image's block sizes."""
     path_sizes = [c.n for c in f.path.components()][::-1]
-    image_sizes = [len(block) // 2 for _, block in _blocks(f.nm)]
-    piecewise = tuple(v + s for s, block in _blocks(f.m) for v in _phi_partner(block))
+    return path_sizes, [len(block) // 2 for _, block in _blocks(f.nm)]
+
+
+def _proposition_b(f: _Facts) -> str | None:
+    path_sizes, image_sizes = _component_sizes(f)
+    piecewise = tuple(v + s for s, block in f.blocks for v in _phi_partner(block))
     if path_sizes == image_sizes and piecewise == f.nm:
         return None
     return (
@@ -295,7 +383,7 @@ def _dyck_proposition(f: _Facts) -> str | None:
     if not f.path.is_dyck():
         return None
     nm = f.nm
-    ne = _arc_counts(nm)[1]
+    ne = f.image_arcs[1]
     lefts = {v for v, w in enumerate(nm, start=1) if v < w}
     expected = f.path.reversed_south_positions()
     if ne == 0 and lefts == expected and nm == f.m:
@@ -307,7 +395,7 @@ def _dyck_proposition(f: _Facts) -> str | None:
 
 
 def _round_trip_psi_inv(f: _Facts) -> str | None:
-    back = _partner_from_code(_code_from_partner(f.m))
+    back = _partner_from_code(f.code_back)
     return None if back == f.m else f"comes back as {Matching(back)}"
 
 
@@ -321,12 +409,77 @@ def _round_trip_phi_inv(f: _Facts) -> str | None:
 
 
 def _theorem2(f: _Facts) -> str | None:
-    st = _st_total(f.m)
-    ne = _arc_counts(f.nm)[1]
+    st = f.st
+    ne = f.image_arcs[1]
     same_first = f.nm[0] == f.m[0]
     if ne == st and same_first:
         return None
     return f"stacking={st} nestings={ne} first_edge_kept={same_first}"
+
+
+# Node checks: the step of a claim's induction on the first edge, run at every
+# node of the code tree against values its walk already holds; True on a pass.
+# If a claim's check passes at every node of depths 1..n, then by induction its
+# per-object check above passes on every record, so the harness runs that check
+# only on a record whose own node fails, or on every record once the node check
+# has failed at a lower depth anywhere in the run.
+
+
+def _unwinds_to_parent(f: _Facts) -> bool:
+    """round_trip_phi: one unwinding step of the image gives back b_1 and the
+    parent's image.  Along the whole chain, phi_inv(nm) then unwinds to b,
+    and inserting b gives ``m``."""
+    return f.unwinds
+
+
+def _big_phi_node(f: _Facts) -> bool:
+    """round_trip_big_phi: as round_trip_phi, and the code read of ``m``,
+    which phi_inv(nm) then equals, gives back b."""
+    return f.unwinds and f.code_back == f.b
+
+
+def _rewinds(f: _Facts) -> bool:
+    """round_trip_phi_inv: one unwinding step of ``m`` gives an in-range
+    entry r and a matching of one size less, on which one surgery step with
+    r gives back ``m``.  That matching is the ``m`` of some node of the depth
+    above, so if those all pass, phi(phi_inv(m)) = m by induction."""
+    p = [v - 1 for v in f.m]
+    r, parent = _phi_inv_step(p)
+    size = len(p) - 2
+    return (
+        0 < r < len(p)
+        and len(parent) == size
+        and all(0 <= v < size and v != i and parent[v] == i for i, v in enumerate(parent))
+        and _phi_step(r, parent) == p
+    )
+
+
+def _piecewise_node(f: _Facts) -> bool:
+    """proposition_b: an irreducible ``m`` reads back as b, so phi's kernel
+    on it walks b, which is the image; a reducible ``m`` is its first block
+    followed by the blocks of the ancestor that many edges up, and the image
+    is phi of that block followed by the ancestor's image.  A record also
+    compares the component sizes."""
+    blocks = f.blocks
+    if not blocks or blocks[0][0] != 0:
+        return False
+    first = blocks[0][1]
+    s = len(first)
+    if s == len(f.m):
+        ok = first == f.m and f.code_back == f.b
+    elif 0 < s < len(f.m):
+        a = f.ancestor(len(f.b) - s // 2)
+        head = [v - 1 for v in _phi_partner(first)]
+        ok = (
+            blocks[1:] == [(o + s, block) for o, block in a.blocks]
+            and f.image == head + [v + s for v in a.image]
+        )
+    else:
+        return False
+    if ok and f.path is not None:
+        path_sizes, image_sizes = _component_sizes(f)
+        ok = path_sizes == image_sizes
+    return ok
 
 
 # Whole-stream checks: (values tested, failure details).
@@ -365,13 +518,16 @@ class Claim:
     whole-stream tables the claim compares (``"paths"``/``"matchings"``
     for a stream's object count, a statistic name for its distribution),
     and ``check(n, tables)`` returns the number of values tested and the
-    failure details.
+    failure details.  A per-object claim may also have a ``node`` check,
+    one step of its induction on the first edge (see the node checks
+    above); the harness then runs ``check`` only where that fails.
     """
 
     label: str
     family: str | tuple[str, ...]
     check: Callable
     description: str
+    node: Callable[[_Facts], bool] | None = None
 
 
 # Descriptions state what is replayed over the full streams.
@@ -405,18 +561,21 @@ _REGISTRY = (
         "matchings",
         _round_trip_phi,
         "the inverse rearrangement undoes the rearrangement",
+        _unwinds_to_parent,
     ),
     Claim(
         "round_trip_phi_inv",
         "matchings",
         _round_trip_phi_inv,
         "the rearrangement undoes the inverse rearrangement",
+        _rewinds,
     ),
     Claim(
         "round_trip_big_phi",
         "paths",
         _round_trip_big_phi,
         "the full inverse undoes the full bijection on every path",
+        _big_phi_node,
     ),
     Claim(
         "lemma1",
@@ -450,6 +609,7 @@ _REGISTRY = (
         _proposition_b,
         "path components, read backwards, match the image's "
         "components, and the rearrangement acts componentwise",
+        _piecewise_node,
     ),
     Claim(
         "dyck_proposition",
@@ -539,8 +699,10 @@ class VerificationReport:
 @dataclass(frozen=True)
 class _Cell:
     """One unit of work: the objects of one family whose first coordinates
-    are ``prefix``.  Path cells replay the per-object claims and count the
-    statistics on their records; matching cells only count objects."""
+    are ``prefix``.  Path cells walk the nodes on their paths' chains,
+    replay the per-object claims and count the statistics on their records;
+    matching cells only count objects.  With ``full`` set, every record runs
+    each claim's per-object check, whether or not the claim has node checks."""
 
     n: int
     family: str
@@ -548,32 +710,51 @@ class _Cell:
     labels: tuple[str, ...]
     statistics: tuple[str, ...]
     limit: int
+    full: bool = False
 
 
-def _run_cell(cell: _Cell) -> tuple[int, dict[str, list], dict[str, Counter]]:
+def _run_cell(cell: _Cell) -> tuple[int, dict[str, list], dict[str, Counter], list[str]]:
     """Worker body: the cell's object count, [failed, examples] per claim
-    label, and a Counter per statistic.  Plain values, so the result can
-    cross a process boundary."""
-    checks = [_CLAIMS_BY_LABEL[label] for label in cell.labels]
+    label, a Counter per statistic, and the labels whose node check failed
+    at a node above the records.  Plain values, so the result can cross a
+    process boundary."""
+    claims = [_CLAIMS_BY_LABEL[label] for label in cell.labels]
+    plan = [(c.label, c.family, c.check, None if cell.full else c.node) for c in claims]
+    nodes = [(label, node) for label, _, _, node in plan if node is not None]
     failures: dict[str, list] = {label: [0, []] for label in cell.labels}
     counters = {name: Counter() for name in cell.statistics}
     statistics = [(_RECORD_STATISTICS[name], counters[name]) for name in cell.statistics]
+    lower: set[str] = set()
     if cell.family == "matchings":
-        return sum(1 for _ in _objects(cell.family, cell.n, cell.prefix)), failures, counters
+        count = sum(1 for _ in _objects(cell.family, cell.n, cell.prefix))
+        return count, failures, counters, []
 
     count = 0
-    for f in _path_records(cell.n, cell.prefix):
+    for f in _code_tree(cell.n, cell.prefix):
+        if f.path is None:
+            for label, node in nodes:
+                if label not in lower and not node(f):
+                    lower.add(label)
+            continue
         count += 1
         for fn, counter in statistics:
             counter[fn(f)] += 1
-        for claim in checks:
-            detail = claim.check(f)
+        for label, family, check, node in plan:
+            if node is not None and node(f):
+                continue
+            detail = check(f)
             if detail is not None:
-                slot = failures[claim.label]
+                slot = failures[label]
                 slot[0] += 1
                 if len(slot[1]) < cell.limit:
-                    slot[1].append(f"{f.name(claim.family)}: {detail}")
-    return count, failures, counters
+                    slot[1].append(f"{f.name(family)}: {detail}")
+    return count, failures, counters, sorted(lower)
+
+
+def _run_cells(cells: list[_Cell], pool) -> list:
+    if pool is not None and len(cells) > 1:
+        return pool.map(_run_cell, cells)
+    return [_run_cell(cell) for cell in cells]
 
 
 def _verify_size(n: int, selected: list[str], limit: int, pool) -> VerificationReport:
@@ -592,22 +773,30 @@ def _verify_size(n: int, selected: list[str], limit: int, pool) -> VerificationR
                 _Cell(n, family, prefix, labels, statistics, limit)
                 for prefix in _cells(family, n)
             ]
+    results = _run_cells(cells, pool)
 
-    if pool is not None and len(cells) > 1:
-        results = pool.map(_run_cell, cells)
-    else:
-        results = [_run_cell(cell) for cell in cells]
+    # A node check that failed above the records breaks its claim's
+    # induction, so that claim runs its per-object check on every record.
+    rerun = tuple(label for label in per_object if any(label in r[3] for r in results))
+    if rerun:
+        again = [
+            _Cell(n, "paths", prefix, rerun, (), limit, full=True) for prefix in _cells("paths", n)
+        ]
+        results += _run_cells(again, pool)
 
     tables: dict = {"paths": 0, "matchings": 0}
     failed: Counter = Counter()
     examples: dict[str, list[str]] = {claim.label: [] for claim in chosen}
-    for cell, (count, failures, counters) in zip(cells, results):
+    for cell, (count, failures, counters, _) in zip(cells, results):
         tables[cell.family] += count
-        for label, (cell_failed, cell_examples) in failures.items():
-            failed[label] += cell_failed
-            examples[label].extend(cell_examples[: limit - len(examples[label])])
         for name, counter in counters.items():
             tables.setdefault(name, Counter()).update(counter)
+    # The tallies of a rerun claim come from the second pass only.
+    for index, (_, failures, _, _) in enumerate(results):
+        for label, (cell_failed, cell_examples) in failures.items():
+            if (label in rerun) == (index >= len(cells)):
+                failed[label] += cell_failed
+                examples[label].extend(cell_examples[: limit - len(examples[label])])
 
     outcomes = []
     for claim in chosen:

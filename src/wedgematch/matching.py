@@ -289,8 +289,10 @@ def _blocks(partner: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
     blocks = []
     start = reach = 0
     for v, w in enumerate(partner, start=1):
-        reach = max(reach, w)
-        if reach == v:
-            blocks.append((start, tuple(u - start for u in partner[start:v])))
+        if w > reach:
+            reach = w
+        elif reach == v:
+            # Every arc opened so far closes by v.
+            blocks.append((start, tuple([u - start for u in partner[start:v]])))
             start = v
     return blocks

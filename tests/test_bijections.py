@@ -27,10 +27,12 @@ from wedgematch.bijections import (
     _check_code,
     _code_from_partner,
     _phi_inv_code,
+    _phi_inv_step,
+    _phi_step,
     _phi_walk,
 )
 from wedgematch.cli import main
-from wedgematch.enumeration import _path_records, all_matchings, all_paths
+from wedgematch.enumeration import _code_tree, _objects, all_matchings, all_paths
 
 EXAMPLE_IMAGE = [(1, 4), (2, 14), (3, 12), (5, 8), (6, 9), (7, 11), (10, 13)]
 
@@ -202,9 +204,26 @@ def test_phi_golden_digest(n):
 
 
 @pytest.mark.parametrize("n", range(1, 7))
+def test_phi_kernels_are_folds_of_their_steps(n):
+    # The harness checks phi and phi_inv one step per node of the code tree;
+    # the kernels behind the public maps must be exactly those steps, folded.
+    for code, partner in _objects("matchings", n):
+        image: list[int] = []
+        for b in reversed(code):
+            image = _phi_step(b, image)
+        assert _phi_walk(code) == tuple(v + 1 for v in image)
+        p, unwound = [v - 1 for v in partner], []
+        while p:
+            r, p = _phi_inv_step(p)
+            unwound.append(r)
+        assert _phi_inv_code(partner) == tuple(unwound)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
 def test_path_records_fold_phi(n):
-    # The harness folds phi along the path stream, one step per changed depth.
-    for f in _path_records(n):
+    # The harness folds phi along the path stream, one step per changed
+    # depth.  The nodes above the records are checked too.
+    for f in _code_tree(n):
         m = Matching(f.m)
         assert f.b == _code_from_partner(f.m)
         assert f.nm == _phi_walk(f.b) == phi(m).partner

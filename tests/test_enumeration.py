@@ -22,6 +22,7 @@ from wedgematch.enumeration import (
     ClaimResult,
     VerificationReport,
     _cells,
+    _code_tree,
     _objects,
     verify_ladder,
 )
@@ -156,6 +157,21 @@ def test_path_codes_insert_to_the_matching_stream(n):
     matchings = [partner for _, partner in _objects("matchings", n)]
     assert sorted(images) == sorted(matchings)
     assert len(set(matchings)) == double_factorial(n)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_cells_partition_the_code_tree(n):
+    # Each node of depths 1..n is walked by every cell whose paths pass
+    # through it, and yielded, for its node checks, by exactly one of them.
+    tree = [(f.b, f.path is not None) for f in _code_tree(n)]
+    pieces = [
+        (f.b, f.path is not None) for prefix in _cells("paths", n) for f in _code_tree(n, prefix)
+    ]
+    assert sorted(pieces) == sorted(tree)
+    assert len(set(tree)) == len(tree) == sum(double_factorial(k) for k in range(1, n + 1))
+    assert [b for b, leaf in tree if leaf] == [
+        _code_from_heights(heights) for heights, _ in _objects("paths", n)
+    ]
 
 
 def test_streams_reject_nonpositive_size():
@@ -414,12 +430,25 @@ def test_verify_reports_failures_verbatim(monkeypatch):
         assert result["counterexamples"] == claims[label]["counterexamples"][:1]
 
 
+def _unwind_insertion(p):
+    """The insertion map's own unwinding step on a 0-based partner list:
+    strip the first edge (0, r) and renumber, with no repair undone."""
+    r = p[0]
+    return r, [v - 1 if v < r else v - 2 for j, v in enumerate(p) if j not in (0, r)]
+
+
 def test_verify_reports_phi_inv_failures_verbatim(monkeypatch):
+    import wedgematch.bijections as bijections
     import wedgematch.enumeration as enumeration
 
-    # Matching claims run on each path's insertion image, so their
-    # counterexamples come in path-stream order, not insertion-code order.
-    monkeypatch.setattr(enumeration, "_phi_inv_partner", lambda p: p)
+    # phi_inv's step is broken where it is defined and where the harness
+    # calls it: it unwinds insertion instead of phi, so phi_inv returns its
+    # input.  The node checks fail at the records only, so these claims run
+    # their per-object checks there.  Matching claims run on each path's
+    # insertion image, so their counterexamples come in path-stream order,
+    # not insertion-code order.
+    monkeypatch.setattr(bijections, "_phi_inv_step", _unwind_insertion)
+    monkeypatch.setattr(enumeration, "_phi_inv_step", _unwind_insertion)
     report = verify_all(
         3, claims=["round_trip_phi", "round_trip_big_phi"], counterexample_limit=3
     )
@@ -452,37 +481,52 @@ CODE, NESTED = (5, 3, 1), (6, 5, 4, 3, 2, 1)
 FOLD_STEP = (5, [3, 2, 1, 0])
 
 
-def test_proposition_b_walks_components_against_the_table(monkeypatch):
-    # The path records fold big_phi along the stream, one surgery step per
-    # depth; proposition_b runs phi's own kernel (code read plus walk) on
-    # every component.  Corrupt only the fold step that makes the image of
-    # the code (5, 3, 1), to its unrearranged psi image, and the walk must
-    # disagree with it.
+def _break_kernel(monkeypatch, kernel, trigger, wrong):
+    """Give ``kernel`` the answer ``wrong(right answer)`` on the argument
+    tuple ``trigger``, where it is defined and where the harness imports
+    it, as a fault in its source would."""
+    import sys
+
     import wedgematch.enumeration as enumeration
 
-    step = enumeration._phi_step
+    right = getattr(enumeration, kernel)
 
-    def corrupted(b, p):
-        if (b, p) == FOLD_STEP:
-            return [v - 1 for v in NESTED]
-        return step(b, p)
+    def faulty(*args):
+        out = right(*args)
+        return wrong(out) if args == trigger else out
 
-    monkeypatch.setattr(enumeration, "_phi_step", corrupted)
+    monkeypatch.setattr(enumeration, kernel, faulty)
+    monkeypatch.setattr(sys.modules[right.__module__], kernel, faulty)
+
+
+def test_proposition_b_walks_components_against_the_table(monkeypatch):
+    # The harness folds phi along the code tree, one surgery step per
+    # depth.  At a reducible node, proposition_b runs phi's own kernel (code
+    # read plus walk) on the first block and requires the image to be that
+    # followed by the image of the ancestor that many edges up.  Break the
+    # step that puts the edge (1,2) in front of the image (1,4),(2,3), which
+    # makes the image of the code (1, 3, 1), into a rearrangement with the
+    # same block sizes, and that comparison must fail.
+    _break_kernel(
+        monkeypatch, "_phi_step", (1, [3, 2, 1, 0]), lambda p: [1, 0, 4, 5, 2, 3]
+    )
     report = verify_all(3, claims=["proposition_b"])
     assert report.to_json_value()["claims"]["proposition_b"] == {
         "tested": 15,
         "failed": 1,
         "counterexamples": [
-            "P=ENENESSSSS: path_sizes(rev)=[3] image_sizes=[3] "
-            "piecewise=(1,6),(2,3),(4,5) global=(1,6),(2,5),(3,4)"
+            "P=ENESSSES: path_sizes(rev)=[1, 2] image_sizes=[1, 2] "
+            "piecewise=(1,2),(3,6),(4,5) global=(1,2),(3,5),(4,6)"
         ],
     }
 
 
 # Every kernel the claims call through the harness, with a wrong answer for
-# one size-3 input (see CODE above).
+# one input (see CODE above).  The partner tuples of size 2 are a first
+# block, which phi's kernel walks at a reducible node of size 3.
 def _other_partner(p):
-    return (2, 1, 4, 3, 6, 5) if p != (2, 1, 4, 3, 6, 5) else (6, 5, 4, 3, 2, 1)
+    aligned = tuple(v + 1 if v % 2 else v - 1 for v in range(1, len(p) + 1))
+    return aligned if p != aligned else tuple(range(len(p), 0, -1))
 
 
 def _other_code(b):
@@ -494,10 +538,9 @@ KERNEL_FAULTS = {
     "_partner_from_code": ((CODE,), _other_partner),
     "_code_from_partner": ((NESTED,), _other_code),
     "_phi_step": (FOLD_STEP, lambda p: [1, 0, 3, 2, 5, 4]),
-    "_phi_walk": ((CODE,), _other_partner),
-    "_phi_inv_code": ((NESTED,), _other_code),
-    "_phi_inv_partner": ((NESTED,), _other_partner),
-    "_phi_partner": ((NESTED,), _other_partner),
+    "_phi_inv_step": (([v - 1 for v in NESTED],), lambda step: (1, step[1])),
+    "_phi_walk": (((3, 1),), _other_partner),
+    "_phi_partner": (((4, 3, 2, 1),), _other_partner),
     "_arc_counts": ((NESTED,), lambda c: (c[0], c[1] + 1, c[2])),
     "_stacking": ((NESTED,), lambda s: [s[0] + 1, *s[1:]]),
     "_st_total": ((NESTED,), lambda st: st + 1),
@@ -507,15 +550,90 @@ KERNEL_FAULTS = {
 
 @pytest.mark.parametrize("kernel", sorted(KERNEL_FAULTS))
 def test_every_kernel_is_checked_by_some_claim(monkeypatch, kernel):
-    import wedgematch.enumeration as enumeration
-
-    trigger, wrong = KERNEL_FAULTS[kernel]
-    right = getattr(enumeration, kernel)
-
-    def faulty(*args):
-        out = right(*args)
-        return wrong(out) if args == trigger else out
-
-    monkeypatch.setattr(enumeration, kernel, faulty)
+    _break_kernel(monkeypatch, kernel, *KERNEL_FAULTS[kernel])
     report = verify_all(3)
     assert not report.passed, kernel
+
+
+# The claims the harness checks node by node along the code tree.
+NODE_CHECKED = ("round_trip_phi", "round_trip_phi_inv", "round_trip_big_phi", "proposition_b")
+
+
+def _full_report(monkeypatch, n):
+    """verify_all(n) with every claim's per-object check run on every record."""
+    import dataclasses
+
+    import wedgematch.enumeration as enumeration
+
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            enumeration,
+            "_CLAIMS_BY_LABEL",
+            {c.label: dataclasses.replace(c, node=None) for c in enumeration._REGISTRY},
+        )
+        return verify_all(n).to_json_value()
+
+
+# Faults for the differential test, as (kernel, trigger, wrong answer): none,
+# then kernels broken at a record of size 3, at depth 2 only, in the block
+# split and the code read, an insertion that keeps the first block of
+# (1,2),(3,4),(5,6) but not the rest, and an unwinding step whose "parent"
+# is no matching, yet one surgery step takes it back to its input.
+DIFFERENTIAL_FAULTS = {
+    "none": None,
+    "_phi_step": ("_phi_step", *KERNEL_FAULTS["_phi_step"]),
+    "_phi_step_depth_2": ("_phi_step", (3, [1, 0]), lambda p: [1, 0, 3, 2]),
+    "_phi_inv_step": ("_phi_inv_step", *KERNEL_FAULTS["_phi_inv_step"]),
+    "_phi_inv_step_depth_2": ("_phi_inv_step", ([3, 2, 1, 0],), lambda step: (1, step[1])),
+    "_blocks": ("_blocks", *KERNEL_FAULTS["_blocks"]),
+    "_code_from_partner": ("_code_from_partner", *KERNEL_FAULTS["_code_from_partner"]),
+    "_partner_from_code": ("_partner_from_code", ((1, 1, 1),), lambda p: (2, 1, 5, 6, 3, 4)),
+    "_phi_inv_step_not_a_matching": (
+        "_phi_inv_step",
+        ([5, 6, 4, 7, 2, 0, 1, 3],),
+        lambda step: (step[0], [1, 4, 4, 5, 0, 0]),
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(DIFFERENTIAL_FAULTS))
+def test_node_checks_imply_the_full_checks(monkeypatch, fault):
+    # On every record, a claim whose node checks pass along the record's
+    # chain, with none failing above the records anywhere, passes its full
+    # per-object check; and the report is the one the full checks give.
+    import wedgematch.enumeration as enumeration
+
+    spec = DIFFERENTIAL_FAULTS[fault]
+    if spec is not None:
+        _break_kernel(monkeypatch, *spec)
+    for n in range(1, 7 if spec is None else 5):
+        nodes = list(_code_tree(n))
+        for label in NODE_CHECKED:
+            claim = enumeration._CLAIMS_BY_LABEL[label]
+            passed = {id(f): claim.node(f) for f in nodes}
+            if not all(passed[id(f)] for f in nodes if f.path is None):
+                continue
+            for f in nodes:
+                if f.path is None:
+                    continue
+                chain = [f.ancestor(depth) for depth in range(1, n + 1)]
+                if all(passed[id(a)] for a in chain):
+                    assert claim.check(f) is None, (fault, label, f.b)
+        if spec is not None:
+            assert verify_all(n).to_json_value() == _full_report(monkeypatch, n), (fault, n)
+
+
+@pytest.mark.parametrize("fault", ["_phi_step_depth_2", "_phi_inv_step_depth_2"])
+def test_a_fault_above_the_records_fails_the_top_size(monkeypatch, fault):
+    # The fault fires at depth 2 only, so round_trip_phi's node check passes
+    # at every record of size 4; its failures at depth 2 must still fail
+    # verify_all(4), through the full checks they send it to.
+    import wedgematch.enumeration as enumeration
+
+    _break_kernel(monkeypatch, *DIFFERENTIAL_FAULTS[fault])
+    node = enumeration._CLAIMS_BY_LABEL["round_trip_phi"].node
+    assert all(node(f) for f in _code_tree(4) if f.path is not None)
+    full = _full_report(monkeypatch, 4)["claims"]
+    claims = verify_all(4, claims=NODE_CHECKED).to_json_value()["claims"]
+    assert claims["round_trip_phi"]["failed"] > 0
+    assert claims == {label: full[label] for label in NODE_CHECKED}
