@@ -16,7 +16,7 @@ from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass
 from multiprocessing import Pool
-from typing import Callable, ClassVar, Iterable, Iterator
+from typing import Callable, ClassVar, Iterable, Iterator, Sequence
 
 from .bijections import (
     InsertionCode,
@@ -33,7 +33,7 @@ from .bijections import (
 )
 from .errors import OverCapError
 from .matching import Matching, _arc_counts, _blocks, _check_partner, _st_total, _stacking
-from .paths import WedgePath
+from .paths import WedgePath, _cuts
 
 __all__ = [
     "CLAIMS",
@@ -364,7 +364,8 @@ def _proposition_a(f: _Facts) -> str | None:
 
 def _component_sizes(f: _Facts) -> tuple[list[int], list[int]]:
     """The path's component sizes, read backwards, and the image's block sizes."""
-    path_sizes = [c.n for c in f.path.components()][::-1]
+    cuts = _cuts(f.path.heights)
+    path_sizes = [hi - lo for lo, hi in zip(cuts, cuts[1:])][::-1]
     return path_sizes, [len(block) // 2 for _, block in _blocks(f.nm)]
 
 
@@ -380,7 +381,7 @@ def _proposition_b(f: _Facts) -> str | None:
 
 
 def _dyck_proposition(f: _Facts) -> str | None:
-    if not f.path.is_dyck():
+    if f.north:
         return None
     nm = f.nm
     ne = f.image_arcs[1]
@@ -419,10 +420,16 @@ def _theorem2(f: _Facts) -> str | None:
 
 # Node checks: the step of a claim's induction on the first edge, run at every
 # node of the code tree against values its walk already holds; True on a pass.
-# If a claim's check passes at every node of depths 1..n, then by induction its
-# per-object check above passes on every record, so the harness runs that check
-# only on a record whose own node fails, or on every record once the node check
-# has failed at a lower depth anywhere in the run.
+# If a claim's check passes at every node of depths 1..n of the size's tree,
+# its per-object check above passes on every record.  So the harness runs that
+# check only once the node check has failed somewhere in the run, and then on
+# every record, in a second pass.
+
+
+def _reads_back(f: _Facts) -> bool:
+    """round_trip_psi and round_trip_psi_inv: the code read of ``m`` gives
+    back b, so psi_inv(psi(b)) = b and psi(psi_inv(m)) = psi(b) = m."""
+    return f.code_back == f.b
 
 
 def _unwinds_to_parent(f: _Facts) -> bool:
@@ -438,20 +445,25 @@ def _big_phi_node(f: _Facts) -> bool:
     return f.unwinds and f.code_back == f.b
 
 
-def _rewinds(f: _Facts) -> bool:
-    """round_trip_phi_inv: one unwinding step of ``m`` gives an in-range
-    entry r and a matching of one size less, on which one surgery step with
-    r gives back ``m``.  That matching is the ``m`` of some node of the depth
-    above, so if those all pass, phi(phi_inv(m)) = m by induction."""
-    p = [v - 1 for v in f.m]
-    r, parent = _phi_inv_step(p)
-    size = len(p) - 2
-    return (
-        0 < r < len(p)
-        and len(parent) == size
-        and all(0 <= v < size and v != i and parent[v] == i for i, v in enumerate(parent))
-        and _phi_step(r, parent) == p
+def _is_matching(p: Sequence[int], base: int) -> bool:
+    """``p`` lists a fixed-point-free involution of base..base + len(p) - 1."""
+    size = len(p)
+    return all(
+        base <= w < size + base and w != v and p[w - base] == v for v, w in enumerate(p, base)
     )
+
+
+def _unwinds_a_matching(f: _Facts) -> bool:
+    """round_trip_phi_inv: the image is a matching that unwinds to the
+    parent's, as for round_trip_phi, and a record's ``m`` is a matching of
+    its size.  The induction runs over the whole tree, not one chain: if
+    every node of depths 1..k passes, the images of depth k are (2k-1)!!
+    distinct matchings, hence all of them, and each one unwinds to the code
+    the walk built it with.  A record's ``m`` is one of them, so phi_inv(m)
+    is that code, and phi walks it back to ``m``."""
+    if not (f.unwinds and _is_matching(f.image, 0)):
+        return False
+    return f.path is None or (len(f.m) == len(f.image) and _is_matching(f.m, 1))
 
 
 def _piecewise_node(f: _Facts) -> bool:
@@ -520,7 +532,7 @@ class Claim:
     and ``check(n, tables)`` returns the number of values tested and the
     failure details.  A per-object claim may also have a ``node`` check,
     one step of its induction on the first edge (see the node checks
-    above); the harness then runs ``check`` only where that fails.
+    above); the harness then runs ``check`` only once that has failed.
     """
 
     label: str
@@ -549,12 +561,14 @@ _REGISTRY = (
         "paths",
         _round_trip_psi,
         "decoding undoes the insertion map on every path",
+        _reads_back,
     ),
     Claim(
         "round_trip_psi_inv",
         "matchings",
         _round_trip_psi_inv,
         "the insertion map undoes decoding on every matching",
+        _reads_back,
     ),
     Claim(
         "round_trip_phi",
@@ -568,7 +582,7 @@ _REGISTRY = (
         "matchings",
         _round_trip_phi_inv,
         "the rearrangement undoes the inverse rearrangement",
-        _rewinds,
+        _unwinds_a_matching,
     ),
     Claim(
         "round_trip_big_phi",
@@ -699,10 +713,11 @@ class VerificationReport:
 @dataclass(frozen=True)
 class _Cell:
     """One unit of work: the objects of one family whose first coordinates
-    are ``prefix``.  Path cells walk the nodes on their paths' chains,
-    replay the per-object claims and count the statistics on their records;
-    matching cells only count objects.  With ``full`` set, every record runs
-    each claim's per-object check, whether or not the claim has node checks."""
+    are ``prefix``.  Path cells walk the nodes on their paths' chains, run
+    the node checks there, and on their records run the per-object checks of
+    the claims without node checks and count the statistics; matching cells
+    only count objects.  With ``full`` set, every record runs each claim's
+    per-object check, whether or not the claim has node checks."""
 
     n: int
     family: str
@@ -716,39 +731,37 @@ class _Cell:
 def _run_cell(cell: _Cell) -> tuple[int, dict[str, list], dict[str, Counter], list[str]]:
     """Worker body: the cell's object count, [failed, examples] per claim
     label, a Counter per statistic, and the labels whose node check failed
-    at a node above the records.  Plain values, so the result can cross a
-    process boundary."""
+    at some node.  Plain values, so the result can cross a process
+    boundary."""
     claims = [_CLAIMS_BY_LABEL[label] for label in cell.labels]
-    plan = [(c.label, c.family, c.check, None if cell.full else c.node) for c in claims]
-    nodes = [(label, node) for label, _, _, node in plan if node is not None]
+    nodes = [] if cell.full else [(c.label, c.node) for c in claims if c.node is not None]
+    checks = [(c.label, c.family, c.check) for c in claims if cell.full or c.node is None]
     failures: dict[str, list] = {label: [0, []] for label in cell.labels}
     counters = {name: Counter() for name in cell.statistics}
     statistics = [(_RECORD_STATISTICS[name], counters[name]) for name in cell.statistics]
-    lower: set[str] = set()
+    broken: set[str] = set()
     if cell.family == "matchings":
         count = sum(1 for _ in _objects(cell.family, cell.n, cell.prefix))
         return count, failures, counters, []
 
     count = 0
     for f in _code_tree(cell.n, cell.prefix):
+        for label, node in nodes:
+            if label not in broken and not node(f):
+                broken.add(label)
         if f.path is None:
-            for label, node in nodes:
-                if label not in lower and not node(f):
-                    lower.add(label)
             continue
         count += 1
         for fn, counter in statistics:
             counter[fn(f)] += 1
-        for label, family, check, node in plan:
-            if node is not None and node(f):
-                continue
+        for label, family, check in checks:
             detail = check(f)
             if detail is not None:
                 slot = failures[label]
                 slot[0] += 1
                 if len(slot[1]) < cell.limit:
                     slot[1].append(f"{f.name(family)}: {detail}")
-    return count, failures, counters, sorted(lower)
+    return count, failures, counters, sorted(broken)
 
 
 def _run_cells(cells: list[_Cell], pool) -> list:
@@ -775,8 +788,8 @@ def _verify_size(n: int, selected: list[str], limit: int, pool) -> VerificationR
             ]
     results = _run_cells(cells, pool)
 
-    # A node check that failed above the records breaks its claim's
-    # induction, so that claim runs its per-object check on every record.
+    # A node check that failed anywhere breaks its claim's induction, so that
+    # claim runs its per-object check on every record.
     rerun = tuple(label for label in per_object if any(label in r[3] for r in results))
     if rerun:
         again = [

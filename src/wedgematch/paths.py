@@ -8,12 +8,16 @@ sequence a_1..a_n of the east steps; the step string is a derived view.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import InvalidPathError, ParseError
 
 __all__ = ["WedgePath", "concatenate_paths"]
+
+# A step string as maximal runs of one letter.
+_STEP_RUN = re.compile(r"E+|N+|S+")
 
 
 @dataclass(frozen=True)
@@ -66,22 +70,25 @@ class WedgePath:
             )
         x = y = 0
         heights: list[int] = []
-        for i, (ch, prev) in enumerate(zip(text, " " + text), start=1):
+        for run in _STEP_RUN.finditer(text):
+            start, end = run.span()
+            ch, length = text[start], end - start
             if ch == "E":
-                heights.append(y)
-                x += 1
-            elif ch == "N":
-                if prev == "S":
-                    raise InvalidPathError(f"vertical run reverses at step {i}")
-                y += 1
-            else:
-                if prev == "N":
-                    raise InvalidPathError(f"vertical run reverses at step {i}")
-                y -= 1
-            if abs(y) > x:
+                heights += [y] * length
+                x += length
+                continue
+            if start and text[start - 1] != "E":
+                raise InvalidPathError(f"vertical run reverses at step {start + 1}")
+            # Step t of the run reaches y + sign * t, inside the wedge for
+            # t <= x - sign * y.
+            sign = 1 if ch == "N" else -1
+            inside = x - sign * y
+            if length > inside:
                 raise InvalidPathError(
-                    f"step {i} leaves the wedge: reaches ({x},{y})"
+                    f"step {start + inside + 1} leaves the wedge: "
+                    f"reaches ({x},{y + sign * (inside + 1)})"
                 )
+            y += sign * length
         n = len(heights)
         if n == 0 or (x, y) != (n, -n):
             raise InvalidPathError(
@@ -194,18 +201,31 @@ class WedgePath:
         the wedge bound a_{k+j} + k <= j - 1 for all remaining j.
         """
         a = self.heights
-        n = self.n
-        cuts = [0]
-        for k in range(1, n):
-            if a[k] != -k:
-                continue
-            if all(a[k + j - 1] + k <= j - 1 for j in range(1, n - k + 1)):
-                cuts.append(k)
-        cuts.append(n)
+        cuts = _cuts(a)
         return [
             WedgePath(tuple(h + lo for h in a[lo:hi]))
             for lo, hi in zip(cuts, cuts[1:])
         ]
+
+
+def _cuts(a: Sequence[int]) -> list[int]:
+    """0, the east steps k after which :meth:`WedgePath.components` splits
+    the heights ``a``, and n, in increasing order.
+
+    In 0-based indices the split after k needs a[k] = -k and
+    a[i] + k <= i - k for all i >= k, that is, a[i] - i <= -2k; as
+    a[k] - k is then -2k, the split holds exactly when -2k is the largest
+    a[i] - i over i >= k, which one right-to-left sweep keeps.
+    """
+    n = len(a)
+    cuts = [n]
+    top = -2 * n
+    for k in range(n - 1, 0, -1):
+        top = max(top, a[k] - k)
+        if a[k] == -k and top == -2 * k:
+            cuts.append(k)
+    cuts.append(0)
+    return cuts[::-1]
 
 
 def concatenate_paths(pieces: Iterable[WedgePath]) -> WedgePath:

@@ -398,10 +398,13 @@ BROKEN_N2_FAILURES = {
 
 def test_verify_reports_failures_verbatim(monkeypatch):
     import wedgematch.enumeration as enumeration
+    import wedgematch.paths as paths
     from wedgematch import WedgePath
 
     # psi_inv and st_total are broken where the harness calls them, as
     # kernels on partner tuples; decoding returns the all-zero path's code.
+    # The cut kernel behind WedgePath.components finds no components, where
+    # it is defined and where the harness imports it.
     st_total = enumeration._st_total
     final_south_run = WedgePath.final_south_run
     monkeypatch.setattr(
@@ -412,7 +415,8 @@ def test_verify_reports_failures_verbatim(monkeypatch):
         WedgePath, "final_south_run", lambda self: final_south_run(self) + 1
     )
     monkeypatch.setattr(WedgePath, "reversed_south_positions", lambda self: set())
-    monkeypatch.setattr(WedgePath, "components", lambda self: [])
+    monkeypatch.setattr(paths, "_cuts", lambda heights: [])
+    monkeypatch.setattr(enumeration, "_cuts", lambda heights: [])
 
     claims = verify_all(2).to_json_value()["claims"]
     assert list(claims) == list(CLAIMS)
@@ -443,10 +447,10 @@ def test_verify_reports_phi_inv_failures_verbatim(monkeypatch):
 
     # phi_inv's step is broken where it is defined and where the harness
     # calls it: it unwinds insertion instead of phi, so phi_inv returns its
-    # input.  The node checks fail at the records only, so these claims run
-    # their per-object checks there.  Matching claims run on each path's
-    # insertion image, so their counterexamples come in path-stream order,
-    # not insertion-code order.
+    # input.  The node checks fail, so these claims run their per-object
+    # checks on every record in a second pass.  Matching claims run on each
+    # path's insertion image, so their counterexamples come in path-stream
+    # order, not insertion-code order.
     monkeypatch.setattr(bijections, "_phi_inv_step", _unwind_insertion)
     monkeypatch.setattr(enumeration, "_phi_inv_step", _unwind_insertion)
     report = verify_all(
@@ -523,7 +527,9 @@ def test_proposition_b_walks_components_against_the_table(monkeypatch):
 
 # Every kernel the claims call through the harness, with a wrong answer for
 # one input (see CODE above).  The partner tuples of size 2 are a first
-# block, which phi's kernel walks at a reducible node of size 3.
+# block, which phi's kernel walks at a reducible node of size 3; the heights
+# (0, -1, -2) are the path ESESES, whose three components the cut kernel
+# behind WedgePath.components finds.
 def _other_partner(p):
     aligned = tuple(v + 1 if v % 2 else v - 1 for v in range(1, len(p) + 1))
     return aligned if p != aligned else tuple(range(len(p), 0, -1))
@@ -545,6 +551,7 @@ KERNEL_FAULTS = {
     "_stacking": ((NESTED,), lambda s: [s[0] + 1, *s[1:]]),
     "_st_total": ((NESTED,), lambda st: st + 1),
     "_blocks": ((NESTED,), lambda blocks: blocks[:-1]),
+    "_cuts": (((0, -1, -2),), lambda cuts: [0, 3]),
 }
 
 
@@ -555,8 +562,17 @@ def test_every_kernel_is_checked_by_some_claim(monkeypatch, kernel):
     assert not report.passed, kernel
 
 
-# The claims the harness checks node by node along the code tree.
-NODE_CHECKED = ("round_trip_phi", "round_trip_phi_inv", "round_trip_big_phi", "proposition_b")
+# The claims the harness checks node by node along the code tree, and those
+# of them whose induction runs over the whole tree rather than one chain.
+NODE_CHECKED = (
+    "round_trip_psi",
+    "round_trip_psi_inv",
+    "round_trip_phi",
+    "round_trip_phi_inv",
+    "round_trip_big_phi",
+    "proposition_b",
+)
+WHOLE_TREE = ("round_trip_phi_inv",)
 
 
 def _full_report(monkeypatch, n):
@@ -576,9 +592,9 @@ def _full_report(monkeypatch, n):
 
 # Faults for the differential test, as (kernel, trigger, wrong answer): none,
 # then kernels broken at a record of size 3, at depth 2 only, in the block
-# split and the code read, an insertion that keeps the first block of
-# (1,2),(3,4),(5,6) but not the rest, and an unwinding step whose "parent"
-# is no matching, yet one surgery step takes it back to its input.
+# split, the code read and the cut kernel, an insertion that keeps the first
+# block of (1,2),(3,4),(5,6) but not the rest, and an unwinding step whose
+# "parent" is no matching, yet one surgery step takes it back to its input.
 DIFFERENTIAL_FAULTS = {
     "none": None,
     "_phi_step": ("_phi_step", *KERNEL_FAULTS["_phi_step"]),
@@ -587,6 +603,8 @@ DIFFERENTIAL_FAULTS = {
     "_phi_inv_step_depth_2": ("_phi_inv_step", ([3, 2, 1, 0],), lambda step: (1, step[1])),
     "_blocks": ("_blocks", *KERNEL_FAULTS["_blocks"]),
     "_code_from_partner": ("_code_from_partner", *KERNEL_FAULTS["_code_from_partner"]),
+    "_code_from_partner_depth_2": ("_code_from_partner", ((4, 3, 2, 1),), lambda b: (1, 1)),
+    "_cuts": ("_cuts", *KERNEL_FAULTS["_cuts"]),
     "_partner_from_code": ("_partner_from_code", ((1, 1, 1),), lambda p: (2, 1, 5, 6, 3, 4)),
     "_phi_inv_step_not_a_matching": (
         "_phi_inv_step",
@@ -600,7 +618,9 @@ DIFFERENTIAL_FAULTS = {
 def test_node_checks_imply_the_full_checks(monkeypatch, fault):
     # On every record, a claim whose node checks pass along the record's
     # chain, with none failing above the records anywhere, passes its full
-    # per-object check; and the report is the one the full checks give.
+    # per-object check; a whole-tree claim passes it on every record if its
+    # node checks pass at every node.  And the report is the one the full
+    # checks give.
     import wedgematch.enumeration as enumeration
 
     spec = DIFFERENTIAL_FAULTS[fault]
@@ -611,6 +631,11 @@ def test_node_checks_imply_the_full_checks(monkeypatch, fault):
         for label in NODE_CHECKED:
             claim = enumeration._CLAIMS_BY_LABEL[label]
             passed = {id(f): claim.node(f) for f in nodes}
+            if label in WHOLE_TREE:
+                if all(passed.values()):
+                    for f in nodes:
+                        assert f.path is None or claim.check(f) is None, (fault, label, f.b)
+                continue
             if not all(passed[id(f)] for f in nodes if f.path is None):
                 continue
             for f in nodes:
@@ -637,3 +662,28 @@ def test_a_fault_above_the_records_fails_the_top_size(monkeypatch, fault):
     claims = verify_all(4, claims=NODE_CHECKED).to_json_value()["claims"]
     assert claims["round_trip_phi"]["failed"] > 0
     assert claims == {label: full[label] for label in NODE_CHECKED}
+
+
+# Wrong answers that are no matching: the insertion image of the code
+# (1, 1, 1), and the phi image made by the step that puts the edge (1,2) in
+# front of (1,2),(3,4).  In both, the node's image still unwinds one step
+# to its parent's.
+NOT_A_MATCHING = {
+    "_partner_from_code": (((1, 1, 1),), lambda p: (2, 1, 4, 1, 6, 5)),
+    "_phi_step": ((1, [1, 0, 3, 2]), lambda p: [1, 1, 3, 2, 5, 4]),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(NOT_A_MATCHING))
+def test_phi_inv_node_check_requires_matchings(monkeypatch, kernel):
+    # round_trip_phi_inv's induction runs over the whole tree and counts the
+    # images of each depth, so its node check must see that the image and a
+    # record's m are matchings: here one step of unwinding alone passes.
+    import wedgematch.enumeration as enumeration
+
+    _break_kernel(monkeypatch, kernel, *NOT_A_MATCHING[kernel])
+    node = enumeration._CLAIMS_BY_LABEL["round_trip_phi_inv"].node
+    nodes = list(_code_tree(3))
+    (record,) = [f for f in nodes if f.b == (1, 1, 1)]
+    assert record.unwinds and not node(record)
+    assert all(node(f) for f in nodes if f is not record)

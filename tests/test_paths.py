@@ -1,6 +1,7 @@
 """Wedge path construction, step strings, statistics, and components."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -13,6 +14,7 @@ from wedgematch import (
     concatenate_paths,
 )
 from wedgematch.enumeration import all_paths, double_factorial
+from wedgematch.paths import _cuts
 
 
 def walk(steps: str) -> tuple[int, int]:
@@ -80,6 +82,74 @@ def test_parse_steps_bad_characters():
         WedgePath.parse_steps("EXS")
     with pytest.raises(ParseError):
         WedgePath.parse_steps("")
+
+
+def parse_by_character(text: str) -> tuple[int, ...]:
+    """Differential oracle: the step parser one character at a time."""
+    if not text:
+        raise ParseError("empty step string")
+    bad = set(text) - {"E", "N", "S"}
+    if bad:
+        raise ParseError(f"step string may only contain E, N, S; found {sorted(bad)!r}")
+    x = y = 0
+    heights = []
+    for i, (ch, prev) in enumerate(zip(text, " " + text), start=1):
+        if ch == "E":
+            heights.append(y)
+            x += 1
+        elif ch == "N":
+            if prev == "S":
+                raise InvalidPathError(f"vertical run reverses at step {i}")
+            y += 1
+        else:
+            if prev == "N":
+                raise InvalidPathError(f"vertical run reverses at step {i}")
+            y -= 1
+        if abs(y) > x:
+            raise InvalidPathError(f"step {i} leaves the wedge: reaches ({x},{y})")
+    n = len(heights)
+    if n == 0 or (x, y) != (n, -n):
+        raise InvalidPathError(f"path ends at ({x},{y}) instead of ({n},{-n}) on y = -x")
+    return tuple(heights)
+
+
+def parse_outcome(parse, text):
+    """The heights, or the error's type and text."""
+    try:
+        result = parse(text)
+    except (ParseError, InvalidPathError) as error:
+        return type(error).__name__, str(error)
+    return getattr(result, "heights", result)
+
+
+def test_parse_steps_matches_the_character_parser_exhaustive():
+    # Every string over E, N, S of up to 9 steps, nearly all of them invalid.
+    for length in range(10):
+        for steps in itertools.product("ENS", repeat=length):
+            text = "".join(steps)
+            assert parse_outcome(WedgePath.parse_steps, text) == parse_outcome(
+                parse_by_character, text
+            ), text
+
+
+def test_parse_steps_matches_the_character_parser_random():
+    # Seeded random paths up to n=64, whole, truncated, or with a few steps
+    # overwritten.
+    rng = random.Random(2024)
+    for _ in range(3000):
+        n = rng.randint(1, 64)
+        text = WedgePath(tuple(rng.randint(-(i - 1), i - 1) for i in range(1, n + 1))).to_steps()
+        kind = rng.randrange(3)
+        if kind == 1:
+            text = text[: rng.randrange(len(text))]
+        elif kind == 2:
+            chars = list(text)
+            for _ in range(rng.randint(1, 3)):
+                chars[rng.randrange(len(chars))] = rng.choice("ENS")
+            text = "".join(chars)
+        assert parse_outcome(WedgePath.parse_steps, text) == parse_outcome(
+            parse_by_character, text
+        ), text
 
 
 def test_height_text_round_trip():
@@ -173,6 +243,20 @@ def test_components_concatenate_exhaustive(n):
 @given(wedge_paths())
 def test_components_concatenate_random(p):
     assert concatenate_paths(p.components()) == p
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_cut_kernel_matches_the_split_rule_exhaustive(n):
+    # The split after east step k, straight from its definition: the path
+    # passes through (k, -k) and the rest, moved there, stays in its wedge.
+    for p in all_paths(n):
+        a = p.heights
+        cuts = [
+            k
+            for k in range(1, n)
+            if a[k] == -k and all(a[k + j - 1] + k <= j - 1 for j in range(1, n - k + 1))
+        ]
+        assert _cuts(a) == [0, *cuts, n], a
 
 
 # -- counting ---------------------------------------------------------------------------
