@@ -14,7 +14,7 @@ import signal
 import time
 from collections import Counter
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from multiprocessing import Pool
 from typing import Callable, ClassVar, Iterable, Iterator, Sequence
 
@@ -218,8 +218,8 @@ class _Facts:
     phi(psi(b)), is one surgery step with b_1 on the parent's image.  A
     record (a leaf, depth n) also holds its path and north steps.  The
     rest is computed on first use, once: ``m = psi(b)``, ``nm = phi(m)``,
-    the code read of ``m``, the arc counts of ``m`` and ``nm``, the
-    stacking total and blocks of ``m``, ``phi_inv(nm)``, and whether one
+    the code read, arc counts, stacking values, stacking total and blocks
+    of ``m``, the arc counts of ``nm``, ``phi_inv(nm)``, and whether one
     unwinding step of the image gives back the parent's.
     """
 
@@ -258,8 +258,12 @@ class _Facts:
         return _arc_counts(self.nm)
 
     @_once
+    def stacking(self) -> list[int]:
+        return _stacking(self.m)
+
+    @_once
     def st(self) -> int:
-        return _st_total(self.m)
+        return sum(self.stacking)
 
     @_once
     def blocks(self) -> list[tuple[int, tuple[int, ...]]]:
@@ -344,7 +348,7 @@ def _round_trip_big_phi(f: _Facts) -> str | None:
 
 def _lemma1(f: _Facts) -> str | None:
     b = f.b
-    per_index_ok = _stacking(f.m) == [max(b[i - 1] - b[i] - 1, 0) for i in range(1, len(b))]
+    per_index_ok = f.stacking == [max(b[i - 1] - b[i] - 1, 0) for i in range(1, len(b))]
     st = f.st
     if st == f.north and per_index_ok:
         return None
@@ -421,14 +425,14 @@ def _theorem2(f: _Facts) -> str | None:
 # Node checks: the step of a claim's induction on the first edge, run at every
 # node of the code tree against values its walk already holds; True on a pass.
 # If a claim's check passes at every node of depths 1..n of the size's tree,
-# its per-object check above passes on every record.  So the harness runs that
-# check only once the node check has failed somewhere in the run, and then on
-# every record, in a second pass.
+# its per-object check above passes on every record, so a passing size needs
+# only the node checks.  Once any test fails, the size is rerun with every
+# per-object check on every record, and its report comes from that pass.
 
 
 def _reads_back(f: _Facts) -> bool:
-    """round_trip_psi and round_trip_psi_inv: the code read of ``m`` gives
-    back b, so psi_inv(psi(b)) = b and psi(psi_inv(m)) = psi(b) = m."""
+    """round_trip_psi_inv: the code read of ``m`` gives back b, so
+    psi(psi_inv(m)) = psi(b) = m with no second insertion."""
     return f.code_back == f.b
 
 
@@ -532,7 +536,8 @@ class Claim:
     and ``check(n, tables)`` returns the number of values tested and the
     failure details.  A per-object claim may also have a ``node`` check,
     one step of its induction on the first edge (see the node checks
-    above); the harness then runs ``check`` only once that has failed.
+    above); a passing size tests the claim by that alone, and ``check``
+    runs only when a failed size is rerun in full.
     """
 
     label: str
@@ -561,7 +566,6 @@ _REGISTRY = (
         "paths",
         _round_trip_psi,
         "decoding undoes the insertion map on every path",
-        _reads_back,
     ),
     Claim(
         "round_trip_psi_inv",
@@ -713,11 +717,11 @@ class VerificationReport:
 @dataclass(frozen=True)
 class _Cell:
     """One unit of work: the objects of one family whose first coordinates
-    are ``prefix``.  Path cells walk the nodes on their paths' chains, run
-    the node checks there, and on their records run the per-object checks of
-    the claims without node checks and count the statistics; matching cells
-    only count objects.  With ``full`` set, every record runs each claim's
-    per-object check, whether or not the claim has node checks."""
+    are ``prefix``.  Path cells walk the nodes on their paths' chains and
+    count the statistics on their records; matching cells only count
+    objects.  A path cell tests each claim by its node checks, or by its
+    per-object check at the records if it has none; with ``full`` set,
+    every record runs each claim's per-object check instead."""
 
     n: int
     family: str
@@ -728,27 +732,26 @@ class _Cell:
     full: bool = False
 
 
-def _run_cell(cell: _Cell) -> tuple[int, dict[str, list], dict[str, Counter], list[str]]:
+def _run_cell(cell: _Cell) -> tuple[int, dict[str, list], dict[str, Counter]] | None:
     """Worker body: the cell's object count, [failed, examples] per claim
-    label, a Counter per statistic, and the labels whose node check failed
-    at some node.  Plain values, so the result can cross a process
-    boundary."""
+    label and a Counter per statistic, as plain values, so the result can
+    cross a process boundary.  Without ``full``, the first failed test ends
+    the cell with None."""
     claims = [_CLAIMS_BY_LABEL[label] for label in cell.labels]
-    nodes = [] if cell.full else [(c.label, c.node) for c in claims if c.node is not None]
+    nodes = [] if cell.full else [c.node for c in claims if c.node is not None]
     checks = [(c.label, c.family, c.check) for c in claims if cell.full or c.node is None]
     failures: dict[str, list] = {label: [0, []] for label in cell.labels}
     counters = {name: Counter() for name in cell.statistics}
     statistics = [(_RECORD_STATISTICS[name], counters[name]) for name in cell.statistics]
-    broken: set[str] = set()
     if cell.family == "matchings":
         count = sum(1 for _ in _objects(cell.family, cell.n, cell.prefix))
-        return count, failures, counters, []
+        return count, failures, counters
 
     count = 0
     for f in _code_tree(cell.n, cell.prefix):
-        for label, node in nodes:
-            if label not in broken and not node(f):
-                broken.add(label)
+        for node in nodes:
+            if not node(f):
+                return None
         if f.path is None:
             continue
         count += 1
@@ -757,11 +760,13 @@ def _run_cell(cell: _Cell) -> tuple[int, dict[str, list], dict[str, Counter], li
         for label, family, check in checks:
             detail = check(f)
             if detail is not None:
+                if not cell.full:
+                    return None
                 slot = failures[label]
                 slot[0] += 1
                 if len(slot[1]) < cell.limit:
                     slot[1].append(f"{f.name(family)}: {detail}")
-    return count, failures, counters, sorted(broken)
+    return count, failures, counters
 
 
 def _run_cells(cells: list[_Cell], pool) -> list:
@@ -787,29 +792,22 @@ def _verify_size(n: int, selected: list[str], limit: int, pool) -> VerificationR
                 for prefix in _cells(family, n)
             ]
     results = _run_cells(cells, pool)
-
-    # A node check that failed anywhere breaks its claim's induction, so that
-    # claim runs its per-object check on every record.
-    rerun = tuple(label for label in per_object if any(label in r[3] for r in results))
-    if rerun:
-        again = [
-            _Cell(n, "paths", prefix, rerun, (), limit, full=True) for prefix in _cells("paths", n)
-        ]
-        results += _run_cells(again, pool)
+    # A failed test anywhere reruns every cell with every claim's per-object
+    # check on every record, and the report comes from that pass alone.
+    if None in results:
+        cells = [replace(cell, full=True) for cell in cells]
+        results = _run_cells(cells, pool)
 
     tables: dict = {"paths": 0, "matchings": 0}
     failed: Counter = Counter()
     examples: dict[str, list[str]] = {claim.label: [] for claim in chosen}
-    for cell, (count, failures, counters, _) in zip(cells, results):
+    for cell, (count, failures, counters) in zip(cells, results):
         tables[cell.family] += count
         for name, counter in counters.items():
             tables.setdefault(name, Counter()).update(counter)
-    # The tallies of a rerun claim come from the second pass only.
-    for index, (_, failures, _, _) in enumerate(results):
         for label, (cell_failed, cell_examples) in failures.items():
-            if (label in rerun) == (index >= len(cells)):
-                failed[label] += cell_failed
-                examples[label].extend(cell_examples[: limit - len(examples[label])])
+            failed[label] += cell_failed
+            examples[label].extend(cell_examples[: limit - len(examples[label])])
 
     outcomes = []
     for claim in chosen:

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import multiprocessing
 
 import pytest
 
@@ -401,16 +402,17 @@ def test_verify_reports_failures_verbatim(monkeypatch):
     import wedgematch.paths as paths
     from wedgematch import WedgePath
 
-    # psi_inv and st_total are broken where the harness calls them, as
-    # kernels on partner tuples; decoding returns the all-zero path's code.
-    # The cut kernel behind WedgePath.components finds no components, where
-    # it is defined and where the harness imports it.
-    st_total = enumeration._st_total
+    # psi_inv is broken where the harness calls it, as a kernel on partner
+    # tuples: decoding returns the all-zero path's code.  The record's
+    # stacking total is one too high, while its per-index stacking values
+    # are right.  The cut kernel behind WedgePath.components finds no
+    # components, where it is defined and where the harness imports it.
+    st = enumeration._Facts.__dict__["st"].fn
     final_south_run = WedgePath.final_south_run
     monkeypatch.setattr(
         enumeration, "_code_from_partner", lambda p: tuple(range(len(p) // 2, 0, -1))
     )
-    monkeypatch.setattr(enumeration, "_st_total", lambda p: st_total(p) + 1)
+    monkeypatch.setattr(enumeration._Facts, "st", property(lambda f: st(f) + 1))
     monkeypatch.setattr(
         WedgePath, "final_south_run", lambda self: final_south_run(self) + 1
     )
@@ -447,8 +449,8 @@ def test_verify_reports_phi_inv_failures_verbatim(monkeypatch):
 
     # phi_inv's step is broken where it is defined and where the harness
     # calls it: it unwinds insertion instead of phi, so phi_inv returns its
-    # input.  The node checks fail, so these claims run their per-object
-    # checks on every record in a second pass.  Matching claims run on each
+    # input.  The node checks fail, so the size is rerun with every claim's
+    # per-object check on every record.  Matching claims run on each
     # path's insertion image, so their counterexamples come in path-stream
     # order, not insertion-code order.
     monkeypatch.setattr(bijections, "_phi_inv_step", _unwind_insertion)
@@ -549,7 +551,6 @@ KERNEL_FAULTS = {
     "_phi_partner": (((4, 3, 2, 1),), _other_partner),
     "_arc_counts": ((NESTED,), lambda c: (c[0], c[1] + 1, c[2])),
     "_stacking": ((NESTED,), lambda s: [s[0] + 1, *s[1:]]),
-    "_st_total": ((NESTED,), lambda st: st + 1),
     "_blocks": ((NESTED,), lambda blocks: blocks[:-1]),
     "_cuts": (((0, -1, -2),), lambda cuts: [0, 3]),
 }
@@ -565,7 +566,6 @@ def test_every_kernel_is_checked_by_some_claim(monkeypatch, kernel):
 # The claims the harness checks node by node along the code tree, and those
 # of them whose induction runs over the whole tree rather than one chain.
 NODE_CHECKED = (
-    "round_trip_psi",
     "round_trip_psi_inv",
     "round_trip_phi",
     "round_trip_phi_inv",
@@ -662,6 +662,65 @@ def test_a_fault_above_the_records_fails_the_top_size(monkeypatch, fault):
     claims = verify_all(4, claims=NODE_CHECKED).to_json_value()["claims"]
     assert claims["round_trip_phi"]["failed"] > 0
     assert claims == {label: full[label] for label in NODE_CHECKED}
+
+
+def _count_passes(monkeypatch):
+    """Record, for each pass of the harness over a size's cells, whether it
+    ran on the process pool."""
+    import wedgematch.enumeration as enumeration
+
+    run_cells = enumeration._run_cells
+    passes = []
+
+    def counting(cells, pool):
+        passes.append(pool is not None)
+        return run_cells(cells, pool)
+
+    monkeypatch.setattr(enumeration, "_run_cells", counting)
+    return passes
+
+
+def test_a_passing_size_decides_in_one_pass(monkeypatch):
+    # A passing size tests each node-checked claim by its node checks alone,
+    # in one pass over the cells: its per-object check never runs.
+    import dataclasses
+
+    import wedgematch.enumeration as enumeration
+
+    def unreachable(f):
+        raise AssertionError(f"a passing size ran a full check at {f.b}")
+
+    monkeypatch.setattr(
+        enumeration,
+        "_CLAIMS_BY_LABEL",
+        {
+            c.label: c if c.node is None else dataclasses.replace(c, check=unreachable)
+            for c in enumeration._REGISTRY
+        },
+    )
+    passes = _count_passes(monkeypatch)
+    payload = json.dumps(verify_all(5).to_json_value())
+    assert hashlib.sha256(payload.encode()).hexdigest() == VERIFY_PAYLOAD_DIGESTS[5]
+    assert passes == [False]
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the pool's workers inherit the broken kernel only when forked",
+)
+def test_a_failing_size_reruns_on_the_process_pool(monkeypatch):
+    # The fault fires at depth 2 only, so one cell of size 4 fails a node
+    # check and the rest pass; the size must then be rerun in full on the
+    # pool as well, and report as one worker and the full checks do.
+    import wedgematch.enumeration as enumeration
+
+    _break_kernel(monkeypatch, *DIFFERENTIAL_FAULTS["_phi_step_depth_2"])
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
+    passes = _count_passes(monkeypatch)
+    parallel = verify_all(4, workers=2).to_json_value()
+    assert passes == [True, True]
+    assert not parallel["passed"]
+    assert parallel == verify_all(4).to_json_value() == _full_report(monkeypatch, 4)
 
 
 # Wrong answers that are no matching: the insertion image of the code
