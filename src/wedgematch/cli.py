@@ -188,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     cap_flags = argparse.ArgumentParser(add_help=False)
     cap_flags.add_argument(
         "--max-n",
-        type=int,
+        type=_positive_int,
         default=None,
         help=f"enumeration cap (default: {DEFAULT_MAX_N})",
     )

@@ -81,8 +81,8 @@ def double_factorial(n: int) -> int:
 # b_i in [1, 2(n-i)+1].  Per family: the range of coordinate i, the object
 # built from all n coordinates (a matching as its partner tuple, checked as
 # Matching checks it), and how many leading coordinates one cell of the
-# verification harness fixes (a_1 has a single value, so a path cell fixes
-# four).
+# harness's process pool fixes (a_1 has a single value, so a path cell fixes
+# four); one worker walks each stream as a single cell.
 
 _FAMILIES: dict[str, tuple[Callable[[int, int], range], Callable, int]] = {
     "paths": (lambda n, i: range(-(i - 1), i), WedgePath, 4),
@@ -717,7 +717,9 @@ class VerificationReport:
 @dataclass(frozen=True)
 class _Cell:
     """One unit of work: the objects of one family whose first coordinates
-    are ``prefix``.  Path cells walk the nodes on their paths' chains and
+    are ``prefix``.  A process pool gets each size as the ``_cells``
+    partition; one worker runs each family as one cell with prefix ``()``,
+    its whole stream.  Path cells walk the nodes on their paths' chains and
     count the statistics on their records; matching cells only count
     objects.  A path cell tests each claim by its node checks, or by its
     per-object check at the records if it has none; with ``full`` set,
@@ -776,7 +778,8 @@ def _run_cells(cells: list[_Cell], pool) -> list:
 
 
 def _verify_size(n: int, selected: list[str], limit: int, pool) -> VerificationReport:
-    """Replay the selected claims over all objects of size n."""
+    """Replay the selected claims over all objects of size n: as the
+    pool's cells with a pool, else as one cell per family."""
     started = time.perf_counter()
     chosen = [claim for claim in _REGISTRY if claim.label in selected]
     tables_read = {
@@ -789,7 +792,7 @@ def _verify_size(n: int, selected: list[str], limit: int, pool) -> VerificationR
         if labels or statistics or family in tables_read:
             cells += [
                 _Cell(n, family, prefix, labels, statistics, limit)
-                for prefix in _cells(family, n)
+                for prefix in (_cells(family, n) if pool is not None else [()])
             ]
     results = _run_cells(cells, pool)
     # A failed test anywhere reruns every cell with every claim's per-object
@@ -878,8 +881,9 @@ def verify_all(
 
     ``claims`` selects a subset of labels from :data:`CLAIMS`; by default
     everything runs, and an empty selection is rejected.  ``workers`` > 1
-    fans the stream cells out over a process pool; the report is identical
-    for any worker count because the cells are merged in a fixed order.
+    fans the stream cells out over a process pool, and one worker walks
+    each stream whole; the report is identical for any worker count
+    because the cells are merged in stream order.
     Counterexamples are collected up to ``counterexample_limit`` per claim;
     failures beyond that are only counted.  ``workers`` must be at least 1
     and is capped at the CPU count; ``counterexample_limit`` must not be

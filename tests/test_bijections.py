@@ -26,6 +26,7 @@ from wedgematch import (
 from wedgematch.bijections import (
     _check_code,
     _code_from_partner,
+    _partner_from_code,
     _phi_inv_code,
     _phi_inv_step,
     _phi_step,
@@ -33,6 +34,7 @@ from wedgematch.bijections import (
 )
 from wedgematch.cli import main
 from wedgematch.enumeration import _code_tree, _objects, all_matchings, all_paths
+from wedgematch.matching import _blocks
 
 EXAMPLE_IMAGE = [(1, 4), (2, 14), (3, 12), (5, 8), (6, 9), (7, 11), (10, 13)]
 
@@ -117,6 +119,19 @@ def test_code_sweep_matches_free_list_exhaustive(n):
 @settings(deadline=None)
 def test_code_sweep_matches_free_list_random(m):
     _check_code_sweep(m)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_first_block_of_an_insertion_has_the_leading_code(n):
+    # The insertion of b pairs the first free vertex at each step, so if its
+    # first block has s edges, steps 1..s build that block on vertices
+    # 1..2s and steps s+1..n insert b[s:] on the vertices after it.
+    for b in itertools.product(*(range(1, 2 * (n - i) + 2) for i in range(1, n + 1))):
+        m = _partner_from_code(b)
+        end = len(_blocks(m)[0][1])
+        s = end // 2
+        assert _code_from_partner(m[:end]) == b[:s], b
+        assert m[end:] == tuple(v + end for v in _partner_from_code(b[s:])), b
 
 
 # -- the rearrangement ------------------------------------------------------------

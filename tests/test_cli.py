@@ -267,6 +267,17 @@ def test_verify_zero_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv", [("verify", "2", "--max-n", "0"), ("enumerate", "2", "nestings", "--max-n", "-3")]
+)
+def test_nonpositive_cap_is_usage_error(capsys, argv):
+    # Exit 4 means a size over the cap; a cap below 1 is a malformed flag.
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "--max-n: must be a positive integer" in capsys.readouterr().err
+
+
 def test_verify_over_cap_exits_4(capsys):
     code, _, _ = run_cli(capsys, "verify", "8")
     assert code == 4

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import multiprocessing
+from collections import Counter
 
 import pytest
 
@@ -197,8 +198,6 @@ def test_all_statistics_equidistributed(n, statistic):
 
 
 def test_distribution_against_raw_oracle():
-    from collections import Counter
-
     raw = Counter(raw_nestings(pairs) for pairs in raw_matchings(4))
     assert distribution(4, "nestings").counts == dict(raw)
 
@@ -721,6 +720,77 @@ def test_a_failing_size_reruns_on_the_process_pool(monkeypatch):
     assert passes == [True, True]
     assert not parallel["passed"]
     assert parallel == verify_all(4).to_json_value() == _full_report(monkeypatch, 4)
+
+
+def _count_cells(monkeypatch):
+    """Record the family and prefix of every cell the harness runs in this
+    process."""
+    import wedgematch.enumeration as enumeration
+
+    run_cell = enumeration._run_cell
+    cells = []
+
+    def counting(cell):
+        cells.append((cell.family, cell.prefix))
+        return run_cell(cell)
+
+    monkeypatch.setattr(enumeration, "_run_cell", counting)
+    return cells
+
+
+def test_one_worker_walks_each_stream_as_one_cell(monkeypatch):
+    # Without a process pool, a size is one cell per family, prefix (): a
+    # passing size runs two cells, and a failing one two more for its rerun.
+    cells = _count_cells(monkeypatch)
+    payload = json.dumps(verify_all(5).to_json_value())
+    assert hashlib.sha256(payload.encode()).hexdigest() == VERIFY_PAYLOAD_DIGESTS[5]
+    assert cells == [("paths", ()), ("matchings", ())]
+    _break_kernel(monkeypatch, *DIFFERENTIAL_FAULTS["_phi_step_depth_2"])
+    cells.clear()
+    assert not verify_all(4).passed
+    assert cells == [("paths", ()), ("matchings", ())] * 2
+
+
+def _merge(results, limit):
+    """The cells' results in order, merged as the harness merges them."""
+    count, failures, counters = 0, {}, {}
+    for cell_count, cell_failures, cell_counters in results:
+        count += cell_count
+        for label, (failed, examples) in cell_failures.items():
+            slot = failures.setdefault(label, [0, []])
+            slot[0] += failed
+            slot[1].extend(examples[: limit - len(slot[1])])
+        for name, counter in cell_counters.items():
+            counters.setdefault(name, Counter()).update(counter)
+    return count, failures, counters
+
+
+@pytest.mark.parametrize("fault", ["none", "_phi_step_depth_2", "_cuts"])
+@pytest.mark.parametrize("full", [False, True])
+def test_one_cell_equals_the_merge_of_the_pool_cells(monkeypatch, fault, full):
+    # The whole stream as one cell gives what its pool cells give, merged in
+    # order: the same count, failures, counterexamples and counters.  The
+    # first pass compares only whether some cell failed a test.
+    import wedgematch.enumeration as enumeration
+
+    spec = DIFFERENTIAL_FAULTS[fault]
+    if spec is not None:
+        _break_kernel(monkeypatch, *spec)
+    labels = tuple(c.label for c in enumeration._REGISTRY if isinstance(c.family, str))
+    work = {"paths": (labels, tuple(enumeration._RECORD_STATISTICS)), "matchings": ((), ())}
+    limit = 3
+    for n in range(1, 6):
+        for family, (cell_labels, statistics) in work.items():
+            def run(prefix):
+                return enumeration._run_cell(
+                    enumeration._Cell(n, family, prefix, cell_labels, statistics, limit, full)
+                )
+
+            whole = run(())
+            pieces = [run(prefix) for prefix in _cells(family, n)]
+            assert (whole is None) == (None in pieces), (fault, n, family)
+            if whole is not None:
+                assert whole == _merge(pieces, limit), (fault, n, family)
 
 
 # Wrong answers that are no matching: the insertion image of the code
