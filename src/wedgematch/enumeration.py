@@ -21,7 +21,6 @@ from typing import Callable, ClassVar, Iterable, Iterator, Sequence
 from .bijections import (
     InsertionCode,
     _check_code,
-    _code_from_partner,
     _partner_from_code,
     _phi_inv_code,
     _phi_inv_partner,
@@ -32,7 +31,7 @@ from .bijections import (
     path_from_code,
 )
 from .errors import OverCapError
-from .matching import Matching, _arc_counts, _blocks, _check_partner, _st_total, _stacking
+from .matching import Matching, _arc_counts, _blocks, _check_partner, _st_total, _sweep
 from .paths import WedgePath, _cuts
 
 __all__ = [
@@ -208,6 +207,22 @@ class _once:
         return value
 
 
+class _swept:
+    """A field of the one sweep of a record's ``m`` (see
+    :func:`~wedgematch.matching._sweep`): the first read of any of them
+    stores all four on the instance, whose attributes then shadow them."""
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        fields = obj.__dict__
+        fields["code_back"], fields["arcs"], fields["stacking"], fields["ends"] = _sweep(obj.m)
+        return fields[self.name]
+
+
 class _Facts:
     """One node of the code tree, with the values the claims and statistics
     read.
@@ -218,9 +233,10 @@ class _Facts:
     phi(psi(b)), is one surgery step with b_1 on the parent's image.  A
     record (a leaf, depth n) also holds its path and north steps.  The
     rest is computed on first use, once: ``m = psi(b)``, ``nm = phi(m)``,
-    the code read, arc counts, stacking values, stacking total and blocks
-    of ``m``, the arc counts of ``nm``, ``phi_inv(nm)``, and whether one
-    unwinding step of the image gives back the parent's.
+    the code read, arc counts, stacking values and block ends of ``m``
+    (one sweep), the stacking total, the arc counts of ``nm``,
+    ``phi_inv(nm)``, and whether one unwinding step of the image gives
+    back the parent's.
     """
 
     def __init__(
@@ -245,29 +261,18 @@ class _Facts:
     def nm(self) -> tuple[int, ...]:
         return tuple(v + 1 for v in self.image)
 
-    @_once
-    def code_back(self) -> tuple[int, ...]:
-        return _code_from_partner(self.m)
-
-    @_once
-    def arcs(self) -> tuple[int, int, int]:
-        return _arc_counts(self.m)
+    code_back = _swept()
+    arcs = _swept()
+    stacking = _swept()
+    ends = _swept()
 
     @_once
     def image_arcs(self) -> tuple[int, int, int]:
         return _arc_counts(self.nm)
 
     @_once
-    def stacking(self) -> list[int]:
-        return _stacking(self.m)
-
-    @_once
     def st(self) -> int:
         return sum(self.stacking)
-
-    @_once
-    def blocks(self) -> list[tuple[int, tuple[int, ...]]]:
-        return _blocks(self.m)
 
     @_once
     def back(self) -> tuple[int, ...]:
@@ -296,31 +301,45 @@ def _code_tree(n: int, prefix: tuple[int, ...] = ()) -> Iterator[_Facts]:
     leaves are the paths' records, in stream order.
 
     phi(psi(b)) is one step with b_1 on phi(psi(b[1:])), and b[1:] is the
-    code of the first n-1 east steps, so the stream walks the tree of codes
-    depth-first: the node of each depth is kept, and a path makes new nodes
-    only for the depths after the first height it changes.  A node whose
-    depth the prefix fixes is yielded only by the first cell that shares it,
-    the one whose remaining prefix coordinates are at their lowest, so the
-    cells of a size partition the nodes of its tree."""
+    code of the first n-1 east steps, so the walk goes depth-first through
+    the nested height ranges: the node of depth i + 1 is made once for each
+    value of a_{i+1} under the node of depth i, and its children follow it.
+    A node whose depth the prefix fixes is yielded only by the first cell
+    that shares it, the one whose remaining prefix coordinates are at their
+    lowest, so the cells of a size partition the nodes of its tree."""
+    coordinate_range = _FAMILIES["paths"][0]
     owned = len(prefix)
-    while owned and prefix[owned - 1] == _FAMILIES["paths"][0](n, owned)[0]:
+    while owned and prefix[owned - 1] == coordinate_range(n, owned)[0]:
         owned -= 1
-    chain: list[_Facts] = [_Facts((), None, [])] * (n + 1)
-    previous: tuple[int, ...] = ()
-    for heights, path in _objects("paths", n, prefix):
-        k = next((i for i, (x, y) in enumerate(zip(heights, previous)) if x != y), 0)
-        for i in range(k, n):
-            parent = chain[i]
-            b1 = heights[i] + i + 1
-            chain[i + 1] = _Facts(
-                (b1,) + parent.b,
-                parent,
-                _phi_step(b1, parent.image),
-                path if i + 1 == n else None,
-            )
+    ranges = [range(a, a + 1) for a in prefix]
+    ranges += [coordinate_range(n, i) for i in range(len(prefix) + 1, n + 1)]
+    heights = [0] * n
+    # chain[i] is the node of depth i whose children levels[i] runs through.
+    chain = [_Facts((), None, [])]
+    levels = [iter(ranges[0])]
+    while levels:
+        i = len(levels) - 1
+        parent = chain[i]
+        for a in levels[i]:
+            heights[i] = a
+            b1 = a + i + 1
+            if i + 1 == n:
+                yield _Facts(
+                    (b1,) + parent.b,
+                    parent,
+                    _phi_step(b1, parent.image),
+                    WedgePath(tuple(heights)),
+                )
+                continue
+            node = _Facts((b1,) + parent.b, parent, _phi_step(b1, parent.image))
             if i + 1 >= owned:
-                yield chain[i + 1]
-        previous = heights
+                yield node
+            chain.append(node)
+            levels.append(iter(ranges[i + 1]))
+            break
+        else:
+            levels.pop()
+            chain.pop()
 
 
 # The statistics the distribution claims read, counted on the path records: their
@@ -342,7 +361,7 @@ def _round_trip_psi(f: _Facts) -> str | None:
 
 
 def _round_trip_big_phi(f: _Facts) -> str | None:
-    back = _code_from_partner(f.back)
+    back = _sweep(f.back)[0]
     return None if back == f.b else f"comes back as {path_from_code(InsertionCode(back))}"
 
 
@@ -375,7 +394,12 @@ def _component_sizes(f: _Facts) -> tuple[list[int], list[int]]:
 
 def _proposition_b(f: _Facts) -> str | None:
     path_sizes, image_sizes = _component_sizes(f)
-    piecewise = tuple(v + s for s, block in f.blocks for v in _phi_partner(block))
+    m = f.m
+    piecewise = tuple(
+        v + s
+        for s, end in zip([0, *f.ends], f.ends)
+        for v in _phi_partner(tuple([u - s for u in m[s:end]]))
+    )
     if path_sizes == image_sizes and piecewise == f.nm:
         return None
     return (
@@ -473,21 +497,22 @@ def _unwinds_a_matching(f: _Facts) -> bool:
 def _piecewise_node(f: _Facts) -> bool:
     """proposition_b: an irreducible ``m`` reads back as b, so phi's kernel
     on it walks b, which is the image; a reducible ``m`` is its first block
-    followed by the blocks of the ancestor that many edges up, and the image
-    is phi of that block followed by the ancestor's image.  A record also
-    compares the component sizes."""
-    blocks = f.blocks
-    if not blocks or blocks[0][0] != 0:
+    ``m[:s]`` followed by the ancestor that many edges up, shifted by s,
+    with that ancestor's block ends, and the image is phi of that block
+    followed by the ancestor's image.  A record also compares the component
+    sizes."""
+    m, ends = f.m, f.ends
+    if not ends:
         return False
-    first = blocks[0][1]
-    s = len(first)
-    if s == len(f.m):
-        ok = first == f.m and f.code_back == f.b
-    elif 0 < s < len(f.m):
+    s = ends[0]
+    if s == len(m):
+        ok = f.code_back == f.b
+    elif 0 < s < len(m):
         a = f.ancestor(len(f.b) - s // 2)
-        head = [v - 1 for v in _phi_partner(first)]
+        head = [v - 1 for v in _phi_partner(m[:s])]
         ok = (
-            blocks[1:] == [(o + s, block) for o, block in a.blocks]
+            ends[1:] == [e + s for e in a.ends]
+            and m[s:] == tuple([v + s for v in a.m])
             and f.image == head + [v + s for v in a.image]
         )
     else:

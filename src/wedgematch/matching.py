@@ -284,6 +284,47 @@ def _st_total(partner: tuple[int, ...]) -> int:
     return sum(_stacking(partner))
 
 
+def _sweep(
+    partner: tuple[int, ...],
+) -> tuple[tuple[int, ...], tuple[int, int, int], list[int], list[int]]:
+    """The code read, ``(crossings, nestings, alignments)``, the stacking
+    values and the block ends of ``partner``, in one left-to-right sweep.
+
+    Each field equals what its single-purpose kernel gives:
+    :func:`~wedgematch.bijections._code_from_partner`, :func:`_arc_counts`,
+    :func:`_stacking`, and the vertex that ends each block of
+    :func:`_blocks`.  The first three read the slot ``k`` at which an
+    opening arc's right endpoint enters ``open_rights``.  The stacking
+    window of the previous left endpoint's mate b needs no second search:
+    b still sits at the slot it entered at, less one for each arc closed
+    since, as each closing drops the least open right endpoint.  A block
+    ends where the last open arc closes.
+    """
+    n = len(partner) // 2
+    code: list[int] = []
+    stacking: list[int] = []
+    ends: list[int] = []
+    cr = ne = 0
+    b = slot = 0
+    open_rights: list[int] = []
+    for v, w in enumerate(partner, start=1):
+        if v > w:
+            del open_rights[0]
+            slot -= 1
+            if not open_rights:
+                ends.append(v)
+            continue
+        k = bisect_left(open_rights, w)
+        code.append(w - v - k)
+        cr += k
+        ne += len(open_rights) - k
+        if b:
+            stacking.append(b - w - (slot - k) if w < b else 0)
+        open_rights.insert(k, w)
+        b, slot = w, k
+    return tuple(code), (cr, ne, n * (n - 1) // 2 - cr - ne), stacking, ends
+
+
 def _blocks(partner: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
     """The irreducible blocks as (offset, partner tuple renumbered from 1)."""
     blocks = []

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import multiprocessing
+import random
 from collections import Counter
 
 import pytest
@@ -401,15 +402,17 @@ def test_verify_reports_failures_verbatim(monkeypatch):
     import wedgematch.paths as paths
     from wedgematch import WedgePath
 
-    # psi_inv is broken where the harness calls it, as a kernel on partner
-    # tuples: decoding returns the all-zero path's code.  The record's
-    # stacking total is one too high, while its per-index stacking values
-    # are right.  The cut kernel behind WedgePath.components finds no
-    # components, where it is defined and where the harness imports it.
+    # psi_inv is broken where the harness calls it, in the code field of its
+    # one sweep of a partner tuple: decoding returns the all-zero path's
+    # code.  The record's stacking total is one too high, while its
+    # per-index stacking values are right.  The cut kernel behind
+    # WedgePath.components finds no components, where it is defined and
+    # where the harness imports it.
     st = enumeration._Facts.__dict__["st"].fn
+    sweep = enumeration._sweep
     final_south_run = WedgePath.final_south_run
     monkeypatch.setattr(
-        enumeration, "_code_from_partner", lambda p: tuple(range(len(p) // 2, 0, -1))
+        enumeration, "_sweep", lambda p: (tuple(range(len(p) // 2, 0, -1)), *sweep(p)[1:])
     )
     monkeypatch.setattr(enumeration._Facts, "st", property(lambda f: st(f) + 1))
     monkeypatch.setattr(
@@ -488,20 +491,23 @@ FOLD_STEP = (5, [3, 2, 1, 0])
 
 def _break_kernel(monkeypatch, kernel, trigger, wrong):
     """Give ``kernel`` the answer ``wrong(right answer)`` on the argument
-    tuple ``trigger``, where it is defined and where the harness imports
-    it, as a fault in its source would."""
+    tuple ``trigger``, where it is defined and wherever the harness's
+    modules import it, as a fault in its source would."""
     import sys
 
+    import wedgematch.bijections as bijections
     import wedgematch.enumeration as enumeration
+    import wedgematch.matching as matching
 
-    right = getattr(enumeration, kernel)
+    holders = [m for m in (enumeration, bijections, matching) if hasattr(m, kernel)]
+    right = getattr(holders[0], kernel)
 
     def faulty(*args):
         out = right(*args)
         return wrong(out) if args == trigger else out
 
-    monkeypatch.setattr(enumeration, kernel, faulty)
-    monkeypatch.setattr(sys.modules[right.__module__], kernel, faulty)
+    for module in {*holders, sys.modules[right.__module__]}:
+        monkeypatch.setattr(module, kernel, faulty)
 
 
 def test_proposition_b_walks_components_against_the_table(monkeypatch):
@@ -526,11 +532,14 @@ def test_proposition_b_walks_components_against_the_table(monkeypatch):
     }
 
 
-# Every kernel the claims call through the harness, with a wrong answer for
-# one input (see CODE above).  The partner tuples of size 2 are a first
-# block, which phi's kernel walks at a reducible node of size 3; the heights
-# (0, -1, -2) are the path ESESES, whose three components the cut kernel
-# behind WedgePath.components finds.
+# Every kernel the claims call through the harness on a passing run, with a
+# wrong answer for one input (see CODE above).  The partner tuples of size 2
+# are a first block, which phi's kernel (code read plus walk) walks at a
+# reducible node of size 3; the heights (0, -1, -2) are the path ESESES,
+# whose three components the cut kernel behind WedgePath.components finds.
+# The arc counts and blocks of NESTED are read where it is an image; as a
+# record's m, its code read, arc counts, stacking values and block ends come
+# from one sweep, broken one field at a time.
 def _other_partner(p):
     aligned = tuple(v + 1 if v % 2 else v - 1 for v in range(1, len(p) + 1))
     return aligned if p != aligned else tuple(range(len(p), 0, -1))
@@ -540,26 +549,137 @@ def _other_code(b):
     return (1, 1, 1) if b != (1, 1, 1) else (2, 1, 1)
 
 
-# kernel: (the arguments on which it answers wrongly, the wrong answer).
+def _sweep_field(index, wrong):
+    """A wrong answer in one field of the sweep's result."""
+    return lambda out: (*out[:index], wrong(out[index]), *out[index + 1 :])
+
+
+# name: (kernel, the arguments on which it answers wrongly, the wrong answer).
 KERNEL_FAULTS = {
-    "_partner_from_code": ((CODE,), _other_partner),
-    "_code_from_partner": ((NESTED,), _other_code),
-    "_phi_step": (FOLD_STEP, lambda p: [1, 0, 3, 2, 5, 4]),
-    "_phi_inv_step": (([v - 1 for v in NESTED],), lambda step: (1, step[1])),
-    "_phi_walk": (((3, 1),), _other_partner),
-    "_phi_partner": (((4, 3, 2, 1),), _other_partner),
-    "_arc_counts": ((NESTED,), lambda c: (c[0], c[1] + 1, c[2])),
-    "_stacking": ((NESTED,), lambda s: [s[0] + 1, *s[1:]]),
-    "_blocks": ((NESTED,), lambda blocks: blocks[:-1]),
-    "_cuts": (((0, -1, -2),), lambda cuts: [0, 3]),
+    "_partner_from_code": ("_partner_from_code", (CODE,), _other_partner),
+    "_code_from_partner": ("_code_from_partner", ((4, 3, 2, 1),), lambda b: (1, 1)),
+    "_phi_step": ("_phi_step", FOLD_STEP, lambda p: [1, 0, 3, 2, 5, 4]),
+    "_phi_inv_step": ("_phi_inv_step", ([v - 1 for v in NESTED],), lambda step: (1, step[1])),
+    "_phi_walk": ("_phi_walk", ((3, 1),), _other_partner),
+    "_phi_partner": ("_phi_partner", ((4, 3, 2, 1),), _other_partner),
+    "_arc_counts": ("_arc_counts", (NESTED,), lambda c: (c[0], c[1] + 1, c[2])),
+    "_blocks": ("_blocks", (NESTED,), lambda blocks: blocks[:-1]),
+    "_cuts": ("_cuts", ((0, -1, -2),), lambda cuts: [0, 3]),
+    "_sweep_code": ("_sweep", (NESTED,), _sweep_field(0, _other_code)),
+    "_sweep_arcs": ("_sweep", (NESTED,), _sweep_field(1, lambda c: (c[0], c[1] + 1, c[2]))),
+    "_sweep_stacking": ("_sweep", (NESTED,), _sweep_field(2, lambda s: [s[0] + 1, *s[1:]])),
+    "_sweep_ends": ("_sweep", (NESTED,), _sweep_field(3, lambda ends: ends[:-1])),
 }
 
 
 @pytest.mark.parametrize("kernel", sorted(KERNEL_FAULTS))
 def test_every_kernel_is_checked_by_some_claim(monkeypatch, kernel):
-    _break_kernel(monkeypatch, kernel, *KERNEL_FAULTS[kernel])
+    _break_kernel(monkeypatch, *KERNEL_FAULTS[kernel])
     report = verify_all(3)
     assert not report.passed, kernel
+
+
+def _random_partner(rng, n):
+    order = list(range(1, 2 * n + 1))
+    rng.shuffle(order)
+    table = [0] * (2 * n)
+    for a, b in zip(order[::2], order[1::2]):
+        table[a - 1], table[b - 1] = b, a
+    return tuple(table)
+
+
+def _sweep_mismatch():
+    """The first partner tuple on which a field of the harness's sweep
+    differs from the single-purpose kernel the public API runs, or None:
+    over the empty matching, every matching of sizes 1..6, and 200 seeded
+    random ones at each of n = 16, 64, 256 and 1024."""
+    import wedgematch.bijections as bijections
+    import wedgematch.matching as matching
+
+    rng = random.Random(2008)
+    partners = itertools.chain(
+        [()],
+        *([p for _, p in _objects("matchings", n)] for n in range(1, 7)),
+        (_random_partner(rng, n) for n in (16, 64, 256, 1024) for _ in range(200)),
+    )
+    for p in partners:
+        single = (
+            bijections._code_from_partner(p),
+            matching._arc_counts(p),
+            matching._stacking(p),
+            [start + len(block) for start, block in matching._blocks(p)],
+        )
+        if matching._sweep(p) != single:
+            return p
+    return None
+
+
+def test_sweep_equals_the_single_purpose_kernels():
+    # The harness reads m's code, arc counts, stacking values and block ends
+    # off one sweep; the public API keeps a kernel for each, which this pins.
+    from wedgematch.matching import _sweep
+
+    assert _sweep_mismatch() is None
+    for n in range(1, 6):
+        for m in all_matchings(n):
+            assert _sweep(m.partner)[2] == [m.st_component(i) for i in range(1, m.n)], m
+
+
+# The single-purpose kernels the harness no longer runs on a record's m, each
+# with a wrong answer on NESTED: the sweep's differential test must see it.
+PUBLIC_KERNEL_FAULTS = {
+    "_code_from_partner": ("_code_from_partner", (NESTED,), _other_code),
+    "_arc_counts": KERNEL_FAULTS["_arc_counts"],
+    "_stacking": ("_stacking", (NESTED,), lambda s: [s[0] + 1, *s[1:]]),
+    "_blocks": KERNEL_FAULTS["_blocks"],
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(PUBLIC_KERNEL_FAULTS))
+def test_sweep_differential_sees_a_broken_public_kernel(monkeypatch, kernel):
+    _break_kernel(monkeypatch, *PUBLIC_KERNEL_FAULTS[kernel])
+    assert _sweep_mismatch() == NESTED
+
+
+def _code_tree_by_diff(n, prefix=()):
+    """The oracle for the harness's walk: stream the paths as one product of
+    their height ranges and, for each path, make nodes from the depth after
+    the first height that differs from the previous path's."""
+    from wedgematch.bijections import _phi_step
+    from wedgematch.enumeration import _FAMILIES, _Facts
+
+    owned = len(prefix)
+    while owned and prefix[owned - 1] == _FAMILIES["paths"][0](n, owned)[0]:
+        owned -= 1
+    chain = [_Facts((), None, [])] * (n + 1)
+    previous = ()
+    for heights, path in _objects("paths", n, prefix):
+        k = next((i for i, (x, y) in enumerate(zip(heights, previous)) if x != y), 0)
+        for i in range(k, n):
+            parent = chain[i]
+            b1 = heights[i] + i + 1
+            chain[i + 1] = _Facts(
+                (b1,) + parent.b,
+                parent,
+                _phi_step(b1, parent.image),
+                path if i + 1 == n else None,
+            )
+            if i + 1 >= owned:
+                yield chain[i + 1]
+        previous = heights
+
+
+def _walked(nodes):
+    return [(f.b, f.image, None if f.path is None else f.path.heights) for f in nodes]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_code_tree_walk_equals_the_product_diff(n):
+    # The depth-first walk over nested height ranges yields the nodes, their
+    # images and the records' paths in the order the product-and-diff walk
+    # does: for the whole stream, and for each pool cell up to n=5.
+    for prefix in [()] + (_cells("paths", n) if n <= 5 else []):
+        assert _walked(_code_tree(n, prefix)) == _walked(_code_tree_by_diff(n, prefix)), prefix
 
 
 # The claims the harness checks node by node along the code tree, and those
@@ -591,20 +711,28 @@ def _full_report(monkeypatch, n):
 
 # Faults for the differential test, as (kernel, trigger, wrong answer): none,
 # then kernels broken at a record of size 3, at depth 2 only, in the block
-# split, the code read and the cut kernel, an insertion that keeps the first
-# block of (1,2),(3,4),(5,6) but not the rest, and an unwinding step whose
-# "parent" is no matching, yet one surgery step takes it back to its input.
+# ends and the code read of the harness's sweep of m (named for the
+# single-purpose kernels they stand for), the cut kernel, an insertion that
+# keeps the first block of (1,2),(3,4),(5,6) but not the rest, one that
+# keeps every block end of (1,2),(3,5),(4,6) but not the last block, and an
+# unwinding step whose "parent" is no matching, yet one surgery step takes
+# it back to its input.
 DIFFERENTIAL_FAULTS = {
     "none": None,
-    "_phi_step": ("_phi_step", *KERNEL_FAULTS["_phi_step"]),
+    "_phi_step": KERNEL_FAULTS["_phi_step"],
     "_phi_step_depth_2": ("_phi_step", (3, [1, 0]), lambda p: [1, 0, 3, 2]),
-    "_phi_inv_step": ("_phi_inv_step", *KERNEL_FAULTS["_phi_inv_step"]),
+    "_phi_inv_step": KERNEL_FAULTS["_phi_inv_step"],
     "_phi_inv_step_depth_2": ("_phi_inv_step", ([3, 2, 1, 0],), lambda step: (1, step[1])),
-    "_blocks": ("_blocks", *KERNEL_FAULTS["_blocks"]),
-    "_code_from_partner": ("_code_from_partner", *KERNEL_FAULTS["_code_from_partner"]),
-    "_code_from_partner_depth_2": ("_code_from_partner", ((4, 3, 2, 1),), lambda b: (1, 1)),
-    "_cuts": ("_cuts", *KERNEL_FAULTS["_cuts"]),
+    "_blocks": KERNEL_FAULTS["_sweep_ends"],
+    "_code_from_partner": KERNEL_FAULTS["_sweep_code"],
+    "_code_from_partner_depth_2": ("_sweep", ((4, 3, 2, 1),), _sweep_field(0, lambda b: (1, 1))),
+    "_cuts": KERNEL_FAULTS["_cuts"],
     "_partner_from_code": ("_partner_from_code", ((1, 1, 1),), lambda p: (2, 1, 5, 6, 3, 4)),
+    "_partner_from_code_last_block": (
+        "_partner_from_code",
+        ((1, 2, 1),),
+        lambda p: (2, 1, 6, 5, 4, 3),
+    ),
     "_phi_inv_step_not_a_matching": (
         "_phi_inv_step",
         ([5, 6, 4, 7, 2, 0, 1, 3],),
