@@ -31,8 +31,10 @@ from .bijections import (
     path_from_code,
 )
 from .errors import OverCapError
-from .matching import Matching, _arc_counts, _blocks, _check_partner, _st_total, _sweep
-from .paths import WedgePath, _cuts
+from .matching import Matching, _arc_counts, _blocks, _check_partner, _stacking, _sweep
+from .paths import (
+    WedgePath, _cuts, _final_south_run, _north_steps, _reversed_south_positions, _steps
+)
 
 __all__ = [
     "CLAIMS",
@@ -77,52 +79,42 @@ def double_factorial(n: int) -> int:
 #
 # Both families of size n are products of per-coordinate ranges, i = 1..n:
 # a path is its heights a_i in [-(i-1), i-1], a matching its insertion code
-# b_i in [1, 2(n-i)+1].  Per family: the range of coordinate i, the object
-# built from all n coordinates (a matching as its partner tuple, checked as
-# Matching checks it), and how many leading coordinates one cell of the
-# harness's process pool fixes (a_1 has a single value, so a path cell fixes
-# four); one worker walks each stream as a single cell.
+# b_i in [1, 2(n-i)+1].  Per family: the range of coordinate i, and the
+# object built from all n coordinates (a matching as its partner tuple,
+# checked as Matching checks it).
 
-_FAMILIES: dict[str, tuple[Callable[[int, int], range], Callable, int]] = {
-    "paths": (lambda n, i: range(-(i - 1), i), WedgePath, 4),
+_FAMILIES: dict[str, tuple[Callable[[int, int], range], Callable]] = {
+    "paths": (lambda n, i: range(-(i - 1), i), WedgePath),
     "matchings": (lambda n, i: range(1, 2 * (n - i) + 2),
-                  lambda b: _check_partner(_partner_from_code(b)), 2),
+                  lambda b: _check_partner(_partner_from_code(b))),
 }
 
 
-def _objects(
-    family: str, n: int, prefix: tuple[int, ...] = ()
-) -> Iterator[tuple[tuple[int, ...], object]]:
-    """(coordinates, object) for every object of the family whose
-    coordinates start with ``prefix``, lexicographic in the rest."""
-    coordinate_range, build, _ = _FAMILIES[family]
-    ranges = [range(c, c + 1) for c in prefix]
-    ranges += [coordinate_range(n, i) for i in range(len(prefix) + 1, n + 1)]
-    for coordinates in itertools.product(*ranges):
+def _objects(family: str, n: int) -> Iterator[tuple[tuple[int, ...], object]]:
+    """(coordinates, object) for every object of the family, lexicographic
+    in the coordinates."""
+    if n < 1:
+        raise ValueError(f"size must be at least 1, got {n}")
+    coordinate_range, build = _FAMILIES[family]
+    for coordinates in itertools.product(*[coordinate_range(n, i) for i in range(1, n + 1)]):
         yield coordinates, build(coordinates)
 
 
-def _cells(family: str, n: int) -> list[tuple[int, ...]]:
-    """Partition of the family by its leading coordinates, in stream order."""
-    coordinate_range, _, depth = _FAMILIES[family]
-    ranges = [coordinate_range(n, i) for i in range(1, min(depth, n) + 1)]
-    return list(itertools.product(*ranges))
+def _cells(n: int) -> list[tuple[int, ...]]:
+    """The cells of the harness's process pool: the path stream cut by its
+    heights a_1..a_4 (a_1 has a single value), in stream order."""
+    coordinate_range = _FAMILIES["paths"][0]
+    return list(itertools.product(*[coordinate_range(n, i) for i in range(1, min(4, n) + 1)]))
 
 
 def all_paths(n: int) -> Iterator[WedgePath]:
     """All wedge paths with n east steps, lexicographic in their heights."""
-    if n < 1:
-        raise ValueError(f"size must be at least 1, got {n}")
-    for _, path in _objects("paths", n):
-        yield path
+    return (path for _, path in _objects("paths", n))
 
 
 def all_matchings(n: int) -> Iterator[Matching]:
     """All matchings on [2n], lexicographic in their insertion codes."""
-    if n < 1:
-        raise ValueError(f"size must be at least 1, got {n}")
-    for _, partner in _objects("matchings", n):
-        yield Matching(partner)
+    return (Matching(partner) for _, partner in _objects("matchings", n))
 
 
 # -- distribution tables ------------------------------------------------------
@@ -132,7 +124,7 @@ _STATISTICS: dict[str, tuple[str, Callable]] = {
     "north_steps": ("paths", WedgePath.north_steps),
     "nestings": ("matchings", lambda partner: _arc_counts(partner)[1]),
     "crossings": ("matchings", lambda partner: _arc_counts(partner)[0]),
-    "st_total": ("matchings", _st_total),
+    "st_total": ("matchings", lambda partner: sum(_stacking(partner))),
 }
 STATISTICS = tuple(_STATISTICS)
 
@@ -231,12 +223,13 @@ class _Facts:
     path.  Its code ``b`` = (a_k + k, ..., a_1 + 1) is the parent's code
     with b_1 in front, and ``image``, the 0-based partner list of
     phi(psi(b)), is one surgery step with b_1 on the parent's image.  A
-    record (a leaf, depth n) also holds its path and north steps.  The
-    rest is computed on first use, once: ``m = psi(b)``, ``nm = phi(m)``,
-    the code read, arc counts, stacking values and block ends of ``m``
-    (one sweep), the stacking total, the arc counts of ``nm``,
-    ``phi_inv(nm)``, and whether one unwinding step of the image gives
-    back the parent's.
+    record (a leaf, depth n) also holds its path's ``heights`` (else None)
+    and north steps.  The rest is computed on first use, once:
+    ``m = psi(b)``, whether ``m`` is a perfect matching of [2n],
+    ``nm = phi(m)``, the code read, arc counts, stacking values and block
+    ends of ``m`` (one sweep), the stacking total, the arc counts of
+    ``nm``, ``phi_inv(nm)``, and whether one unwinding step of the image
+    gives back the parent's.
     """
 
     def __init__(
@@ -244,18 +237,19 @@ class _Facts:
         b: tuple[int, ...],
         parent: _Facts | None,
         image: list[int],
-        path: WedgePath | None = None,
+        heights: tuple[int, ...] | None = None,
     ) -> None:
-        self.b = b
-        self.parent = parent
-        self.image = image
-        self.path = path
-        if path is not None:
-            self.north = path.north_steps()
+        self.b, self.parent, self.image, self.heights = b, parent, image, heights
+        if heights is not None:
+            self.north = _north_steps(heights)
 
     @_once
     def m(self) -> tuple[int, ...]:
         return _partner_from_code(self.b)
+
+    @_once
+    def perfect(self) -> bool:
+        return len(self.m) == 2 * len(self.b) and _is_matching(self.m, 1)
 
     @_once
     def nm(self) -> tuple[int, ...]:
@@ -292,7 +286,12 @@ class _Facts:
 
     def name(self, family: str) -> str:
         """The counterexample's name: the path, or its insertion image."""
-        return f"P={self.path.to_steps()}" if family == "paths" else f"M={Matching(self.m)}"
+        return f"P={_steps(self.heights)}" if family == "paths" else f"M={_partner_text(self.m)}"
+
+
+def _partner_text(p: tuple[int, ...]) -> str:
+    """A partner tuple as its matching's text, or raw if it is no matching."""
+    return str(Matching(p)) if _is_matching(p, 1) else f"partners{p}"
 
 
 def _code_tree(n: int, prefix: tuple[int, ...] = ()) -> Iterator[_Facts]:
@@ -324,12 +323,7 @@ def _code_tree(n: int, prefix: tuple[int, ...] = ()) -> Iterator[_Facts]:
             heights[i] = a
             b1 = a + i + 1
             if i + 1 == n:
-                yield _Facts(
-                    (b1,) + parent.b,
-                    parent,
-                    _phi_step(b1, parent.image),
-                    WedgePath(tuple(heights)),
-                )
+                yield _Facts((b1,) + parent.b, parent, _phi_step(b1, parent.image), tuple(heights))
                 continue
             node = _Facts((b1,) + parent.b, parent, _phi_step(b1, parent.image))
             if i + 1 >= owned:
@@ -342,9 +336,11 @@ def _code_tree(n: int, prefix: tuple[int, ...] = ()) -> Iterator[_Facts]:
             chain.pop()
 
 
-# The statistics the distribution claims read, counted on the path records: their
-# images m are exactly the matching stream, and one arc sweep gives both arc counts.
+# Tables counted on the path records: whether each record's m is a perfect
+# matching of [2n], and the statistics the distribution claims read; one arc
+# sweep of m gives both arc counts.
 _RECORD_STATISTICS: dict[str, Callable[[_Facts], int]] = {
+    "matchings": lambda f: f.perfect,
     "north_steps": lambda f: f.north,
     "nestings": lambda f: f.arcs[1],
     "crossings": lambda f: f.arcs[0],
@@ -381,13 +377,13 @@ def _theorem1(f: _Facts) -> str | None:
 
 def _proposition_a(f: _Facts) -> str | None:
     mate = f.nm[0]
-    run = f.path.final_south_run()
+    run = _final_south_run(f.heights)
     return None if mate == run + 1 else f"south_run={run} partner_of_1={mate}"
 
 
 def _component_sizes(f: _Facts) -> tuple[list[int], list[int]]:
     """The path's component sizes, read backwards, and the image's block sizes."""
-    cuts = _cuts(f.path.heights)
+    cuts = _cuts(f.heights)
     path_sizes = [hi - lo for lo, hi in zip(cuts, cuts[1:])][::-1]
     return path_sizes, [len(block) // 2 for _, block in _blocks(f.nm)]
 
@@ -404,7 +400,7 @@ def _proposition_b(f: _Facts) -> str | None:
         return None
     return (
         f"path_sizes(rev)={path_sizes} image_sizes={image_sizes} "
-        f"piecewise={Matching(piecewise)} global={Matching(f.nm)}"
+        f"piecewise={_partner_text(piecewise)} global={_partner_text(f.nm)}"
     )
 
 
@@ -414,7 +410,7 @@ def _dyck_proposition(f: _Facts) -> str | None:
     nm = f.nm
     ne = f.image_arcs[1]
     lefts = {v for v, w in enumerate(nm, start=1) if v < w}
-    expected = f.path.reversed_south_positions()
+    expected = _reversed_south_positions(f.heights)
     if ne == 0 and lefts == expected and nm == f.m:
         return None
     return (
@@ -425,16 +421,16 @@ def _dyck_proposition(f: _Facts) -> str | None:
 
 def _round_trip_psi_inv(f: _Facts) -> str | None:
     back = _partner_from_code(f.code_back)
-    return None if back == f.m else f"comes back as {Matching(back)}"
+    return None if back == f.m else f"comes back as {_partner_text(back)}"
 
 
 def _round_trip_phi(f: _Facts) -> str | None:
-    return None if f.back == f.m else f"comes back as {Matching(f.back)}"
+    return None if f.back == f.m else f"comes back as {_partner_text(f.back)}"
 
 
 def _round_trip_phi_inv(f: _Facts) -> str | None:
     back = _phi_walk(_check_code(_phi_inv_code(f.m)))
-    return None if back == f.m else f"comes back as {Matching(back)}"
+    return None if back == f.m else f"comes back as {_partner_text(back)}"
 
 
 def _theorem2(f: _Facts) -> str | None:
@@ -491,7 +487,7 @@ def _unwinds_a_matching(f: _Facts) -> bool:
     is that code, and phi walks it back to ``m``."""
     if not (f.unwinds and _is_matching(f.image, 0)):
         return False
-    return f.path is None or (len(f.m) == len(f.image) and _is_matching(f.m, 1))
+    return f.heights is None or f.perfect
 
 
 def _piecewise_node(f: _Facts) -> bool:
@@ -517,7 +513,7 @@ def _piecewise_node(f: _Facts) -> bool:
         )
     else:
         return False
-    if ok and f.path is not None:
+    if ok and f.heights is not None:
         path_sizes, image_sizes = _component_sizes(f)
         ok = path_sizes == image_sizes
     return ok
@@ -527,11 +523,18 @@ def _piecewise_node(f: _Facts) -> bool:
 
 
 def _cardinality(n: int, tables: dict) -> tuple[int, list[str]]:
-    (count,) = tables.values()
-    expected = double_factorial(n)
-    if count == expected:
-        return count, []
-    return count, [f"stream yielded {count} objects, expected {expected}"]
+    count, expected = tables["paths"], double_factorial(n)
+    return count, [] if count == expected else [
+        f"stream yielded {count} objects, expected {expected}"
+    ]
+
+
+def _perfect_images(n: int, tables: dict) -> tuple[int, list[str]]:
+    perfect, expected = tables["matchings"], double_factorial(n)
+    count, images = perfect[True], perfect.total()
+    return images, [] if count == expected else [
+        f"{count} of {images} images are matchings of [{2 * n}], expected {expected}"
+    ]
 
 
 def _equidistributed(n: int, tables: dict) -> tuple[int, list[str]]:
@@ -555,14 +558,14 @@ class Claim:
     counterexample detail on a failure, so detail text is built only for
     failures; ``family`` only chooses whether the counterexample names the
     path (``P=``) or its image (``M=``), and ``tested`` counts the
-    records.  Otherwise ``family`` names the
-    whole-stream tables the claim compares (``"paths"``/``"matchings"``
-    for a stream's object count, a statistic name for its distribution),
-    and ``check(n, tables)`` returns the number of values tested and the
-    failure details.  A per-object claim may also have a ``node`` check,
-    one step of its induction on the first edge (see the node checks
-    above); a passing size tests the claim by that alone, and ``check``
-    runs only when a failed size is rerun in full.
+    records.  Otherwise ``family`` names the whole-stream tables, counted
+    on the records, that ``check(n, tables)`` compares (``"paths"``, the
+    records; ``"matchings"``, whether each record's ``m`` is a perfect
+    matching; or a statistic's values), returning the number of values
+    tested and the failure details.  A per-object claim may also have a
+    ``node`` check, one step of its induction on the first edge (see the
+    node checks above); a passing size tests the claim by that alone, and
+    ``check`` runs only when a failed size is rerun in full.
     """
 
     label: str
@@ -583,8 +586,8 @@ _REGISTRY = (
     Claim(
         "cardinality_matchings",
         ("matchings",),
-        _cardinality,
-        "the matching stream yields exactly (2n-1)!! objects",
+        _perfect_images,
+        "exactly (2n-1)!! insertion images are perfect matchings of [2n]",
     ),
     Claim(
         "round_trip_psi",
@@ -741,17 +744,15 @@ class VerificationReport:
 
 @dataclass(frozen=True)
 class _Cell:
-    """One unit of work: the objects of one family whose first coordinates
-    are ``prefix``.  A process pool gets each size as the ``_cells``
-    partition; one worker runs each family as one cell with prefix ``()``,
-    its whole stream.  Path cells walk the nodes on their paths' chains and
-    count the statistics on their records; matching cells only count
-    objects.  A path cell tests each claim by its node checks, or by its
-    per-object check at the records if it has none; with ``full`` set,
+    """One unit of work: the paths whose first heights are ``prefix``.  A
+    process pool gets each size as the ``_cells`` partition; one worker
+    runs it as one cell with prefix ``()``, the whole path stream.  A cell
+    walks the nodes on its paths' chains, counts its records and the
+    ``statistics`` on them, and tests each claim by its node checks, or by
+    its per-object check at the records if it has none; with ``full`` set,
     every record runs each claim's per-object check instead."""
 
     n: int
-    family: str
     prefix: tuple[int, ...]
     labels: tuple[str, ...]
     statistics: tuple[str, ...]
@@ -770,16 +771,12 @@ def _run_cell(cell: _Cell) -> tuple[int, dict[str, list], dict[str, Counter]] | 
     failures: dict[str, list] = {label: [0, []] for label in cell.labels}
     counters = {name: Counter() for name in cell.statistics}
     statistics = [(_RECORD_STATISTICS[name], counters[name]) for name in cell.statistics]
-    if cell.family == "matchings":
-        count = sum(1 for _ in _objects(cell.family, cell.n, cell.prefix))
-        return count, failures, counters
-
     count = 0
     for f in _code_tree(cell.n, cell.prefix):
         for node in nodes:
             if not node(f):
                 return None
-        if f.path is None:
+        if f.heights is None:
             continue
         count += 1
         for fn, counter in statistics:
@@ -804,7 +801,7 @@ def _run_cells(cells: list[_Cell], pool) -> list:
 
 def _verify_size(n: int, selected: list[str], limit: int, pool) -> VerificationReport:
     """Replay the selected claims over all objects of size n: as the
-    pool's cells with a pool, else as one cell per family."""
+    pool's cells with a pool, else as one cell."""
     started = time.perf_counter()
     chosen = [claim for claim in _REGISTRY if claim.label in selected]
     tables_read = {
@@ -812,13 +809,10 @@ def _verify_size(n: int, selected: list[str], limit: int, pool) -> VerificationR
     }
     per_object = tuple(claim.label for claim in chosen if isinstance(claim.family, str))
     counted = tuple(name for name in _RECORD_STATISTICS if name in tables_read)
-    cells = []
-    for family, labels, statistics in (("paths", per_object, counted), ("matchings", (), ())):
-        if labels or statistics or family in tables_read:
-            cells += [
-                _Cell(n, family, prefix, labels, statistics, limit)
-                for prefix in (_cells(family, n) if pool is not None else [()])
-            ]
+    cells = [
+        _Cell(n, prefix, per_object, counted, limit)
+        for prefix in (_cells(n) if pool is not None else [()])
+    ]
     results = _run_cells(cells, pool)
     # A failed test anywhere reruns every cell with every claim's per-object
     # check on every record, and the report comes from that pass alone.
@@ -826,11 +820,11 @@ def _verify_size(n: int, selected: list[str], limit: int, pool) -> VerificationR
         cells = [replace(cell, full=True) for cell in cells]
         results = _run_cells(cells, pool)
 
-    tables: dict = {"paths": 0, "matchings": 0}
+    tables: dict = {"paths": 0}
     failed: Counter = Counter()
     examples: dict[str, list[str]] = {claim.label: [] for claim in chosen}
-    for cell, (count, failures, counters) in zip(cells, results):
-        tables[cell.family] += count
+    for count, failures, counters in results:
+        tables["paths"] += count
         for name, counter in counters.items():
             tables.setdefault(name, Counter()).update(counter)
         for label, (cell_failed, cell_examples) in failures.items():
@@ -906,8 +900,8 @@ def verify_all(
 
     ``claims`` selects a subset of labels from :data:`CLAIMS`; by default
     everything runs, and an empty selection is rejected.  ``workers`` > 1
-    fans the stream cells out over a process pool, and one worker walks
-    each stream whole; the report is identical for any worker count
+    fans the path stream's cells out over a process pool, and one worker
+    walks the stream whole; the report is identical for any worker count
     because the cells are merged in stream order.
     Counterexamples are collected up to ``counterexample_limit`` per claim;
     failures beyond that are only counted.  ``workers`` must be at least 1

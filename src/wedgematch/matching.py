@@ -186,7 +186,7 @@ class Matching:
         >>> Matching.from_pairs([(1, 6), (2, 5), (3, 4)]).st_total()
         2
         """
-        return _st_total(self.partner)
+        return sum(_stacking(self.partner))
 
     # -- components --------------------------------------------------------
 
@@ -278,10 +278,6 @@ def _stacking(partner: tuple[int, ...]) -> list[int]:
         open_rights.insert(k, d)
         b = d
     return values
-
-
-def _st_total(partner: tuple[int, ...]) -> int:
-    return sum(_stacking(partner))
 
 
 def _sweep(

@@ -121,14 +121,7 @@ class WedgePath:
 
     def to_steps(self) -> str:
         """The derived step string (canonical text form)."""
-        out: list[str] = []
-        y = 0
-        for a in self.heights:
-            out.append(("N" if a > y else "S") * abs(a - y))
-            out.append("E")
-            y = a
-        out.append("S" * (y + self.n))
-        return "".join(out)
+        return _steps(self.heights)
 
     def to_height_text(self) -> str:
         return ",".join(str(a) for a in self.heights)
@@ -157,8 +150,7 @@ class WedgePath:
 
     def north_steps(self) -> int:
         """Total rise: the sum of a_{i+1} - a_i over ascents."""
-        a = self.heights
-        return sum(b - c for c, b in zip(a, a[1:]) if b > c)
+        return _north_steps(self.heights)
 
     def south_steps(self) -> int:
         a = self.heights
@@ -170,7 +162,7 @@ class WedgePath:
 
     def final_south_run(self) -> int:
         """Number of south steps on the line x = n (always >= 1)."""
-        return self.heights[-1] + self.n
+        return _final_south_run(self.heights)
 
     def is_dyck(self) -> bool:
         """True when the path has no north steps (weakly decreasing heights)."""
@@ -182,14 +174,7 @@ class WedgePath:
         These are exactly the left endpoints of the matching the path maps
         to.  Raises for non-Dyck paths (step count != 2n).
         """
-        steps = self.to_steps()
-        if len(steps) != 2 * self.n:
-            raise ValueError(
-                f"path has {len(steps)} steps, not {2 * self.n}; "
-                "only Dyck paths can be read backwards this way"
-            )
-        total = 2 * self.n
-        return {total + 1 - j for j, ch in enumerate(steps, start=1) if ch == "S"}
+        return _reversed_south_positions(self.heights)
 
     # -- components --------------------------------------------------------
 
@@ -206,6 +191,36 @@ class WedgePath:
             WedgePath(tuple(h + lo for h in a[lo:hi]))
             for lo, hi in zip(cuts, cuts[1:])
         ]
+
+
+def _steps(a: Sequence[int]) -> str:
+    """:meth:`WedgePath.to_steps` of the heights ``a``; the harness runs the
+    height kernels below, which the WedgePath views wrap, on bare tuples."""
+    out: list[str] = []
+    y = 0
+    for h in a:
+        out += [("N" if h > y else "S") * abs(h - y), "E"]
+        y = h
+    return "".join(out) + "S" * (y + len(a))
+
+
+def _north_steps(a: Sequence[int]) -> int:
+    return sum(b - c for c, b in zip(a, a[1:]) if b > c)
+
+
+def _final_south_run(a: Sequence[int]) -> int:
+    return a[-1] + len(a)
+
+
+def _reversed_south_positions(a: Sequence[int]) -> set[int]:
+    steps = _steps(a)
+    total = 2 * len(a)
+    if len(steps) != total:
+        raise ValueError(
+            f"path has {len(steps)} steps, not {total}; "
+            "only Dyck paths can be read backwards this way"
+        )
+    return {total + 1 - j for j, ch in enumerate(steps, start=1) if ch == "S"}
 
 
 def _cuts(a: Sequence[int]) -> list[int]:

@@ -128,25 +128,24 @@ def test_stream_golden_digest(n):
     assert (paths.hexdigest(), matchings.hexdigest()) == STREAM_DIGESTS[n]
 
 
-# The cells of each family at n = 1, 2, 3, 4, 5, 6: paths fix a_1..a_4,
-# matchings b_1 and b_2, so the counts are 1, 3, 15, then 105, and 1, then
-# (2n-1)(2n-3).  The partition keeps reports independent of the worker count.
-CELL_COUNTS = {
-    "paths": [1, 3, 15, 105, 105, 105],
-    "matchings": [1, 3, 15, 35, 63, 99],
-}
+# The cells at n = 1, 2, 3, 4, 5, 6 fix the heights a_1..a_4, so the counts
+# are 1, 3, 15, then 105.  Only the path stream is cut into cells; the
+# partition keeps reports independent of the worker count.
+CELL_COUNTS = [1, 3, 15, 105, 105, 105]
 
 
-@pytest.mark.parametrize("family", sorted(CELL_COUNTS))
+def _paths_under(n, prefix):
+    """The heights of the path stream that start with ``prefix``, in order."""
+    return [h for h, _ in _objects("paths", n) if h[: len(prefix)] == prefix]
+
+
+@pytest.mark.parametrize("family", ["paths"])
 @pytest.mark.parametrize("n", range(1, 7))
 def test_cells_partition_the_stream(family, n):
-    cells = _cells(family, n)
-    assert len(cells) == CELL_COUNTS[family][n - 1]
+    cells = _cells(n)
+    assert len(cells) == CELL_COUNTS[n - 1]
     stream = [coordinates for coordinates, _ in _objects(family, n)]
-    pieces = [
-        coordinates for prefix in cells for coordinates, _ in _objects(family, n, prefix)
-    ]
-    assert pieces == stream
+    assert [h for prefix in cells for h in _paths_under(n, prefix)] == stream
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -166,9 +165,9 @@ def test_path_codes_insert_to_the_matching_stream(n):
 def test_cells_partition_the_code_tree(n):
     # Each node of depths 1..n is walked by every cell whose paths pass
     # through it, and yielded, for its node checks, by exactly one of them.
-    tree = [(f.b, f.path is not None) for f in _code_tree(n)]
+    tree = [(f.b, f.heights is not None) for f in _code_tree(n)]
     pieces = [
-        (f.b, f.path is not None) for prefix in _cells("paths", n) for f in _code_tree(n, prefix)
+        (f.b, f.heights is not None) for prefix in _cells(n) for f in _code_tree(n, prefix)
     ]
     assert sorted(pieces) == sorted(tree)
     assert len(set(tree)) == len(tree) == sum(double_factorial(k) for k in range(1, n + 1))
@@ -400,27 +399,25 @@ BROKEN_N2_FAILURES = {
 def test_verify_reports_failures_verbatim(monkeypatch):
     import wedgematch.enumeration as enumeration
     import wedgematch.paths as paths
-    from wedgematch import WedgePath
 
     # psi_inv is broken where the harness calls it, in the code field of its
     # one sweep of a partner tuple: decoding returns the all-zero path's
     # code.  The record's stacking total is one too high, while its
-    # per-index stacking values are right.  The cut kernel behind
-    # WedgePath.components finds no components, where it is defined and
-    # where the harness imports it.
+    # per-index stacking values are right.  The height kernels behind
+    # WedgePath.final_south_run, WedgePath.reversed_south_positions and
+    # WedgePath.components answer one too many, no positions and no
+    # components, where they are defined and where the harness imports them.
     st = enumeration._Facts.__dict__["st"].fn
     sweep = enumeration._sweep
-    final_south_run = WedgePath.final_south_run
+    final_south_run = paths._final_south_run
     monkeypatch.setattr(
         enumeration, "_sweep", lambda p: (tuple(range(len(p) // 2, 0, -1)), *sweep(p)[1:])
     )
     monkeypatch.setattr(enumeration._Facts, "st", property(lambda f: st(f) + 1))
-    monkeypatch.setattr(
-        WedgePath, "final_south_run", lambda self: final_south_run(self) + 1
-    )
-    monkeypatch.setattr(WedgePath, "reversed_south_positions", lambda self: set())
-    monkeypatch.setattr(paths, "_cuts", lambda heights: [])
-    monkeypatch.setattr(enumeration, "_cuts", lambda heights: [])
+    for module in (paths, enumeration):
+        monkeypatch.setattr(module, "_final_south_run", lambda a: final_south_run(a) + 1)
+        monkeypatch.setattr(module, "_reversed_south_positions", lambda a: set())
+        monkeypatch.setattr(module, "_cuts", lambda a: [])
 
     claims = verify_all(2).to_json_value()["claims"]
     assert list(claims) == list(CLAIMS)
@@ -653,7 +650,7 @@ def _code_tree_by_diff(n, prefix=()):
         owned -= 1
     chain = [_Facts((), None, [])] * (n + 1)
     previous = ()
-    for heights, path in _objects("paths", n, prefix):
+    for heights in _paths_under(n, prefix):
         k = next((i for i, (x, y) in enumerate(zip(heights, previous)) if x != y), 0)
         for i in range(k, n):
             parent = chain[i]
@@ -662,7 +659,7 @@ def _code_tree_by_diff(n, prefix=()):
                 (b1,) + parent.b,
                 parent,
                 _phi_step(b1, parent.image),
-                path if i + 1 == n else None,
+                heights if i + 1 == n else None,
             )
             if i + 1 >= owned:
                 yield chain[i + 1]
@@ -670,15 +667,15 @@ def _code_tree_by_diff(n, prefix=()):
 
 
 def _walked(nodes):
-    return [(f.b, f.image, None if f.path is None else f.path.heights) for f in nodes]
+    return [(f.b, f.image, f.heights) for f in nodes]
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_code_tree_walk_equals_the_product_diff(n):
     # The depth-first walk over nested height ranges yields the nodes, their
-    # images and the records' paths in the order the product-and-diff walk
+    # images and the records' heights in the order the product-and-diff walk
     # does: for the whole stream, and for each pool cell up to n=5.
-    for prefix in [()] + (_cells("paths", n) if n <= 5 else []):
+    for prefix in [()] + (_cells(n) if n <= 5 else []):
         assert _walked(_code_tree(n, prefix)) == _walked(_code_tree_by_diff(n, prefix)), prefix
 
 
@@ -761,12 +758,12 @@ def test_node_checks_imply_the_full_checks(monkeypatch, fault):
             if label in WHOLE_TREE:
                 if all(passed.values()):
                     for f in nodes:
-                        assert f.path is None or claim.check(f) is None, (fault, label, f.b)
+                        assert f.heights is None or claim.check(f) is None, (fault, label, f.b)
                 continue
-            if not all(passed[id(f)] for f in nodes if f.path is None):
+            if not all(passed[id(f)] for f in nodes if f.heights is None):
                 continue
             for f in nodes:
-                if f.path is None:
+                if f.heights is None:
                     continue
                 chain = [f.ancestor(depth) for depth in range(1, n + 1)]
                 if all(passed[id(a)] for a in chain):
@@ -784,7 +781,7 @@ def test_a_fault_above_the_records_fails_the_top_size(monkeypatch, fault):
 
     _break_kernel(monkeypatch, *DIFFERENTIAL_FAULTS[fault])
     node = enumeration._CLAIMS_BY_LABEL["round_trip_phi"].node
-    assert all(node(f) for f in _code_tree(4) if f.path is not None)
+    assert all(node(f) for f in _code_tree(4) if f.heights is not None)
     full = _full_report(monkeypatch, 4)["claims"]
     claims = verify_all(4, claims=NODE_CHECKED).to_json_value()["claims"]
     assert claims["round_trip_phi"]["failed"] > 0
@@ -851,15 +848,14 @@ def test_a_failing_size_reruns_on_the_process_pool(monkeypatch):
 
 
 def _count_cells(monkeypatch):
-    """Record the family and prefix of every cell the harness runs in this
-    process."""
+    """Record the prefix of every cell the harness runs in this process."""
     import wedgematch.enumeration as enumeration
 
     run_cell = enumeration._run_cell
     cells = []
 
     def counting(cell):
-        cells.append((cell.family, cell.prefix))
+        cells.append(cell.prefix)
         return run_cell(cell)
 
     monkeypatch.setattr(enumeration, "_run_cell", counting)
@@ -867,16 +863,17 @@ def _count_cells(monkeypatch):
 
 
 def test_one_worker_walks_each_stream_as_one_cell(monkeypatch):
-    # Without a process pool, a size is one cell per family, prefix (): a
-    # passing size runs two cells, and a failing one two more for its rerun.
+    # Without a process pool, a size is one cell, prefix (): the whole path
+    # stream, whose records also stand for the matching stream.  A passing
+    # size runs that cell, and a failing one runs it again for its rerun.
     cells = _count_cells(monkeypatch)
     payload = json.dumps(verify_all(5).to_json_value())
     assert hashlib.sha256(payload.encode()).hexdigest() == VERIFY_PAYLOAD_DIGESTS[5]
-    assert cells == [("paths", ()), ("matchings", ())]
+    assert cells == [()]
     _break_kernel(monkeypatch, *DIFFERENTIAL_FAULTS["_phi_step_depth_2"])
     cells.clear()
     assert not verify_all(4).passed
-    assert cells == [("paths", ()), ("matchings", ())] * 2
+    assert cells == [()] * 2
 
 
 def _merge(results, limit):
@@ -905,20 +902,19 @@ def test_one_cell_equals_the_merge_of_the_pool_cells(monkeypatch, fault, full):
     if spec is not None:
         _break_kernel(monkeypatch, *spec)
     labels = tuple(c.label for c in enumeration._REGISTRY if isinstance(c.family, str))
-    work = {"paths": (labels, tuple(enumeration._RECORD_STATISTICS)), "matchings": ((), ())}
+    statistics = tuple(enumeration._RECORD_STATISTICS)
     limit = 3
     for n in range(1, 6):
-        for family, (cell_labels, statistics) in work.items():
-            def run(prefix):
-                return enumeration._run_cell(
-                    enumeration._Cell(n, family, prefix, cell_labels, statistics, limit, full)
-                )
+        def run(prefix):
+            return enumeration._run_cell(
+                enumeration._Cell(n, prefix, labels, statistics, limit, full)
+            )
 
-            whole = run(())
-            pieces = [run(prefix) for prefix in _cells(family, n)]
-            assert (whole is None) == (None in pieces), (fault, n, family)
-            if whole is not None:
-                assert whole == _merge(pieces, limit), (fault, n, family)
+        whole = run(())
+        pieces = [run(prefix) for prefix in _cells(n)]
+        assert (whole is None) == (None in pieces), (fault, n)
+        if whole is not None:
+            assert whole == _merge(pieces, limit), (fault, n)
 
 
 # Wrong answers that are no matching: the insertion image of the code
@@ -944,3 +940,83 @@ def test_phi_inv_node_check_requires_matchings(monkeypatch, kernel):
     (record,) = [f for f in nodes if f.b == (1, 1, 1)]
     assert record.unwinds and not node(record)
     assert all(node(f) for f in nodes if f is not record)
+
+
+def test_a_bad_image_is_reported_not_raised(monkeypatch, capsys):
+    # The insertion image of (1, 1, 1) is no matching.  Counterexamples print
+    # such a partner tuple as raw text instead of raising on it, so the
+    # report fails and the command exits 1, the code for a failed claim, not
+    # 3, the code for bad input.
+    from wedgematch.cli import main
+
+    _break_kernel(monkeypatch, "_partner_from_code", *NOT_A_MATCHING["_partner_from_code"])
+    claims = verify_all(3).to_json_value()["claims"]
+    assert {label for label, result in claims.items() if result["failed"]} == {
+        "cardinality_matchings",
+        "round_trip_phi_inv",
+        "dyck_proposition",
+    }
+    assert claims["round_trip_phi_inv"]["counterexamples"] == [
+        "M=partners(2, 1, 4, 1, 6, 5): comes back as (1,2),(3,4),(5,6)"
+    ]
+    assert main(["verify", "3"]) == 1
+    assert "result: FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "workers",
+    [
+        1,
+        pytest.param(
+            2,
+            marks=pytest.mark.skipif(
+                multiprocessing.get_start_method() != "fork",
+                reason="the pool's workers inherit the broken kernel only when forked",
+            ),
+        ),
+    ],
+)
+def test_cardinality_matchings_counts_perfect_images(monkeypatch, workers):
+    # cardinality_matchings counts the records whose m is a perfect matching
+    # of [2n], not the records: with one image broken, it fails alone.
+    import wedgematch.enumeration as enumeration
+
+    _break_kernel(monkeypatch, "_partner_from_code", *NOT_A_MATCHING["_partner_from_code"])
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
+    report = verify_all(3, workers=workers, claims=["cardinality_matchings"])
+    assert report.to_json_value()["claims"] == {
+        "cardinality_matchings": {
+            "tested": 15,
+            "failed": 1,
+            "counterexamples": ["14 of 15 images are matchings of [6], expected 15"],
+        }
+    }
+
+
+@pytest.mark.parametrize(
+    "workers",
+    [
+        1,
+        pytest.param(
+            2,
+            marks=pytest.mark.skipif(
+                multiprocessing.get_start_method() != "fork",
+                reason="the pool's workers inherit the patched classes only when forked",
+            ),
+        ),
+    ],
+)
+def test_a_passing_run_builds_no_objects(monkeypatch, workers):
+    # verify walks heights and codes only: a passing run builds no
+    # WedgePath, Matching or InsertionCode, on one worker or on the pool.
+    import wedgematch.enumeration as enumeration
+    from wedgematch import InsertionCode, WedgePath
+
+    def unreachable(self):
+        raise AssertionError(f"a passing run built a {type(self).__name__}")
+
+    for cls in (WedgePath, Matching, InsertionCode):
+        monkeypatch.setattr(cls, "__post_init__", unreachable)
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
+    payload = json.dumps(verify_all(5, workers=workers).to_json_value())
+    assert hashlib.sha256(payload.encode()).hexdigest() == VERIFY_PAYLOAD_DIGESTS[5]
