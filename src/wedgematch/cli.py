@@ -241,7 +241,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=f"comma-separated claim labels (available: {', '.join(CLAIMS)})",
     )
-    p.add_argument("--workers", type=int, default=1, help="parallel worker count")
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="worker processes, this one included (capped at the CPU count); "
+        "sizes below 5 always run in this process",
+    )
     p.add_argument(
         "--limit", type=int, default=10, help="counterexamples kept per claim"
     )

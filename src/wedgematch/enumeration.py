@@ -13,7 +13,7 @@ import os
 import signal
 import time
 from collections import Counter
-from contextlib import nullcontext
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from multiprocessing import Pool
 from typing import Callable, ClassVar, Iterable, Iterator, Sequence
@@ -102,9 +102,11 @@ def _objects(family: str, n: int) -> Iterator[tuple[tuple[int, ...], object]]:
 
 def _cells(n: int) -> list[tuple[int, ...]]:
     """The cells of the harness's process pool: the path stream cut by its
-    heights a_1..a_4 (a_1 has a single value), in stream order."""
+    heights a_1..a_{min(4, n-3)} (a_1 has a single value), in stream order.
+    That is 1, 1, 1, 1, 3 and 15 cells for n = 1..6 and 105 from n = 7 on,
+    so a size up to 4 is one cell and never reaches the pool."""
     coordinate_range = _FAMILIES["paths"][0]
-    return list(itertools.product(*[coordinate_range(n, i) for i in range(1, min(4, n) + 1)]))
+    return list(itertools.product(*[coordinate_range(n, i) for i in range(1, min(4, n - 3) + 1)]))
 
 
 def all_paths(n: int) -> Iterator[WedgePath]:
@@ -351,14 +353,22 @@ _RECORD_STATISTICS: dict[str, Callable[[_Facts], int]] = {
 # the public maps' kernels on the facts' tuples; objects only write the detail.
 
 
+def _code_text(b: tuple[int, ...]) -> str:
+    """A code as its path's text, or raw if it is no insertion code."""
+    try:
+        return str(path_from_code(InsertionCode(b)))
+    except ValueError:
+        return f"code{b}"
+
+
 def _round_trip_psi(f: _Facts) -> str | None:
     back = f.code_back
-    return None if back == f.b else f"comes back as {path_from_code(InsertionCode(back))}"
+    return None if back == f.b else f"comes back as {_code_text(back)}"
 
 
 def _round_trip_big_phi(f: _Facts) -> str | None:
     back = _sweep(f.back)[0]
-    return None if back == f.b else f"comes back as {path_from_code(InsertionCode(back))}"
+    return None if back == f.b else f"comes back as {_code_text(back)}"
 
 
 def _lemma1(f: _Facts) -> str | None:
@@ -470,11 +480,14 @@ def _big_phi_node(f: _Facts) -> bool:
 
 
 def _is_matching(p: Sequence[int], base: int) -> bool:
-    """``p`` lists a fixed-point-free involution of base..base + len(p) - 1."""
-    size = len(p)
-    return all(
-        base <= w < size + base and w != v and p[w - base] == v for v, w in enumerate(p, base)
-    )
+    """``p`` lists a fixed-point-free involution of base..base + len(p) - 1.
+    A plain loop: it beats both a generator under ``all()`` and passes of
+    ``min``/``max``/``map`` at the sizes the harness walks."""
+    stop = len(p) + base
+    for v, w in enumerate(p, base):
+        if not (base <= w < stop and w != v and p[w - base] == v):
+            return False
+    return True
 
 
 def _unwinds_a_matching(f: _Facts) -> bool:
@@ -745,8 +758,9 @@ class VerificationReport:
 @dataclass(frozen=True)
 class _Cell:
     """One unit of work: the paths whose first heights are ``prefix``.  A
-    process pool gets each size as the ``_cells`` partition; one worker
-    runs it as one cell with prefix ``()``, the whole path stream.  A cell
+    size of more than one ``_cells`` cell is run as that partition, shared
+    by this process and the pool; one worker, or a size of one cell, runs
+    it as one cell with prefix ``()``, the whole path stream.  A cell
     walks the nodes on its paths' chains, counts its records and the
     ``statistics`` on them, and tests each claim by its node checks, or by
     its per-object check at the records if it has none; with ``full`` set,
@@ -793,15 +807,24 @@ def _run_cell(cell: _Cell) -> tuple[int, dict[str, list], dict[str, Counter]] | 
     return count, failures, counters
 
 
-def _run_cells(cells: list[_Cell], pool) -> list:
-    if pool is not None and len(cells) > 1:
-        return pool.map(_run_cell, cells)
-    return [_run_cell(cell) for cell in cells]
+def _run_cells(cells: list[_Cell], pool, workers: int) -> list:
+    """The cells' results in stream order.  With a pool, this process runs
+    every ``workers``-th cell, from the first, while the pool's
+    ``workers - 1`` processes run the rest."""
+    if pool is None:
+        return [_run_cell(cell) for cell in cells]
+    pending = pool.map_async(_run_cell, [c for i, c in enumerate(cells) if i % workers])
+    own = iter([_run_cell(cell) for cell in cells[::workers]])
+    theirs = iter(pending.get())
+    return [next(theirs if i % workers else own) for i in range(len(cells))]
 
 
-def _verify_size(n: int, selected: list[str], limit: int, pool) -> VerificationReport:
+def _verify_size(
+    n: int, selected: list[str], limit: int, pool, workers: int
+) -> VerificationReport:
     """Replay the selected claims over all objects of size n: as the
-    pool's cells with a pool, else as one cell."""
+    ``_cells`` partition shared with the pool if there is one, else as one
+    cell."""
     started = time.perf_counter()
     chosen = [claim for claim in _REGISTRY if claim.label in selected]
     tables_read = {
@@ -813,12 +836,12 @@ def _verify_size(n: int, selected: list[str], limit: int, pool) -> VerificationR
         _Cell(n, prefix, per_object, counted, limit)
         for prefix in (_cells(n) if pool is not None else [()])
     ]
-    results = _run_cells(cells, pool)
+    results = _run_cells(cells, pool, workers)
     # A failed test anywhere reruns every cell with every claim's per-object
     # check on every record, and the report comes from that pass alone.
     if None in results:
         cells = [replace(cell, full=True) for cell in cells]
-        results = _run_cells(cells, pool)
+        results = _run_cells(cells, pool, workers)
 
     tables: dict = {"paths": 0}
     failed: Counter = Counter()
@@ -857,8 +880,10 @@ def _verify_sizes(
     claims: Iterable[str] | None,
 ) -> Iterator[VerificationReport]:
     """Check the arguments once, then yield the report of each size
-    first..last as it finishes.  With more than one worker, one process
-    pool serves every size."""
+    first..last as it finishes.  With k > 1 workers, one process pool of
+    k - 1 processes, started at the first size of more than one cell,
+    serves that size and every later one; this process is the k-th worker.
+    The pool is terminated however the generator ends."""
     _require_within_cap(last, max_n)
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -878,14 +903,20 @@ def _verify_sizes(
             )
         if not selected:
             raise ValueError(f"no claims selected; choose from {', '.join(CLAIMS)}")
-    # Workers ignore Ctrl-C, so only this process reports the interrupt.
-    with (
-        Pool(workers, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN))
-        if workers > 1
-        else nullcontext()
-    ) as pool:
+    with ExitStack() as stack:
+        pool = None
         for n in range(first, last + 1):
-            yield _verify_size(n, selected, counterexample_limit, pool)
+            if pool is None and workers > 1 and len(_cells(n)) > 1:
+                # The pool's processes ignore Ctrl-C, so only this one
+                # reports the interrupt.
+                pool = stack.enter_context(
+                    Pool(
+                        workers - 1,
+                        initializer=signal.signal,
+                        initargs=(signal.SIGINT, signal.SIG_IGN),
+                    )
+                )
+            yield _verify_size(n, selected, counterexample_limit, pool, workers)
 
 
 def verify_all(
@@ -899,10 +930,11 @@ def verify_all(
     """Replay every claim exhaustively over all objects of size n.
 
     ``claims`` selects a subset of labels from :data:`CLAIMS`; by default
-    everything runs, and an empty selection is rejected.  ``workers`` > 1
-    fans the path stream's cells out over a process pool, and one worker
-    walks the stream whole; the report is identical for any worker count
-    because the cells are merged in stream order.
+    everything runs, and an empty selection is rejected.  ``workers`` = k
+    > 1 shares the path stream's cells between this process and a pool of
+    k - 1 processes, if the size has more than one cell (n >= 5); otherwise
+    the stream is walked whole, in this process.  The report is identical
+    for any worker count because the cells are merged in stream order.
     Counterexamples are collected up to ``counterexample_limit`` per claim;
     failures beyond that are only counted.  ``workers`` must be at least 1
     and is capped at the CPU count; ``counterexample_limit`` must not be
@@ -922,5 +954,6 @@ def verify_ladder(
 ) -> Iterator[VerificationReport]:
     """:func:`verify_all` for each size 1..n, yielding each report as it
     finishes; the arguments are checked before any size runs, and one
-    process pool serves every size."""
+    process pool, started at the first size that uses it, serves every
+    size from there on."""
     return _verify_sizes(1, n, max_n, workers, counterexample_limit, claims)

@@ -128,10 +128,11 @@ def test_stream_golden_digest(n):
     assert (paths.hexdigest(), matchings.hexdigest()) == STREAM_DIGESTS[n]
 
 
-# The cells at n = 1, 2, 3, 4, 5, 6 fix the heights a_1..a_4, so the counts
-# are 1, 3, 15, then 105.  Only the path stream is cut into cells; the
+# The cells at n = 1..6 fix the heights a_1..a_{min(4, n-3)}, so the counts
+# are 1 (no height, or a_1 alone) up to n=4, then 3 and 15; from n=7 on they
+# fix a_1..a_4, 105 cells.  Only the path stream is cut into cells; the
 # partition keeps reports independent of the worker count.
-CELL_COUNTS = [1, 3, 15, 105, 105, 105]
+CELL_COUNTS = [1, 1, 1, 1, 3, 15]
 
 
 def _paths_under(n, prefix):
@@ -254,11 +255,16 @@ def test_verify_all_exhaustive_counts():
     assert all(c.counterexamples == () for c in report.claims)
 
 
-def test_verify_reports_identical_across_worker_counts():
-    serial = verify_all(4, workers=1)
-    parallel = verify_all(4, workers=3)
-    assert serial.to_text() == parallel.to_text()
-    assert serial.to_json_value() == parallel.to_json_value()
+def test_verify_reports_identical_across_worker_counts(monkeypatch):
+    # n=6 has 15 cells: three workers are this process and a pool of two.
+    import wedgematch.enumeration as enumeration
+
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 3)
+    serial = verify_all(6, workers=1)
+    for workers in (2, 3):
+        parallel = verify_all(6, workers=workers)
+        assert serial.to_text() == parallel.to_text()
+        assert serial.to_json_value() == parallel.to_json_value()
 
 
 def test_verify_workers_capped_at_cpu_count(monkeypatch):
@@ -269,26 +275,71 @@ def test_verify_workers_capped_at_cpu_count(monkeypatch):
 
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 1)
     monkeypatch.setattr(enumeration, "Pool", no_pool)
-    capped = verify_all(3, workers=64)
-    serial = verify_all(3, workers=1)
+    capped = verify_all(5, workers=64)
+    serial = verify_all(5, workers=1)
     assert capped.to_json_value() == serial.to_json_value()
 
 
-def test_verify_ladder_shares_one_pool(monkeypatch):
+@pytest.mark.parametrize("workers", [2, 3])
+def test_verify_ladder_starts_one_pool_where_it_pays(monkeypatch, workers):
+    # Sizes up to 4 are one cell each and start no pool; the first size of
+    # more than one cell starts one pool of workers - 1 processes, since
+    # this process is a worker too, and the later sizes share it.
     import wedgematch.enumeration as enumeration
 
     real_pool = enumeration.Pool
     started = []
 
-    def counting_pool(workers, **kwargs):
-        started.append(workers)
-        return real_pool(workers, **kwargs)
+    def counting_pool(processes, **kwargs):
+        started.append(processes)
+        return real_pool(processes, **kwargs)
+
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: workers)
+    monkeypatch.setattr(enumeration, "Pool", counting_pool)
+    reports = [r.to_json_value() for r in verify_ladder(4, workers=workers)]
+    assert started == []
+    assert reports == [verify_all(n).to_json_value() for n in range(1, 5)]
+    reports = [r.to_json_value() for r in verify_ladder(6, workers=workers)]
+    assert started == [workers - 1]
+    assert reports == [verify_all(n).to_json_value() for n in range(1, 7)]
+    assert multiprocessing.active_children() == []
+
+
+def test_a_ladder_closed_early_leaves_no_process(monkeypatch):
+    # The pool starts at n=5; closing the ladder after that report, as a
+    # caller that stops reading does, must terminate it.
+    import wedgematch.enumeration as enumeration
 
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(enumeration, "Pool", counting_pool)
-    reports = [r.to_json_value() for r in verify_ladder(3, workers=2)]
-    assert started == [2]
-    assert reports == [verify_all(n).to_json_value() for n in (1, 2, 3)]
+    ladder = verify_ladder(6, workers=2)
+    for report in ladder:
+        if report.n == 5:
+            break
+    assert len(multiprocessing.active_children()) == 1
+    ladder.close()
+    assert multiprocessing.active_children() == []
+
+
+def test_an_interrupted_size_leaves_no_process(monkeypatch):
+    # Ctrl-C while this process runs its own share of the cells ends the
+    # run; the pool must not outlive it.
+    import os
+
+    import wedgematch.enumeration as enumeration
+
+    run_cell = enumeration._run_cell
+    caller = os.getpid()
+
+    def interrupted(cell):
+        if os.getpid() == caller:
+            raise KeyboardInterrupt
+        return run_cell(cell)
+
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(enumeration, "_run_cell", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        verify_all(5, workers=2)
+    assert multiprocessing.active_children() == []
 
 
 def test_verify_claims_filter():
@@ -796,9 +847,9 @@ def _count_passes(monkeypatch):
     run_cells = enumeration._run_cells
     passes = []
 
-    def counting(cells, pool):
+    def counting(cells, pool, workers):
         passes.append(pool is not None)
-        return run_cells(cells, pool)
+        return run_cells(cells, pool, workers)
 
     monkeypatch.setattr(enumeration, "_run_cells", counting)
     return passes
@@ -833,18 +884,25 @@ def test_a_passing_size_decides_in_one_pass(monkeypatch):
     reason="the pool's workers inherit the broken kernel only when forked",
 )
 def test_a_failing_size_reruns_on_the_process_pool(monkeypatch):
-    # The fault fires at depth 2 only, so one cell of size 4 fails a node
-    # check and the rest pass; the size must then be rerun in full on the
-    # pool as well, and report as one worker and the full checks do.
+    # Each fault fires at depth 2 only, so one of the 3 cells of size 5 fails
+    # a node check and the rest pass: the last cell (a_2 = 1), which this
+    # process runs, or the middle one (a_2 = 0), which the pool runs.  The
+    # size must then be rerun in full on the pool as well, and report as one
+    # worker and the full checks do.
     import wedgematch.enumeration as enumeration
 
-    _break_kernel(monkeypatch, *DIFFERENTIAL_FAULTS["_phi_step_depth_2"])
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
-    passes = _count_passes(monkeypatch)
-    parallel = verify_all(4, workers=2).to_json_value()
-    assert passes == [True, True]
-    assert not parallel["passed"]
-    assert parallel == verify_all(4).to_json_value() == _full_report(monkeypatch, 4)
+    for fault in (
+        DIFFERENTIAL_FAULTS["_phi_step_depth_2"],
+        ("_phi_step", (2, [1, 0]), lambda p: [3, 2, 1, 0]),
+    ):
+        with monkeypatch.context() as patch:
+            _break_kernel(patch, *fault)
+            passes = _count_passes(patch)
+            parallel = verify_all(5, workers=2).to_json_value()
+            assert passes == [True, True], fault[:2]
+            assert not parallel["passed"]
+            assert parallel == verify_all(5).to_json_value() == _full_report(patch, 5)
 
 
 def _count_cells(monkeypatch):
@@ -904,7 +962,7 @@ def test_one_cell_equals_the_merge_of_the_pool_cells(monkeypatch, fault, full):
     labels = tuple(c.label for c in enumeration._REGISTRY if isinstance(c.family, str))
     statistics = tuple(enumeration._RECORD_STATISTICS)
     limit = 3
-    for n in range(1, 6):
+    for n in range(1, 7):
         def run(prefix):
             return enumeration._run_cell(
                 enumeration._Cell(n, prefix, labels, statistics, limit, full)
@@ -925,6 +983,27 @@ NOT_A_MATCHING = {
     "_partner_from_code": (((1, 1, 1),), lambda p: (2, 1, 4, 1, 6, 5)),
     "_phi_step": ((1, [1, 0, 3, 2]), lambda p: [1, 1, 3, 2, 5, 4]),
 }
+
+
+def _is_matching_by_generator(p, base):
+    """The generator form ``_is_matching`` replaced, kept as its oracle."""
+    size = len(p)
+    return all(
+        base <= w < size + base and w != v and p[w - base] == v for v, w in enumerate(p, base)
+    )
+
+
+@pytest.mark.parametrize("base", [0, 1])
+def test_is_matching_equals_the_generator(base):
+    # Every tuple of length up to 6 over the values -2..len+1: negative
+    # values must fail the range test, not wrap around as indexes.
+    from wedgematch.enumeration import _is_matching
+
+    for size in range(7):
+        for p in itertools.product(range(-2, size + 2), repeat=size):
+            assert _is_matching(p, base) == _is_matching_by_generator(p, base), p
+    # The harness passes its 0-based images as lists.
+    assert _is_matching([1, 0], 0) and not _is_matching([-1, 0], 0)
 
 
 @pytest.mark.parametrize("kernel", sorted(NOT_A_MATCHING))
@@ -963,6 +1042,27 @@ def test_a_bad_image_is_reported_not_raised(monkeypatch, capsys):
     assert "result: FAIL" in capsys.readouterr().out
 
 
+def test_a_bad_code_read_is_reported_not_raised(monkeypatch, capsys):
+    # The code read of (1,4),(2,3) comes back with the entry 0, which no
+    # insertion code has.  Counterexamples print such a code raw instead of
+    # raising on it, so the command reports the failed claims and exits 1,
+    # not 2, the code for bad usage.
+    from wedgematch.cli import main
+
+    _break_kernel(monkeypatch, "_sweep", ((4, 3, 2, 1),), _sweep_field(0, lambda b: (0, 1)))
+    claims = verify_all(2).to_json_value()["claims"]
+    assert {label for label, result in claims.items() if result["failed"]} == {
+        "round_trip_psi",
+        "round_trip_psi_inv",
+        "round_trip_big_phi",
+    }
+    assert claims["round_trip_psi"]["counterexamples"] == ["P=ENESSS: comes back as code(0, 1)"]
+    assert main(["verify", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert "result: FAIL" in out
+    assert "error" not in err
+
+
 @pytest.mark.parametrize(
     "workers",
     [
@@ -978,17 +1078,21 @@ def test_a_bad_image_is_reported_not_raised(monkeypatch, capsys):
 )
 def test_cardinality_matchings_counts_perfect_images(monkeypatch, workers):
     # cardinality_matchings counts the records whose m is a perfect matching
-    # of [2n], not the records: with one image broken, it fails alone.
+    # of [2n], not the records: with one image broken, it fails alone.  The
+    # broken code (1, 1, 1, 2, 1) has heights 0, 0, -2, -3, -4, in the second
+    # of the 3 cells of n=5, which a pool's process runs.
     import wedgematch.enumeration as enumeration
 
-    _break_kernel(monkeypatch, "_partner_from_code", *NOT_A_MATCHING["_partner_from_code"])
+    _break_kernel(
+        monkeypatch, "_partner_from_code", ((1, 1, 1, 2, 1),), lambda p: (p[1],) + p[1:]
+    )
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
-    report = verify_all(3, workers=workers, claims=["cardinality_matchings"])
+    report = verify_all(5, workers=workers, claims=["cardinality_matchings"])
     assert report.to_json_value()["claims"] == {
         "cardinality_matchings": {
-            "tested": 15,
+            "tested": 945,
             "failed": 1,
-            "counterexamples": ["14 of 15 images are matchings of [6], expected 15"],
+            "counterexamples": ["944 of 945 images are matchings of [10], expected 945"],
         }
     }
 
