@@ -222,28 +222,31 @@ class _Facts:
     read.
 
     The node of depth k stands for the first k east steps of a streamed
-    path.  Its code ``b`` = (a_k + k, ..., a_1 + 1) is the parent's code
-    with b_1 in front, and ``image``, the 0-based partner list of
-    phi(psi(b)), is one surgery step with b_1 on the parent's image.  A
-    record (a leaf, depth n) also holds its path's ``heights`` (else None)
-    and north steps.  The rest is computed on first use, once:
-    ``m = psi(b)``, whether ``m`` is a perfect matching of [2n],
-    ``nm = phi(m)``, the code read, arc counts, stacking values and block
-    ends of ``m`` (one sweep), the stacking total, the arc counts of
-    ``nm``, ``phi_inv(nm)``, and whether one unwinding step of the image
-    gives back the parent's.
+    path.  It holds its code ``b`` = (a_k + k, ..., a_1 + 1), the parent's
+    code with b_1 in front, its ``parent`` (None at the root, whose code is
+    empty) and, at a record (a leaf, depth n), its path's ``heights`` (else
+    None).  Every other field is computed on first read, once, so a node
+    computes only what its readers read: ``image``, the 0-based partner
+    list of phi(psi(b)), which is one surgery step with b_1 on the parent's
+    image; a record's north steps; ``m = psi(b)``, whether ``m`` is a
+    perfect matching of [2n], ``nm = phi(m)``, the code read, arc counts,
+    stacking values and block ends of ``m`` (one sweep), the stacking
+    total, the arc counts of ``nm``, ``phi_inv(nm)``, and whether one
+    unwinding step of the image gives back the parent's.
     """
 
     def __init__(
-        self,
-        b: tuple[int, ...],
-        parent: _Facts | None,
-        image: list[int],
-        heights: tuple[int, ...] | None = None,
+        self, b: tuple[int, ...], parent: _Facts | None, heights: tuple[int, ...] | None = None
     ) -> None:
-        self.b, self.parent, self.image, self.heights = b, parent, image, heights
-        if heights is not None:
-            self.north = _north_steps(heights)
+        self.b, self.parent, self.heights = b, parent, heights
+
+    @_once
+    def image(self) -> list[int]:
+        return [] if self.parent is None else _phi_step(self.b[0], self.parent.image)
+
+    @_once
+    def north(self) -> int:
+        return _north_steps(self.heights)
 
     @_once
     def m(self) -> tuple[int, ...]:
@@ -286,9 +289,9 @@ class _Facts:
             node = node.parent
         return node
 
-    def name(self, family: str) -> str:
+    def name(self, names_image: bool) -> str:
         """The counterexample's name: the path, or its insertion image."""
-        return f"P={_steps(self.heights)}" if family == "paths" else f"M={_partner_text(self.m)}"
+        return f"M={_partner_text(self.m)}" if names_image else f"P={_steps(self.heights)}"
 
 
 def _partner_text(p: tuple[int, ...]) -> str:
@@ -301,12 +304,14 @@ def _code_tree(n: int, prefix: tuple[int, ...] = ()) -> Iterator[_Facts]:
     start with ``prefix``, each once, a parent before its children; the
     leaves are the paths' records, in stream order.
 
-    phi(psi(b)) is one step with b_1 on phi(psi(b[1:])), and b[1:] is the
-    code of the first n-1 east steps, so the walk goes depth-first through
-    the nested height ranges: the node of depth i + 1 is made once for each
-    value of a_{i+1} under the node of depth i, and its children follow it.
-    A node whose depth the prefix fixes is yielded only by the first cell
-    that shares it, the one whose remaining prefix coordinates are at their
+    The code of a node's first n-1 east steps is its code without b_1, so
+    the walk goes depth-first through the nested height ranges: the node of
+    depth i + 1 is made once for each value of a_{i+1} under the node of
+    depth i, and its children follow it.  A node holds only its code, its
+    parent and a record's heights; its image, phi(psi(b)), is one step with
+    b_1 on its parent's, folded when a reader first asks for it.  A node
+    whose depth the prefix fixes is yielded only by the first cell that
+    shares it, the one whose remaining prefix coordinates are at their
     lowest, so the cells of a size partition the nodes of its tree."""
     coordinate_range = _FAMILIES["paths"][0]
     owned = len(prefix)
@@ -316,18 +321,17 @@ def _code_tree(n: int, prefix: tuple[int, ...] = ()) -> Iterator[_Facts]:
     ranges += [coordinate_range(n, i) for i in range(len(prefix) + 1, n + 1)]
     heights = [0] * n
     # chain[i] is the node of depth i whose children levels[i] runs through.
-    chain = [_Facts((), None, [])]
+    chain = [_Facts((), None)]
     levels = [iter(ranges[0])]
     while levels:
         i = len(levels) - 1
         parent = chain[i]
         for a in levels[i]:
             heights[i] = a
-            b1 = a + i + 1
             if i + 1 == n:
-                yield _Facts((b1,) + parent.b, parent, _phi_step(b1, parent.image), tuple(heights))
+                yield _Facts((a + n,) + parent.b, parent, tuple(heights))
                 continue
-            node = _Facts((b1,) + parent.b, parent, _phi_step(b1, parent.image))
+            node = _Facts((a + i + 1,) + parent.b, parent)
             if i + 1 >= owned:
                 yield node
             chain.append(node)
@@ -338,9 +342,10 @@ def _code_tree(n: int, prefix: tuple[int, ...] = ()) -> Iterator[_Facts]:
             chain.pop()
 
 
-# Tables counted on the path records: whether each record's m is a perfect
-# matching of [2n], and the statistics the distribution claims read; one arc
-# sweep of m gives both arc counts.
+# Tables counted on the path records, each only in a cell whose claims' tables
+# name it: whether each record's m is a perfect matching of [2n], and the
+# statistics the distribution claims read; one arc sweep of m gives both arc
+# counts.
 _RECORD_STATISTICS: dict[str, Callable[[_Facts], int]] = {
     "matchings": lambda f: f.perfect,
     "north_steps": lambda f: f.north,
@@ -564,107 +569,103 @@ def _equidistributed(n: int, tables: dict) -> tuple[int, list[str]]:
 class Claim:
     """One claimed identity, replayed over all objects of a size.
 
-    A claim whose ``family`` is ``"paths"`` or ``"matchings"`` is checked
-    object by object, on one facts record per path: the path and its
-    insertion image, and the images are the matching stream's tuples, each
-    once.  ``check`` gets the record and returns None on a pass or the
-    counterexample detail on a failure, so detail text is built only for
-    failures; ``family`` only chooses whether the counterexample names the
-    path (``P=``) or its image (``M=``), and ``tested`` counts the
-    records.  Otherwise ``family`` names the whole-stream tables, counted
-    on the records, that ``check(n, tables)`` compares (``"paths"``, the
-    records; ``"matchings"``, whether each record's ``m`` is a perfect
-    matching; or a statistic's values), returning the number of values
-    tested and the failure details.  A per-object claim may also have a
+    A claim with ``tables`` is a whole-stream claim: ``tables`` names the
+    tables, counted on the records, that ``check(n, tables)`` compares
+    (``"paths"``, the records; ``"matchings"``, whether each record's ``m``
+    is a perfect matching; or a statistic's values), and ``check`` returns
+    the number of values tested and the failure details.
+
+    A claim without ``tables`` is checked object by object, on one facts
+    record per path: the path and its insertion image, and the images are
+    the matching stream's tuples, each once.  ``check`` gets the record and
+    returns None on a pass or the counterexample detail on a failure, so
+    detail text is built only for failures, and ``tested`` counts the
+    records.  ``names_image`` makes a counterexample name the image
+    (``M=``) instead of the path (``P=``).  Such a claim may also have a
     ``node`` check, one step of its induction on the first edge (see the
     node checks above); a passing size tests the claim by that alone, and
     ``check`` runs only when a failed size is rerun in full.
     """
 
     label: str
-    family: str | tuple[str, ...]
     check: Callable
     description: str
     node: Callable[[_Facts], bool] | None = None
+    tables: tuple[str, ...] = ()
+    names_image: bool = False
 
 
 # Descriptions state what is replayed over the full streams.
 _REGISTRY = (
     Claim(
         "cardinality_paths",
-        ("paths",),
         _cardinality,
         "the path stream yields exactly (2n-1)!! objects",
+        tables=("paths",),
     ),
     Claim(
         "cardinality_matchings",
-        ("matchings",),
         _perfect_images,
         "exactly (2n-1)!! insertion images are perfect matchings of [2n]",
+        tables=("matchings",),
     ),
     Claim(
         "round_trip_psi",
-        "paths",
         _round_trip_psi,
         "decoding undoes the insertion map on every path",
     ),
     Claim(
         "round_trip_psi_inv",
-        "matchings",
         _round_trip_psi_inv,
         "the insertion map undoes decoding on every matching",
         _reads_back,
+        names_image=True,
     ),
     Claim(
         "round_trip_phi",
-        "matchings",
         _round_trip_phi,
         "the inverse rearrangement undoes the rearrangement",
         _unwinds_to_parent,
+        names_image=True,
     ),
     Claim(
         "round_trip_phi_inv",
-        "matchings",
         _round_trip_phi_inv,
         "the rearrangement undoes the inverse rearrangement",
         _unwinds_a_matching,
+        names_image=True,
     ),
     Claim(
         "round_trip_big_phi",
-        "paths",
         _round_trip_big_phi,
         "the full inverse undoes the full bijection on every path",
         _big_phi_node,
     ),
     Claim(
         "lemma1",
-        "paths",
         _lemma1,
         "north steps equal the insertion image's stacking statistic, "
         "indexwise per the code-difference formula",
     ),
     Claim(
         "theorem2",
-        "matchings",
         _theorem2,
         "the rearrangement turns the stacking statistic into the "
         "nesting count and keeps the first edge in place",
+        names_image=True,
     ),
     Claim(
         "theorem1",
-        "paths",
         _theorem1,
         "the full bijection sends the north-step count to the nesting count",
     ),
     Claim(
         "proposition_a",
-        "paths",
         _proposition_a,
         "the final south run k pairs vertex 1 with k+1 in the image",
     ),
     Claim(
         "proposition_b",
-        "paths",
         _proposition_b,
         "path components, read backwards, match the image's "
         "components, and the rearrangement acts componentwise",
@@ -672,22 +673,21 @@ _REGISTRY = (
     ),
     Claim(
         "dyck_proposition",
-        "paths",
         _dyck_proposition,
         "north-free paths map to nesting-free matchings whose "
         "left endpoints read off the reversed steps",
     ),
     Claim(
         "distribution_north_nestings",
-        ("north_steps", "nestings"),
         _equidistributed,
         "north steps and nestings are equidistributed",
+        tables=("north_steps", "nestings"),
     ),
     Claim(
         "distribution_nestings_crossings",
-        ("nestings", "crossings"),
         _equidistributed,
         "nestings and crossings are equidistributed",
+        tables=("nestings", "crossings"),
     ),
 )
 _CLAIMS_BY_LABEL = {claim.label: claim for claim in _REGISTRY}
@@ -761,30 +761,34 @@ class _Cell:
     size of more than one ``_cells`` cell is run as that partition, shared
     by this process and the pool; one worker, or a size of one cell, runs
     it as one cell with prefix ``()``, the whole path stream.  A cell
-    walks the nodes on its paths' chains, counts its records and the
-    ``statistics`` on them, and tests each claim by its node checks, or by
-    its per-object check at the records if it has none; with ``full`` set,
-    every record runs each claim's per-object check instead."""
+    walks the nodes on its paths' chains for the claims ``labels`` names:
+    it counts its records and, on them, the tables its whole-stream claims
+    compare, and tests each per-object claim by its node checks, or by its
+    per-object check at the records if it has none; with ``full`` set,
+    every record runs each per-object claim's check instead."""
 
     n: int
     prefix: tuple[int, ...]
     labels: tuple[str, ...]
-    statistics: tuple[str, ...]
     limit: int
     full: bool = False
 
 
 def _run_cell(cell: _Cell) -> tuple[int, dict[str, list], dict[str, Counter]] | None:
-    """Worker body: the cell's object count, [failed, examples] per claim
-    label and a Counter per statistic, as plain values, so the result can
-    cross a process boundary.  Without ``full``, the first failed test ends
-    the cell with None."""
+    """Worker body: the cell's object count, [failed, examples] per
+    per-object claim label and a Counter per record table its claims read,
+    as plain values, so the result can cross a process boundary.  Without
+    ``full``, the first failed test ends the cell with None."""
     claims = [_CLAIMS_BY_LABEL[label] for label in cell.labels]
-    nodes = [] if cell.full else [c.node for c in claims if c.node is not None]
-    checks = [(c.label, c.family, c.check) for c in claims if cell.full or c.node is None]
-    failures: dict[str, list] = {label: [0, []] for label in cell.labels}
-    counters = {name: Counter() for name in cell.statistics}
-    statistics = [(_RECORD_STATISTICS[name], counters[name]) for name in cell.statistics]
+    per_object = [c for c in claims if not c.tables]
+    nodes = [] if cell.full else [c.node for c in per_object if c.node is not None]
+    checks = [
+        (c.label, c.names_image, c.check) for c in per_object if cell.full or c.node is None
+    ]
+    failures: dict[str, list] = {c.label: [0, []] for c in per_object}
+    read = {name for c in claims for name in c.tables}
+    counters = {name: Counter() for name in _RECORD_STATISTICS if name in read}
+    statistics = [(_RECORD_STATISTICS[name], counter) for name, counter in counters.items()]
     count = 0
     for f in _code_tree(cell.n, cell.prefix):
         for node in nodes:
@@ -795,7 +799,7 @@ def _run_cell(cell: _Cell) -> tuple[int, dict[str, list], dict[str, Counter]] | 
         count += 1
         for fn, counter in statistics:
             counter[fn(f)] += 1
-        for label, family, check in checks:
+        for label, names_image, check in checks:
             detail = check(f)
             if detail is not None:
                 if not cell.full:
@@ -803,7 +807,7 @@ def _run_cell(cell: _Cell) -> tuple[int, dict[str, list], dict[str, Counter]] | 
                 slot = failures[label]
                 slot[0] += 1
                 if len(slot[1]) < cell.limit:
-                    slot[1].append(f"{f.name(family)}: {detail}")
+                    slot[1].append(f"{f.name(names_image)}: {detail}")
     return count, failures, counters
 
 
@@ -827,15 +831,9 @@ def _verify_size(
     cell."""
     started = time.perf_counter()
     chosen = [claim for claim in _REGISTRY if claim.label in selected]
-    tables_read = {
-        name for claim in chosen if isinstance(claim.family, tuple) for name in claim.family
-    }
-    per_object = tuple(claim.label for claim in chosen if isinstance(claim.family, str))
-    counted = tuple(name for name in _RECORD_STATISTICS if name in tables_read)
-    cells = [
-        _Cell(n, prefix, per_object, counted, limit)
-        for prefix in (_cells(n) if pool is not None else [()])
-    ]
+    labels = tuple(claim.label for claim in chosen)
+    prefixes = _cells(n) if pool is not None else [()]
+    cells = [_Cell(n, prefix, labels, limit) for prefix in prefixes]
     results = _run_cells(cells, pool, workers)
     # A failed test anywhere reruns every cell with every claim's per-object
     # check on every record, and the report comes from that pass alone.
@@ -856,15 +854,12 @@ def _verify_size(
 
     outcomes = []
     for claim in chosen:
-        if isinstance(claim.family, tuple):
-            tested, details = claim.check(n, {name: tables[name] for name in claim.family})
+        if claim.tables:
+            tested, details = claim.check(n, {name: tables[name] for name in claim.tables})
             outcome = ClaimResult(claim.label, tested, len(details), tuple(details[:limit]))
         else:
             outcome = ClaimResult(
-                claim.label,
-                tables["paths"],
-                failed[claim.label],
-                tuple(examples[claim.label]),
+                claim.label, tables["paths"], failed[claim.label], tuple(examples[claim.label])
             )
         outcomes.append(outcome)
     elapsed = time.perf_counter() - started

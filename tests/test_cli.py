@@ -1,5 +1,7 @@
 """Command-line behaviour: formats, directions, and exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import random
@@ -8,7 +10,10 @@ import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
+from strategies import matchings, wedge_paths
 
 import wedgematch
 from wedgematch import Matching
@@ -405,3 +410,86 @@ def test_closed_unbuffered_stdout_exits_141_without_traceback():
     assert code == 141
     assert "Traceback" not in err
     assert "Exception ignored" not in err
+
+
+# -- any argv -------------------------------------------------------------------
+
+# The exit codes the module docstring documents for main (141 is run()'s).
+EXIT_CODES = {0, 1, 2, 3, 4, 5, 130}
+TEXT_ALPHABET = "()ENSens,0123456789- "
+
+
+@st.composite
+def object_tokens(draw):
+    """Object text near the valid forms: a valid matching, step word or
+    height list, perhaps with one character dropped, changed or added,
+    perhaps after a format word, and split into tokens at its spaces."""
+    text = draw(
+        st.one_of(
+            matchings(max_n=5).map(Matching.to_text),
+            wedge_paths(max_n=5).map(lambda p: p.to_steps()),
+            wedge_paths(max_n=5).map(lambda p: p.to_height_text()),
+            st.text(TEXT_ALPHABET, max_size=12),
+        )
+    )
+    if text and draw(st.booleans()):
+        i = draw(st.integers(0, len(text) - 1))
+        edit = draw(st.sampled_from(["drop", "change", "add"]))
+        c = draw(st.sampled_from(TEXT_ALPHABET))
+        text = text[:i] + ("" if edit == "drop" else c) + text[i + (edit != "add") :]
+    word = draw(st.sampled_from([[], ["pairs"], ["steps"], ["heights"], ["Steps"]]))
+    return word + (text.split() or [text])
+
+
+def _number():
+    """A numeric flag's argument: small integers around the valid range,
+    or text that is no integer."""
+    return st.one_of(st.integers(-2, 4).map(str), st.sampled_from(["", "x", "1.5", "+1"]))
+
+
+def _flags(*names):
+    """Zero or more of the named numeric options, each with its argument."""
+    return st.lists(st.tuples(st.sampled_from(names), _number()), max_size=3).map(
+        lambda pairs: [token for pair in pairs for token in pair]
+    )
+
+
+ARGVS = st.one_of(
+    st.tuples(
+        st.just(["convert"]),
+        st.sampled_from([["--to-matching"], ["--to-path"], [], ["--to-matching", "--to-path"]]),
+        st.sampled_from([[], ["--via", "psi"], ["--via", "phi"], ["--via", "Phi"], ["--via", "x"]]),
+        st.sampled_from([[], ["--json"]]),
+        object_tokens(),
+    ),
+    st.tuples(st.just(["stats"]), st.sampled_from([[], ["--json"]]), object_tokens()),
+    st.tuples(st.just(["render"]), st.sampled_from([[], ["--format", "ascii"]]), object_tokens()),
+    st.tuples(
+        st.just(["enumerate"]),
+        st.integers(-1, 3).map(lambda n: [str(n)]),
+        st.sampled_from([["north_steps"], ["nestings"], ["crossings"], ["st_total"], ["x"]]),
+        st.sampled_from([[], ["--json"], ["--csv"], ["--json", "--csv"]]),
+        _flags("--max-n"),
+    ),
+    st.tuples(
+        st.just(["verify"]),
+        st.integers(-1, 3).map(lambda n: [str(n)]),
+        st.sampled_from([[], ["--json"], ["--claims", "lemma1,theorem1"], ["--claims", ","]]),
+        _flags("--max-n", "--workers", "--limit"),
+    ),
+).map(lambda parts: [token for part in parts for token in part])
+
+
+@settings(max_examples=300, deadline=None)
+@given(ARGVS)
+def test_any_argv_exits_with_a_documented_code(argv):
+    # No argv near the valid forms ends in a traceback: main returns one of
+    # the documented codes, or argparse exits 2 on a usage error.  Sizes
+    # stay at most 3, one cell, so verify never starts a process pool.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in EXIT_CODES, (argv, code, err.getvalue())

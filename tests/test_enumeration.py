@@ -691,29 +691,25 @@ def test_sweep_differential_sees_a_broken_public_kernel(monkeypatch, kernel):
 
 def _code_tree_by_diff(n, prefix=()):
     """The oracle for the harness's walk: stream the paths as one product of
-    their height ranges and, for each path, make nodes from the depth after
-    the first height that differs from the previous path's."""
-    from wedgematch.bijections import _phi_step
-    from wedgematch.enumeration import _FAMILIES, _Facts
+    their height ranges and, for each path, give (code, image, heights) for
+    each depth after the first height that differs from the previous
+    path's.  The image is phi's own walk of the code, not a fold along the
+    tree, so the oracle does not read the walk's lazy images."""
+    from wedgematch.bijections import _phi_walk
+    from wedgematch.enumeration import _FAMILIES
 
     owned = len(prefix)
     while owned and prefix[owned - 1] == _FAMILIES["paths"][0](n, owned)[0]:
         owned -= 1
-    chain = [_Facts((), None, [])] * (n + 1)
+    codes = [()] * (n + 1)
     previous = ()
     for heights in _paths_under(n, prefix):
         k = next((i for i, (x, y) in enumerate(zip(heights, previous)) if x != y), 0)
         for i in range(k, n):
-            parent = chain[i]
-            b1 = heights[i] + i + 1
-            chain[i + 1] = _Facts(
-                (b1,) + parent.b,
-                parent,
-                _phi_step(b1, parent.image),
-                heights if i + 1 == n else None,
-            )
+            b = codes[i + 1] = (heights[i] + i + 1,) + codes[i]
             if i + 1 >= owned:
-                yield chain[i + 1]
+                image = [v - 1 for v in _phi_walk(b)]
+                yield b, image, heights if i + 1 == n else None
         previous = heights
 
 
@@ -727,7 +723,7 @@ def test_code_tree_walk_equals_the_product_diff(n):
     # images and the records' heights in the order the product-and-diff walk
     # does: for the whole stream, and for each pool cell up to n=5.
     for prefix in [()] + (_cells(n) if n <= 5 else []):
-        assert _walked(_code_tree(n, prefix)) == _walked(_code_tree_by_diff(n, prefix)), prefix
+        assert _walked(_code_tree(n, prefix)) == list(_code_tree_by_diff(n, prefix)), prefix
 
 
 # The claims the harness checks node by node along the code tree, and those
@@ -959,14 +955,11 @@ def test_one_cell_equals_the_merge_of_the_pool_cells(monkeypatch, fault, full):
     spec = DIFFERENTIAL_FAULTS[fault]
     if spec is not None:
         _break_kernel(monkeypatch, *spec)
-    labels = tuple(c.label for c in enumeration._REGISTRY if isinstance(c.family, str))
-    statistics = tuple(enumeration._RECORD_STATISTICS)
+    labels = tuple(enumeration.CLAIMS)
     limit = 3
     for n in range(1, 7):
         def run(prefix):
-            return enumeration._run_cell(
-                enumeration._Cell(n, prefix, labels, statistics, limit, full)
-            )
+            return enumeration._run_cell(enumeration._Cell(n, prefix, labels, limit, full))
 
         whole = run(())
         pieces = [run(prefix) for prefix in _cells(n)]
@@ -1124,3 +1117,52 @@ def test_a_passing_run_builds_no_objects(monkeypatch, workers):
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
     payload = json.dumps(verify_all(5, workers=workers).to_json_value())
     assert hashlib.sha256(payload.encode()).hexdigest() == VERIFY_PAYLOAD_DIGESTS[5]
+
+
+# The claims none of whose checks, node checks or tables read a node's image.
+IMAGE_FREE = (
+    "cardinality_paths",
+    "cardinality_matchings",
+    "distribution_north_nestings",
+    "distribution_nestings_crossings",
+    "round_trip_psi",
+    "round_trip_psi_inv",
+    "lemma1",
+)
+
+
+@pytest.mark.parametrize(
+    "claims", [[label] for label in IMAGE_FREE] + [None], ids=[*IMAGE_FREE, "all"]
+)
+def test_the_fold_runs_once_per_node_and_only_when_read(monkeypatch, claims):
+    # A node's image is one phi step on its parent's, folded when first
+    # read: a passing verify_all(6) folds no step for a claim that reads no
+    # image, and one per node of depths 1..6 for the full claim set.  Only
+    # the harness's own fold is counted, not the walks of phi's kernel.
+    import wedgematch.enumeration as enumeration
+
+    step = enumeration._phi_step
+    calls = []
+
+    def counting(b1, p):
+        calls.append(b1)
+        return step(b1, p)
+
+    monkeypatch.setattr(enumeration, "_phi_step", counting)
+    assert verify_all(6, claims=claims).passed
+    assert len(calls) == (0 if claims else 1 + 3 + 15 + 105 + 945 + 10_395)
+
+
+@pytest.mark.parametrize("fault", ["none", "_phi_step_depth_2"])
+def test_a_claim_alone_reports_as_in_the_full_run(monkeypatch, fault):
+    # Each claim selection computes only the fields its claims read, so a
+    # claim run alone must report exactly its entry of the full run: on a
+    # passing run, and under a fault that sends the full run to its rerun.
+    spec = DIFFERENTIAL_FAULTS[fault]
+    if spec is not None:
+        _break_kernel(monkeypatch, *spec)
+    for n in range(1, 7):
+        full = verify_all(n).to_json_value()["claims"]
+        for label in CLAIMS:
+            alone = verify_all(n, claims=[label]).to_json_value()["claims"]
+            assert alone == {label: full[label]}, (fault, n, label)
