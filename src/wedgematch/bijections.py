@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InvalidMatchingError
-from .matching import Matching
+from .matching import Matching, _sweep
 from .paths import WedgePath
 
 __all__ = [
@@ -94,27 +94,6 @@ def _partner_from_code(b: Sequence[int]) -> tuple[int, ...]:
     return tuple(table)
 
 
-def _code_from_partner(partner: Sequence[int]) -> tuple[int, ...]:
-    """Recover the code in one left-to-right sweep of the partner table.
-
-    Insertion step i connects the i-th left endpoint v to its mate w, and
-    b_i is the position of w among the vertices still free, v being at 0.
-    The vertices of (v, w) taken by earlier steps are the right endpoints
-    before w of the arcs still open at v, which the sweep keeps sorted as
-    :meth:`Matching.st_total` does, so b_i = w - v - (that count).
-    """
-    b: list[int] = []
-    open_rights: list[int] = []
-    for v, w in enumerate(partner, start=1):
-        if v > w:
-            del open_rights[0]
-            continue
-        k = bisect.bisect_left(open_rights, w)
-        b.append(w - v - k)
-        open_rights.insert(k, w)
-    return tuple(b)
-
-
 def psi(path: WedgePath) -> Matching:
     """Map a wedge path to a matching via its insertion code.
 
@@ -132,7 +111,7 @@ def psi_inv(m: Matching) -> WedgePath:
     """
     if m.n == 0:
         raise InvalidMatchingError("the empty matching has no path preimage")
-    return path_from_code(InsertionCode(_code_from_partner(m.partner)))
+    return path_from_code(InsertionCode(_sweep(m.partner)[0]))
 
 
 # -- the three-case rearrangement -------------------------------------------
@@ -195,8 +174,8 @@ def _phi_walk(code: Sequence[int]) -> tuple[int, ...]:
 
 
 def _phi_partner(partner: Sequence[int]) -> tuple[int, ...]:
-    """The kernel of :func:`phi`: read the code, then walk it."""
-    return _phi_walk(_code_from_partner(partner))
+    """The kernel of :func:`phi`: read the code with ``_sweep``, then walk it."""
+    return _phi_walk(_sweep(partner)[0])
 
 
 def phi(m: Matching) -> Matching:

@@ -30,7 +30,7 @@ from .bijections import (
     _phi_walk,
     path_from_code,
 )
-from .errors import OverCapError
+from .errors import InvalidMatchingError, OverCapError
 from .matching import Matching, _arc_counts, _blocks, _check_partner, _stacking, _sweep
 from .paths import (
     WedgePath, _cuts, _final_south_run, _north_steps, _reversed_south_positions, _steps
@@ -81,12 +81,11 @@ def double_factorial(n: int) -> int:
 # a path is its heights a_i in [-(i-1), i-1], a matching its insertion code
 # b_i in [1, 2(n-i)+1].  Per family: the range of coordinate i, and the
 # object built from all n coordinates (a matching as its partner tuple,
-# checked as Matching checks it).
+# which its readers check once, as Matching checks it).
 
 _FAMILIES: dict[str, tuple[Callable[[int, int], range], Callable]] = {
     "paths": (lambda n, i: range(-(i - 1), i), WedgePath),
-    "matchings": (lambda n, i: range(1, 2 * (n - i) + 2),
-                  lambda b: _check_partner(_partner_from_code(b))),
+    "matchings": (lambda n, i: range(1, 2 * (n - i) + 2), _partner_from_code),
 }
 
 
@@ -121,12 +120,13 @@ def all_matchings(n: int) -> Iterator[Matching]:
 
 # -- distribution tables ------------------------------------------------------
 
-# Each statistic with the family it is counted over.
+# Each statistic with the family it is counted over; a matching's statistic
+# checks its partner tuple first.
 _STATISTICS: dict[str, tuple[str, Callable]] = {
     "north_steps": ("paths", WedgePath.north_steps),
-    "nestings": ("matchings", lambda partner: _arc_counts(partner)[1]),
-    "crossings": ("matchings", lambda partner: _arc_counts(partner)[0]),
-    "st_total": ("matchings", lambda partner: sum(_stacking(partner))),
+    "nestings": ("matchings", lambda partner: _arc_counts(_check_partner(partner))[1]),
+    "crossings": ("matchings", lambda partner: _arc_counts(_check_partner(partner))[0]),
+    "st_total": ("matchings", lambda partner: sum(_stacking(_check_partner(partner)))),
 }
 STATISTICS = tuple(_STATISTICS)
 
@@ -231,8 +231,9 @@ class _Facts:
     image; a record's north steps; ``m = psi(b)``, whether ``m`` is a
     perfect matching of [2n], ``nm = phi(m)``, the code read, arc counts,
     stacking values and block ends of ``m`` (one sweep), the stacking
-    total, the arc counts of ``nm``, ``phi_inv(nm)``, and whether one
-    unwinding step of the image gives back the parent's.
+    total, the arc counts of ``nm``, ``phi_inv(nm)`` (or why the unwinding
+    refuses ``nm``), and whether one unwinding step of the image gives back
+    the parent's.
     """
 
     def __init__(
@@ -274,13 +275,17 @@ class _Facts:
         return sum(self.stacking)
 
     @_once
-    def back(self) -> tuple[int, ...]:
-        return _phi_inv_partner(self.nm)
+    def back(self) -> tuple[int, ...] | str:
+        return _unwound(lambda: _phi_inv_partner(self.nm))
 
     @_once
     def unwinds(self) -> bool:
         """One unwinding step of the image gives back b_1 and the parent's image."""
-        return _phi_inv_step(self.image) == (self.b[0], self.parent.image)
+        try:
+            step = _phi_inv_step(self.image)
+        except InvalidMatchingError:
+            return False
+        return step == (self.b[0], self.parent.image)
 
     def ancestor(self, depth: int) -> _Facts:
         """The node of this one's chain at the given depth."""
@@ -292,6 +297,15 @@ class _Facts:
     def name(self, names_image: bool) -> str:
         """The counterexample's name: the path, or its insertion image."""
         return f"M={_partner_text(self.m)}" if names_image else f"P={_steps(self.heights)}"
+
+
+def _unwound(unwind: Callable[[], tuple[int, ...]]) -> tuple[int, ...] | str:
+    """``unwind()``, or why it refuses its input, so that an image a fault
+    made no matching fails the claims that unwind it instead of the run."""
+    try:
+        return unwind()
+    except ValueError as error:
+        return str(error)
 
 
 def _partner_text(p: tuple[int, ...]) -> str:
@@ -309,14 +323,11 @@ def _code_tree(n: int, prefix: tuple[int, ...] = ()) -> Iterator[_Facts]:
     depth i + 1 is made once for each value of a_{i+1} under the node of
     depth i, and its children follow it.  A node holds only its code, its
     parent and a record's heights; its image, phi(psi(b)), is one step with
-    b_1 on its parent's, folded when a reader first asks for it.  A node
-    whose depth the prefix fixes is yielded only by the first cell that
-    shares it, the one whose remaining prefix coordinates are at their
-    lowest, so the cells of a size partition the nodes of its tree."""
+    b_1 on its parent's, folded when a reader first asks for it.  The cells
+    of a size partition its records, and each also yields the nodes of
+    the depths its prefix fixes, which other cells share: their checks are
+    pure, so repeating them changes no report."""
     coordinate_range = _FAMILIES["paths"][0]
-    owned = len(prefix)
-    while owned and prefix[owned - 1] == coordinate_range(n, owned)[0]:
-        owned -= 1
     ranges = [range(a, a + 1) for a in prefix]
     ranges += [coordinate_range(n, i) for i in range(len(prefix) + 1, n + 1)]
     heights = [0] * n
@@ -332,8 +343,7 @@ def _code_tree(n: int, prefix: tuple[int, ...] = ()) -> Iterator[_Facts]:
                 yield _Facts((a + n,) + parent.b, parent, tuple(heights))
                 continue
             node = _Facts((a + i + 1,) + parent.b, parent)
-            if i + 1 >= owned:
-                yield node
+            yield node
             chain.append(node)
             levels.append(iter(ranges[i + 1]))
             break
@@ -366,14 +376,19 @@ def _code_text(b: tuple[int, ...]) -> str:
         return f"code{b}"
 
 
+def _came_back(back: tuple[int, ...] | str, text: Callable[[tuple[int, ...]], str]) -> str:
+    """A failed round trip's detail: what came back, or why unwinding refused."""
+    return f"does not unwind: {back}" if isinstance(back, str) else f"comes back as {text(back)}"
+
+
 def _round_trip_psi(f: _Facts) -> str | None:
     back = f.code_back
     return None if back == f.b else f"comes back as {_code_text(back)}"
 
 
 def _round_trip_big_phi(f: _Facts) -> str | None:
-    back = _sweep(f.back)[0]
-    return None if back == f.b else f"comes back as {_code_text(back)}"
+    back = f.back if isinstance(f.back, str) else _sweep(f.back)[0]
+    return None if back == f.b else _came_back(back, _code_text)
 
 
 def _lemma1(f: _Facts) -> str | None:
@@ -440,12 +455,12 @@ def _round_trip_psi_inv(f: _Facts) -> str | None:
 
 
 def _round_trip_phi(f: _Facts) -> str | None:
-    return None if f.back == f.m else f"comes back as {_partner_text(f.back)}"
+    return None if f.back == f.m else _came_back(f.back, _partner_text)
 
 
 def _round_trip_phi_inv(f: _Facts) -> str | None:
-    back = _phi_walk(_check_code(_phi_inv_code(f.m)))
-    return None if back == f.m else f"comes back as {_partner_text(back)}"
+    back = _unwound(lambda: _phi_walk(_check_code(_phi_inv_code(f.m))))
+    return None if back == f.m else _came_back(back, _partner_text)
 
 
 def _theorem2(f: _Facts) -> str | None:

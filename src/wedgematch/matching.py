@@ -283,18 +283,21 @@ def _stacking(partner: tuple[int, ...]) -> list[int]:
 def _sweep(
     partner: tuple[int, ...],
 ) -> tuple[tuple[int, ...], tuple[int, int, int], list[int], list[int]]:
-    """The code read, ``(crossings, nestings, alignments)``, the stacking
-    values and the block ends of ``partner``, in one left-to-right sweep.
+    """The insertion code, ``(crossings, nestings, alignments)``, the
+    stacking values and the block ends of ``partner``, in one left-to-right
+    sweep; ``psi_inv``, ``phi`` and the harness read the code only here.
 
-    Each field equals what its single-purpose kernel gives:
-    :func:`~wedgematch.bijections._code_from_partner`, :func:`_arc_counts`,
-    :func:`_stacking`, and the vertex that ends each block of
-    :func:`_blocks`.  The first three read the slot ``k`` at which an
-    opening arc's right endpoint enters ``open_rights``.  The stacking
-    window of the previous left endpoint's mate b needs no second search:
-    b still sits at the slot it entered at, less one for each arc closed
-    since, as each closing drops the least open right endpoint.  A block
-    ends where the last open arc closes.
+    Insertion step i connects the i-th left endpoint v to its mate w, at
+    position b_i among the vertices still free (v at 0).  The vertices of
+    (v, w) taken by earlier steps are the right endpoints before w of the
+    arcs open at v, so b_i = w - v - k, where w enters ``open_rights`` at
+    slot k; the arc counts read the same slot.  The other fields equal
+    :func:`_arc_counts`, :func:`_stacking` and the vertex that ends each
+    block of :func:`_blocks`.  The stacking window of the previous left
+    endpoint's mate b needs no second search: b still sits at the slot it
+    entered at, less one for each arc closed since, as each closing drops
+    the least open right endpoint.  A block ends where the last open arc
+    closes.
     """
     n = len(partner) // 2
     code: list[int] = []

@@ -25,7 +25,6 @@ from wedgematch import (
 )
 from wedgematch.bijections import (
     _check_code,
-    _code_from_partner,
     _partner_from_code,
     _phi_inv_code,
     _phi_inv_step,
@@ -34,7 +33,7 @@ from wedgematch.bijections import (
 )
 from wedgematch.cli import main
 from wedgematch.enumeration import _code_tree, _objects, all_matchings, all_paths
-from wedgematch.matching import _blocks
+from wedgematch.matching import _blocks, _sweep
 
 EXAMPLE_IMAGE = [(1, 4), (2, 14), (3, 12), (5, 8), (6, 9), (7, 11), (10, 13)]
 
@@ -102,7 +101,7 @@ def _free_list_code(m):
 
 
 def _check_code_sweep(m):
-    code = _code_from_partner(m.partner)
+    code = _sweep(m.partner)[0]
     assert code == _free_list_code(m)
     p = path_from_code(InsertionCode(code))
     assert big_phi(p) == phi(psi(p))
@@ -130,7 +129,7 @@ def test_first_block_of_an_insertion_has_the_leading_code(n):
         m = _partner_from_code(b)
         end = len(_blocks(m)[0][1])
         s = end // 2
-        assert _code_from_partner(m[:end]) == b[:s], b
+        assert _sweep(m[:end])[0] == b[:s], b
         assert m[end:] == tuple(v + end for v in _partner_from_code(b[s:])), b
 
 
@@ -240,9 +239,9 @@ def test_path_records_fold_phi(n):
     # depth.  The nodes above the records are checked too.
     for f in _code_tree(n):
         m = Matching(f.m)
-        assert f.b == _code_from_partner(f.m)
+        assert f.b == _sweep(f.m)[0]
         assert f.nm == _phi_walk(f.b) == phi(m).partner
-        assert _phi_inv_code(f.m) == _code_from_partner(phi_inv(m).partner)
+        assert _phi_inv_code(f.m) == _sweep(phi_inv(m).partner)[0]
 
 
 # One entry out of range: too low in the middle, too high first or last.

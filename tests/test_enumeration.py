@@ -164,17 +164,43 @@ def test_path_codes_insert_to_the_matching_stream(n):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_cells_partition_the_code_tree(n):
-    # Each node of depths 1..n is walked by every cell whose paths pass
-    # through it, and yielded, for its node checks, by exactly one of them.
+    # The cells partition the records, the leaves of the tree.  Each node
+    # above them is yielded, for its node checks, by every cell whose paths
+    # pass through it, so by at least one.
     tree = [(f.b, f.heights is not None) for f in _code_tree(n)]
     pieces = [
         (f.b, f.heights is not None) for prefix in _cells(n) for f in _code_tree(n, prefix)
     ]
-    assert sorted(pieces) == sorted(tree)
+    assert set(pieces) == set(tree)
+    assert sorted(piece for piece in pieces if piece[1]) == sorted(b for b in tree if b[1])
     assert len(set(tree)) == len(tree) == sum(double_factorial(k) for k in range(1, n + 1))
     assert [b for b, leaf in tree if leaf] == [
         _code_from_heights(heights) for heights, _ in _objects("paths", n)
     ]
+
+
+def test_each_streamed_matching_is_checked_once(monkeypatch):
+    # all_matchings builds each Matching from an unchecked insertion image,
+    # so Matching's own check is the only one; distribution checks each
+    # partner tuple it counts once.
+    import wedgematch.enumeration as enumeration
+    import wedgematch.matching as matching
+
+    calls = Counter()
+    check = matching._check_partner
+
+    def counted(table):
+        calls[table] += 1
+        return check(table)
+
+    for module in (matching, enumeration):
+        monkeypatch.setattr(module, "_check_partner", counted)
+    assert sum(1 for _ in all_matchings(5)) == 945
+    assert len(calls) == calls.total() == 945
+    for statistic in ("nestings", "crossings", "st_total"):
+        calls.clear()
+        distribution(5, statistic)
+        assert len(calls) == calls.total() == 945, statistic
 
 
 def test_streams_reject_nonpositive_size():
@@ -605,7 +631,6 @@ def _sweep_field(index, wrong):
 # name: (kernel, the arguments on which it answers wrongly, the wrong answer).
 KERNEL_FAULTS = {
     "_partner_from_code": ("_partner_from_code", (CODE,), _other_partner),
-    "_code_from_partner": ("_code_from_partner", ((4, 3, 2, 1),), lambda b: (1, 1)),
     "_phi_step": ("_phi_step", FOLD_STEP, lambda p: [1, 0, 3, 2, 5, 4]),
     "_phi_inv_step": ("_phi_inv_step", ([v - 1 for v in NESTED],), lambda step: (1, step[1])),
     "_phi_walk": ("_phi_walk", ((3, 1),), _other_partner),
@@ -636,35 +661,54 @@ def _random_partner(rng, n):
     return tuple(table)
 
 
-def _sweep_mismatch():
-    """The first partner tuple on which a field of the harness's sweep
-    differs from the single-purpose kernel the public API runs, or None:
-    over the empty matching, every matching of sizes 1..6, and 200 seeded
+def _sweep_partners():
+    """The empty matching, every matching of sizes 1..6, and 200 seeded
     random ones at each of n = 16, 64, 256 and 1024."""
-    import wedgematch.bijections as bijections
-    import wedgematch.matching as matching
-
     rng = random.Random(2008)
-    partners = itertools.chain(
+    return itertools.chain(
         [()],
         *([p for _, p in _objects("matchings", n)] for n in range(1, 7)),
         (_random_partner(rng, n) for n in (16, 64, 256, 1024) for _ in range(200)),
     )
-    for p in partners:
+
+
+def _sweep_mismatch():
+    """The first of the sweep partners on which a field of the harness's
+    sweep other than the code differs from the single-purpose kernel the
+    public API runs, or None."""
+    import wedgematch.matching as matching
+
+    for p in _sweep_partners():
         single = (
-            bijections._code_from_partner(p),
             matching._arc_counts(p),
             matching._stacking(p),
             [start + len(block) for start, block in matching._blocks(p)],
         )
-        if matching._sweep(p) != single:
+        if matching._sweep(p)[1:] != single:
+            return p
+    return None
+
+
+def _bad_code_read():
+    """The first of the sweep partners whose code read is not an insertion
+    code that inserts back to it, or None.  The insertion procedure, on a
+    list of free vertices, shares no code with the sweep."""
+    import wedgematch.matching as matching
+
+    for p in _sweep_partners():
+        code, n = matching._sweep(p)[0], len(p) // 2
+        in_range = len(code) == n and all(
+            1 <= b <= 2 * (n - i) + 1 for i, b in enumerate(code, start=1)
+        )
+        if not (in_range and _partner_from_code(code) == p):
             return p
     return None
 
 
 def test_sweep_equals_the_single_purpose_kernels():
     # The harness reads m's code, arc counts, stacking values and block ends
-    # off one sweep; the public API keeps a kernel for each, which this pins.
+    # off one sweep; the public API keeps a kernel for each of the last
+    # three, which this pins.
     from wedgematch.matching import _sweep
 
     assert _sweep_mismatch() is None
@@ -673,10 +717,29 @@ def test_sweep_equals_the_single_purpose_kernels():
             assert _sweep(m.partner)[2] == [m.st_component(i) for i in range(1, m.n)], m
 
 
+def test_sweep_code_inserts_back_to_its_matching():
+    # The sweep's code read is the only one: psi_inv, phi and the harness
+    # all run it.  The insertion oracle pins it.
+    assert _bad_code_read() is None
+
+
+# Wrong code reads of NESTED: another insertion code, and one whose first
+# entry is out of range yet, as a list index, pops the same free vertex.
+SWEEP_CODE_FAULTS = {
+    "other_code": _other_code,
+    "out_of_range": lambda b: (-1, *b[1:]),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(SWEEP_CODE_FAULTS))
+def test_insertion_oracle_sees_a_broken_code_read(monkeypatch, fault):
+    _break_kernel(monkeypatch, "_sweep", (NESTED,), _sweep_field(0, SWEEP_CODE_FAULTS[fault]))
+    assert _bad_code_read() == NESTED
+
+
 # The single-purpose kernels the harness no longer runs on a record's m, each
 # with a wrong answer on NESTED: the sweep's differential test must see it.
 PUBLIC_KERNEL_FAULTS = {
-    "_code_from_partner": ("_code_from_partner", (NESTED,), _other_code),
     "_arc_counts": KERNEL_FAULTS["_arc_counts"],
     "_stacking": ("_stacking", (NESTED,), lambda s: [s[0] + 1, *s[1:]]),
     "_blocks": KERNEL_FAULTS["_blocks"],
@@ -696,20 +759,15 @@ def _code_tree_by_diff(n, prefix=()):
     path's.  The image is phi's own walk of the code, not a fold along the
     tree, so the oracle does not read the walk's lazy images."""
     from wedgematch.bijections import _phi_walk
-    from wedgematch.enumeration import _FAMILIES
 
-    owned = len(prefix)
-    while owned and prefix[owned - 1] == _FAMILIES["paths"][0](n, owned)[0]:
-        owned -= 1
     codes = [()] * (n + 1)
     previous = ()
     for heights in _paths_under(n, prefix):
         k = next((i for i, (x, y) in enumerate(zip(heights, previous)) if x != y), 0)
         for i in range(k, n):
             b = codes[i + 1] = (heights[i] + i + 1,) + codes[i]
-            if i + 1 >= owned:
-                image = [v - 1 for v in _phi_walk(b)]
-                yield b, image, heights if i + 1 == n else None
+            image = [v - 1 for v in _phi_walk(b)]
+            yield b, image, heights if i + 1 == n else None
         previous = heights
 
 
@@ -755,8 +813,8 @@ def _full_report(monkeypatch, n):
 
 # Faults for the differential test, as (kernel, trigger, wrong answer): none,
 # then kernels broken at a record of size 3, at depth 2 only, in the block
-# ends and the code read of the harness's sweep of m (named for the
-# single-purpose kernels they stand for), the cut kernel, an insertion that
+# ends of the harness's sweep of m (named for the single-purpose kernel they
+# stand for), in its code read, the cut kernel, an insertion that
 # keeps the first block of (1,2),(3,4),(5,6) but not the rest, one that
 # keeps every block end of (1,2),(3,5),(4,6) but not the last block, and an
 # unwinding step whose "parent" is no matching, yet one surgery step takes
@@ -768,8 +826,8 @@ DIFFERENTIAL_FAULTS = {
     "_phi_inv_step": KERNEL_FAULTS["_phi_inv_step"],
     "_phi_inv_step_depth_2": ("_phi_inv_step", ([3, 2, 1, 0],), lambda step: (1, step[1])),
     "_blocks": KERNEL_FAULTS["_sweep_ends"],
-    "_code_from_partner": KERNEL_FAULTS["_sweep_code"],
-    "_code_from_partner_depth_2": ("_sweep", ((4, 3, 2, 1),), _sweep_field(0, lambda b: (1, 1))),
+    "_sweep_code": KERNEL_FAULTS["_sweep_code"],
+    "_sweep_code_depth_2": ("_sweep", ((4, 3, 2, 1),), _sweep_field(0, lambda b: (1, 1))),
     "_cuts": KERNEL_FAULTS["_cuts"],
     "_partner_from_code": ("_partner_from_code", ((1, 1, 1),), lambda p: (2, 1, 5, 6, 3, 4)),
     "_partner_from_code_last_block": (
@@ -1039,7 +1097,9 @@ def test_a_bad_code_read_is_reported_not_raised(monkeypatch, capsys):
     # The code read of (1,4),(2,3) comes back with the entry 0, which no
     # insertion code has.  Counterexamples print such a code raw instead of
     # raising on it, so the command reports the failed claims and exits 1,
-    # not 2, the code for bad usage.
+    # not 2, the code for bad usage.  phi's kernel runs the same code read,
+    # so proposition_b, which runs it on the irreducible (1,4),(2,3), fails
+    # too.
     from wedgematch.cli import main
 
     _break_kernel(monkeypatch, "_sweep", ((4, 3, 2, 1),), _sweep_field(0, lambda b: (0, 1)))
@@ -1048,8 +1108,42 @@ def test_a_bad_code_read_is_reported_not_raised(monkeypatch, capsys):
         "round_trip_psi",
         "round_trip_psi_inv",
         "round_trip_big_phi",
+        "proposition_b",
     }
     assert claims["round_trip_psi"]["counterexamples"] == ["P=ENESSS: comes back as code(0, 1)"]
+    assert main(["verify", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert "result: FAIL" in out
+    assert "error" not in err
+
+
+def test_an_image_that_does_not_unwind_is_reported_not_raised(monkeypatch, capsys):
+    # The surgery step that puts the edge (1,3) in front of (1,2) answers
+    # the non-matching [2, 2, 0, 0], which the unwinding step refuses as
+    # corrupted input.  The claims that unwind it report that as a failure,
+    # so the command exits 1, the code for a failed claim, not 3, the code
+    # for bad input.
+    from wedgematch.cli import main
+
+    _break_kernel(monkeypatch, "_phi_step", (2, [1, 0]), lambda p: [2, 2, 0, 0])
+    claims = verify_all(2).to_json_value()["claims"]
+    assert {label for label, result in claims.items() if result["failed"]} == {
+        "round_trip_phi",
+        "round_trip_phi_inv",
+        "round_trip_big_phi",
+        "theorem2",
+        "theorem1",
+        "proposition_b",
+        "dyck_proposition",
+    }
+    refusal = "does not unwind: corrupted input: crossed-case unwind finds no fan at the first edge"
+    assert claims["round_trip_phi"]["counterexamples"] == [f"M=(1,3),(2,4): {refusal}"]
+    assert claims["round_trip_big_phi"]["counterexamples"] == [f"P=EESS: {refusal}"]
+    assert claims["round_trip_phi_inv"]["counterexamples"] == [
+        "M=(1,3),(2,4): comes back as partners(3, 3, 1, 1)"
+    ]
+    for label in ("round_trip_phi", "round_trip_phi_inv", "round_trip_big_phi"):
+        assert not verify_all(2, claims=[label]).passed, label
     assert main(["verify", "2"]) == 1
     out, err = capsys.readouterr()
     assert "result: FAIL" in out
