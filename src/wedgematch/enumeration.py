@@ -31,9 +31,9 @@ from .bijections import (
     path_from_code,
 )
 from .errors import InvalidMatchingError, OverCapError
-from .matching import Matching, _arc_counts, _blocks, _check_partner, _stacking, _sweep
+from .matching import Matching, _arc_counts, _block_end, _blocks, _check_partner, _stacking, _sweep
 from .paths import (
-    WedgePath, _cuts, _final_south_run, _north_steps, _reversed_south_positions, _steps
+    WedgePath, _cut_step, _cuts, _final_south_run, _north_steps, _reversed_south_positions, _steps
 )
 
 __all__ = [
@@ -226,14 +226,20 @@ class _Facts:
     code with b_1 in front, its ``parent`` (None at the root, whose code is
     empty) and, at a record (a leaf, depth n), its path's ``heights`` (else
     None).  Every other field is computed on first read, once, so a node
-    computes only what its readers read: ``image``, the 0-based partner
-    list of phi(psi(b)), which is one surgery step with b_1 on the parent's
-    image; a record's north steps; ``m = psi(b)``, whether ``m`` is a
-    perfect matching of [2n], ``nm = phi(m)``, the code read, arc counts,
-    stacking values and block ends of ``m`` (one sweep), the stacking
-    total, the arc counts of ``nm``, ``phi_inv(nm)`` (or why the unwinding
-    refuses ``nm``), and whether one unwinding step of the image gives back
-    the parent's.
+    computes only what its readers read.  Two are one step on the
+    parent's value: ``image``, the 0-based partner list of phi(psi(b)),
+    one surgery step with b_1 on the parent's image, and ``cuts``, the cut
+    stack of the first k east steps (0 and the splits of
+    :meth:`WedgePath.components` below k), one cut step with b_1 on a copy
+    of the parent's stack.  The rest are a record's north steps,
+    ``m = psi(b)``, whether ``m`` is a perfect matching of [2n],
+    ``nm = phi(m)``, the code read, arc counts, stacking values and block
+    ends of ``m`` (one sweep), the stacking total, the arc counts of
+    ``nm``, ``phi_inv(nm)`` (or why the unwinding refuses ``nm``), and
+    whether one unwinding step of the image gives back the parent's.  The
+    node checks compare a node's values with its parent's or an
+    ancestor's, so a passing run sweeps no record whole for its path
+    components, image blocks or stacking formula.
     """
 
     def __init__(
@@ -244,6 +250,12 @@ class _Facts:
     @_once
     def image(self) -> list[int]:
         return [] if self.parent is None else _phi_step(self.b[0], self.parent.image)
+
+    @_once
+    def cuts(self) -> list[int]:
+        if self.parent is None:
+            return []
+        return _cut_step(list(self.parent.cuts), self.b[0], len(self.b))
 
     @_once
     def north(self) -> int:
@@ -259,7 +271,7 @@ class _Facts:
 
     @_once
     def nm(self) -> tuple[int, ...]:
-        return tuple(v + 1 for v in self.image)
+        return tuple([v + 1 for v in self.image])
 
     code_back = _swept()
     arcs = _swept()
@@ -418,19 +430,27 @@ def _component_sizes(f: _Facts) -> tuple[list[int], list[int]]:
     return path_sizes, [len(block) // 2 for _, block in _blocks(f.nm)]
 
 
+def _piecewise(m: tuple[int, ...], ends: list[int]) -> tuple[int, ...]:
+    """phi's kernel on each block of ``m``, put back in place.  The code
+    read the kernel walks is range-checked first, as an entry out of range
+    would index past the walk's list."""
+    out: list[int] = []
+    for s, end in zip([0, *ends], ends):
+        block = tuple([u - s for u in m[s:end]])
+        _check_code(_sweep(block)[0])
+        out += [v + s for v in _phi_partner(block)]
+    return tuple(out)
+
+
 def _proposition_b(f: _Facts) -> str | None:
     path_sizes, image_sizes = _component_sizes(f)
-    m = f.m
-    piecewise = tuple(
-        v + s
-        for s, end in zip([0, *f.ends], f.ends)
-        for v in _phi_partner(tuple([u - s for u in m[s:end]]))
-    )
+    piecewise = _unwound(lambda: _piecewise(f.m, f.ends))
     if path_sizes == image_sizes and piecewise == f.nm:
         return None
+    shown = f"not walked: {piecewise}" if isinstance(piecewise, str) else _partner_text(piecewise)
     return (
         f"path_sizes(rev)={path_sizes} image_sizes={image_sizes} "
-        f"piecewise={_partner_text(piecewise)} global={_partner_text(f.nm)}"
+        f"piecewise={shown} global={_partner_text(f.nm)}"
     )
 
 
@@ -450,8 +470,8 @@ def _dyck_proposition(f: _Facts) -> str | None:
 
 
 def _round_trip_psi_inv(f: _Facts) -> str | None:
-    back = _partner_from_code(f.code_back)
-    return None if back == f.m else f"comes back as {_partner_text(back)}"
+    back = _unwound(lambda: _partner_from_code(_check_code(f.code_back)))
+    return None if back == f.m else _came_back(back, _partner_text)
 
 
 def _round_trip_phi(f: _Facts) -> str | None:
@@ -523,33 +543,41 @@ def _unwinds_a_matching(f: _Facts) -> bool:
     return f.heights is None or f.perfect
 
 
+def _stacks_on_parent(f: _Facts) -> bool:
+    """lemma1: the stacking values of ``m`` are max(b_1 - b_2 - 1, 0)
+    followed by the parent's, so along the chain they are the
+    code-difference formula, index by index.  A record also compares their
+    total with its north steps."""
+    b = f.b
+    first = [max(b[0] - b[1] - 1, 0)] if len(b) > 1 else []
+    return f.stacking == first + f.parent.stacking and (f.heights is None or f.st == f.north)
+
+
 def _piecewise_node(f: _Facts) -> bool:
-    """proposition_b: an irreducible ``m`` reads back as b, so phi's kernel
-    on it walks b, which is the image; a reducible ``m`` is its first block
-    ``m[:s]`` followed by the ancestor that many edges up, shifted by s,
-    with that ancestor's block ends, and the image is phi of that block
-    followed by the ancestor's image.  A record also compares the component
-    sizes."""
+    """proposition_b: the image's first block ends where the first block
+    of ``m`` does, at s.  An irreducible ``m`` reads back as b, so phi's
+    kernel on it walks b, which is the image; the image is then one block,
+    and the path one component.  A reducible ``m`` is its first block
+    ``m[:s]`` followed by the ancestor s/2 edges up, shifted by s, with
+    that ancestor's block ends; the image is phi of that block, which is
+    then one block, followed by the ancestor's image; and the path's cut
+    stack is the ancestor's with the ancestor's depth on top.  Along the
+    chain, the path's component sizes, read backwards, and the image's
+    block sizes are then both s/2 followed by the ancestor's."""
     m, ends = f.m, f.ends
-    if not ends:
+    if not ends or _block_end(f.nm, 0) != ends[0]:
         return False
     s = ends[0]
     if s == len(m):
-        ok = f.code_back == f.b
-    elif 0 < s < len(m):
-        a = f.ancestor(len(f.b) - s // 2)
-        head = [v - 1 for v in _phi_partner(m[:s])]
-        ok = (
-            ends[1:] == [e + s for e in a.ends]
-            and m[s:] == tuple([v + s for v in a.m])
-            and f.image == head + [v + s for v in a.image]
-        )
-    else:
-        return False
-    if ok and f.heights is not None:
-        path_sizes, image_sizes = _component_sizes(f)
-        ok = path_sizes == image_sizes
-    return ok
+        return len(f.nm) == s and f.cuts == [0] and f.code_back == f.b
+    a = f.ancestor(len(f.b) - s // 2)
+    head = [v - 1 for v in _phi_partner(m[:s])]
+    return (
+        f.cuts == [*a.cuts, len(a.b)]
+        and ends[1:] == [e + s for e in a.ends]
+        and m[s:] == tuple([v + s for v in a.m])
+        and f.image == head + [v + s for v in a.image]
+    )
 
 
 # Whole-stream checks: (values tested, failure details).
@@ -661,6 +689,7 @@ _REGISTRY = (
         _lemma1,
         "north steps equal the insertion image's stacking statistic, "
         "indexwise per the code-difference formula",
+        _stacks_on_parent,
     ),
     Claim(
         "theorem2",

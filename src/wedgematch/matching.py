@@ -12,7 +12,7 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InvalidMatchingError, ParseError
 
@@ -324,15 +324,28 @@ def _sweep(
     return tuple(code), (cr, ne, n * (n - 1) // 2 - cr - ne), stacking, ends
 
 
-def _blocks(partner: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
-    """The irreducible blocks as (offset, partner tuple renumbered from 1)."""
-    blocks = []
-    start = reach = 0
-    for v, w in enumerate(partner, start=1):
+def _block_end(partner: Sequence[int], start: int) -> int:
+    """The vertex that ends the irreducible block of ``partner`` opening
+    right after vertex ``start``: the first vertex past ``start`` by which
+    every arc opened past ``start`` closes, or 0 if no vertex is.  It reads
+    only the block's own vertices, and shifting them all by s shifts the
+    answer by s."""
+    reach = start
+    for v in range(start + 1, len(partner) + 1):
+        w = partner[v - 1]
         if w > reach:
             reach = w
         elif reach == v:
-            # Every arc opened so far closes by v.
-            blocks.append((start, tuple([u - start for u in partner[start:v]])))
-            start = v
+            return v
+    return 0
+
+
+def _blocks(partner: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+    """The irreducible blocks as (offset, partner tuple renumbered from 1):
+    the fold of :func:`_block_end` from vertex 0."""
+    blocks = []
+    start = 0
+    while end := _block_end(partner, start):
+        blocks.append((start, tuple([u - start for u in partner[start:end]])))
+        start = end
     return blocks

@@ -223,24 +223,34 @@ def _reversed_south_positions(a: Sequence[int]) -> set[int]:
     return {total + 1 - j for j, ch in enumerate(steps, start=1) if ch == "S"}
 
 
+def _cut_step(cuts: list[int], b1: int, k: int) -> list[int]:
+    """The cut stack of a path's first k east steps from that of its first
+    k - 1, where b1 = a_k + k; the list is changed in place and returned.
+
+    The cut stack of heights a_1..a_k is 0 and the east steps after which
+    :meth:`WedgePath.components` splits them, in increasing order.  In
+    0-based indices the split after j needs a[j] = -j and a[i] - i <= -2j
+    for all i >= j.  So the new height a[k-1] = b1 - k keeps exactly the
+    splits j with 2j <= 2k - 1 - b1, a prefix of the stack, and adds the
+    split k - 1 (0 at k = 1) when it lies on y = -x, that is, b1 = 1.
+    """
+    bound = 2 * k - 1 - b1
+    while cuts and 2 * cuts[-1] > bound:
+        cuts.pop()
+    if b1 == 1:
+        cuts.append(k - 1)
+    return cuts
+
+
 def _cuts(a: Sequence[int]) -> list[int]:
     """0, the east steps k after which :meth:`WedgePath.components` splits
-    the heights ``a``, and n, in increasing order.
-
-    In 0-based indices the split after k needs a[k] = -k and
-    a[i] + k <= i - k for all i >= k, that is, a[i] - i <= -2k; as
-    a[k] - k is then -2k, the split holds exactly when -2k is the largest
-    a[i] - i over i >= k, which one right-to-left sweep keeps.
-    """
-    n = len(a)
-    cuts = [n]
-    top = -2 * n
-    for k in range(n - 1, 0, -1):
-        top = max(top, a[k] - k)
-        if a[k] == -k and top == -2 * k:
-            cuts.append(k)
-    cuts.append(0)
-    return cuts[::-1]
+    the heights ``a``, and n, in increasing order: the fold of
+    :func:`_cut_step` over the heights, in O(n) as each split enters the
+    stack once."""
+    cuts: list[int] = []
+    for k, h in enumerate(a, start=1):
+        cuts = _cut_step(cuts, h + k, k)
+    return cuts + [len(a)]
 
 
 def concatenate_paths(pieces: Iterable[WedgePath]) -> WedgePath:

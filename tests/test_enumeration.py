@@ -565,8 +565,9 @@ FOLD_STEP = (5, [3, 2, 1, 0])
 
 def _break_kernel(monkeypatch, kernel, trigger, wrong):
     """Give ``kernel`` the answer ``wrong(right answer)`` on the argument
-    tuple ``trigger``, where it is defined and wherever the harness's
-    modules import it, as a fault in its source would."""
+    tuple ``trigger``, compared as the call passes it (a step kernel may
+    change its list argument in place), where it is defined and wherever
+    the harness's modules import it, as a fault in its source would."""
     import sys
 
     import wedgematch.bijections as bijections
@@ -577,8 +578,9 @@ def _break_kernel(monkeypatch, kernel, trigger, wrong):
     right = getattr(holders[0], kernel)
 
     def faulty(*args):
+        hit = args == trigger
         out = right(*args)
-        return wrong(out) if args == trigger else out
+        return wrong(out) if hit else out
 
     for module in {*holders, sys.modules[right.__module__]}:
         monkeypatch.setattr(module, kernel, faulty)
@@ -609,11 +611,12 @@ def test_proposition_b_walks_components_against_the_table(monkeypatch):
 # Every kernel the claims call through the harness on a passing run, with a
 # wrong answer for one input (see CODE above).  The partner tuples of size 2
 # are a first block, which phi's kernel (code read plus walk) walks at a
-# reducible node of size 3; the heights (0, -1, -2) are the path ESESES,
-# whose three components the cut kernel behind WedgePath.components finds.
-# The arc counts and blocks of NESTED are read where it is an image; as a
-# record's m, its code read, arc counts, stacking values and block ends come
-# from one sweep, broken one field at a time.
+# reducible node of size 3.  The cut step that takes the path ESES to
+# ESESES, whose three components the cut kernel behind
+# WedgePath.components finds, drops the middle cut and keeps the last.
+# The arc counts and first block end of NESTED are read where it is an
+# image; as a record's m, its code read, arc counts, stacking values and
+# block ends come from one sweep, broken one field at a time.
 def _other_partner(p):
     aligned = tuple(v + 1 if v % 2 else v - 1 for v in range(1, len(p) + 1))
     return aligned if p != aligned else tuple(range(len(p), 0, -1))
@@ -636,8 +639,9 @@ KERNEL_FAULTS = {
     "_phi_walk": ("_phi_walk", ((3, 1),), _other_partner),
     "_phi_partner": ("_phi_partner", ((4, 3, 2, 1),), _other_partner),
     "_arc_counts": ("_arc_counts", (NESTED,), lambda c: (c[0], c[1] + 1, c[2])),
-    "_blocks": ("_blocks", (NESTED,), lambda blocks: blocks[:-1]),
-    "_cuts": ("_cuts", ((0, -1, -2),), lambda cuts: [0, 3]),
+    "_blocks": ("_block_end", (NESTED, 0), lambda end: end - 2),
+    "_cuts": ("_cut_step", ([0, 1], 1, 3), lambda cuts: [0, 2]),
+    "_north_steps": ("_north_steps", ((0, 1, 2),), lambda north: north + 1),
     "_sweep_code": ("_sweep", (NESTED,), _sweep_field(0, _other_code)),
     "_sweep_arcs": ("_sweep", (NESTED,), _sweep_field(1, lambda c: (c[0], c[1] + 1, c[2]))),
     "_sweep_stacking": ("_sweep", (NESTED,), _sweep_field(2, lambda s: [s[0] + 1, *s[1:]])),
@@ -784,10 +788,126 @@ def test_code_tree_walk_equals_the_product_diff(n):
         assert _walked(_code_tree(n, prefix)) == list(_code_tree_by_diff(n, prefix)), prefix
 
 
+# Facts the node checks carry from a node's parent or ancestor, each pinned
+# on every node of sizes 1..6 and on seeded random paths and codes.
+
+
+def _cuts_by_sweep(a):
+    """The cut kernel before it was a fold of its step: in 0-based indices
+    the split after k needs a[i] - i <= -2k for all i >= k, with equality
+    at i = k, which one right-to-left sweep of the largest a[i] - i keeps."""
+    n = len(a)
+    cuts, top = [n], -2 * n
+    for k in range(n - 1, 0, -1):
+        top = max(top, a[k] - k)
+        if a[k] == -k and top == -2 * k:
+            cuts.append(k)
+    return [0, *cuts[::-1]]
+
+
+def _random_heights(rng, n):
+    """A seeded random path of n east steps, mostly near the line y = -x,
+    where it splits into components."""
+    heights = []
+    for i in range(1, n + 1):
+        above = rng.randrange(min(rng.choice((3, 3, 3, 12)), 2 * i - 1))
+        heights.append(above - (i - 1))
+    return tuple(heights)
+
+
+def _random_codes():
+    """Random paths at n = 16, 64, 256 and 1024, as their codes."""
+    rng = random.Random(2008)
+    counts = {16: 40, 64: 20, 256: 8, 1024: 2}
+    return [
+        _code_from_heights(_random_heights(rng, n)) for n, k in counts.items() for _ in range(k)
+    ]
+
+
+def test_carried_cuts_are_the_cuts_of_the_height_prefix():
+    # A node's cut stack is one cut step on a copy of its parent's: with
+    # the node's depth on top it is the cut list of the node's heights.
+    from wedgematch.paths import _cut_step, _cuts
+
+    for n in range(1, 7):
+        for f in _code_tree(n):
+            k = len(f.b)
+            prefix = tuple(f.b[k - i] - i for i in range(1, k + 1))
+            assert f.cuts + [k] == _cuts(prefix) == _cuts_by_sweep(prefix), f.b
+    for b in _random_codes():
+        a = [bi - (len(b) - i) for i, bi in enumerate(b)][::-1]
+        cuts = []
+        for k in range(1, len(a) + 1):
+            cuts = _cut_step(list(cuts), a[k - 1] + k, k)
+            assert cuts + [k] == _cuts_by_sweep(a[:k]), (len(a), k)
+
+
+def _stacking_case(b, parent_ends):
+    """Where the first edge (1, b_1 + 1) lands on the parent: next to the
+    vertex 1 (b_1 = 1), right after a block of the parent, or elsewhere."""
+    if b[0] == 1:
+        return "b1_is_1"
+    return "b1_minus_1_ends_a_parent_block" if b[0] - 1 in parent_ends else "inside_a_block"
+
+
+def _code_pairs():
+    """(code, parent code) for every node of depths 2..6 and each prefix of
+    depth 2 or more of the random codes."""
+    for n in range(2, 7):
+        for f in _code_tree(n):
+            if f.heights is not None:
+                yield f.b, f.b[1:]
+    for b in _random_codes():
+        for k in (2, 3, len(b) // 2, len(b)):
+            yield b[-k:], b[-k + 1 :]
+
+
+@pytest.mark.parametrize(
+    "case", ["b1_is_1", "b1_minus_1_ends_a_parent_block", "inside_a_block"]
+)
+def test_child_stacking_is_one_value_then_the_parents(case):
+    # st_component(i) reads only the edges from e_i on, and the first edge
+    # is no later edge of any window, so the child's stacking values are
+    # st_component(1) followed by the parent's: lemma1's node check.  The
+    # cases where the new edge closes next to vertex 1 or right after a
+    # parent block are pinned apart from the rest.
+    from wedgematch.matching import _sweep
+
+    seen = 0
+    for b, parent_b in _code_pairs():
+        m = _partner_from_code(b)
+        _, _, parent_stacking, parent_ends = _sweep(_partner_from_code(parent_b))
+        if _stacking_case(b, parent_ends) != case:
+            continue
+        seen += 1
+        stacking = _sweep(m)[2]
+        assert stacking[1:] == parent_stacking, b
+        assert stacking[0] == Matching(m).st_component(1), b
+    assert seen > 100
+
+
+def test_block_end_is_the_step_of_the_block_split():
+    # _blocks is the fold of _block_end; each block end must also be the
+    # end the sweep finds, from each block's start, and no block opens at
+    # the last one.  Shifting the vertices after a block shifts their ends.
+    from wedgematch.matching import _block_end, _blocks, _sweep
+
+    for p in _sweep_partners():
+        ends = _sweep(p)[3]
+        starts = [0, *ends]
+        assert [_block_end(p, start) for start in starts] == [*ends, 0], p
+        assert [start + len(block) for start, block in _blocks(p)] == ends, p
+        if ends:
+            s = ends[0]
+            rest = tuple([v - s for v in p[s:]])
+            assert [s + _block_end(rest, e - s) for e in ends[:-1]] == ends[1:], p
+
+
 # The claims the harness checks node by node along the code tree, and those
 # of them whose induction runs over the whole tree rather than one chain.
 NODE_CHECKED = (
     "round_trip_psi_inv",
+    "lemma1",
     "round_trip_phi",
     "round_trip_phi_inv",
     "round_trip_big_phi",
@@ -814,7 +934,12 @@ def _full_report(monkeypatch, n):
 # Faults for the differential test, as (kernel, trigger, wrong answer): none,
 # then kernels broken at a record of size 3, at depth 2 only, in the block
 # ends of the harness's sweep of m (named for the single-purpose kernel they
-# stand for), in its code read, the cut kernel, an insertion that
+# stand for), in its code read, in its stacking values (the first of
+# (1,4),(2,3) at depth 2, and two of the fully nested matching of size 4
+# with their total kept), the cut step dropping a middle cut at a record,
+# dropping the cut of (1,2),(3,4) at depth 2 and adding one to the
+# irreducible (1,4),(2,3), the north steps of a record, a surgery step that
+# answers an image two vertices too long, an insertion that
 # keeps the first block of (1,2),(3,4),(5,6) but not the rest, one that
 # keeps every block end of (1,2),(3,5),(4,6) but not the last block, and an
 # unwinding step whose "parent" is no matching, yet one surgery step takes
@@ -828,7 +953,17 @@ DIFFERENTIAL_FAULTS = {
     "_blocks": KERNEL_FAULTS["_sweep_ends"],
     "_sweep_code": KERNEL_FAULTS["_sweep_code"],
     "_sweep_code_depth_2": ("_sweep", ((4, 3, 2, 1),), _sweep_field(0, lambda b: (1, 1))),
+    "_sweep_stacking_depth_2": ("_sweep", ((4, 3, 2, 1),), _sweep_field(2, lambda s: [s[0] + 1])),
+    "_sweep_stacking_past_the_first": (
+        "_sweep",
+        (tuple(range(8, 0, -1)),),
+        _sweep_field(2, lambda s: [s[0], s[1] + 1, s[2] - 1]),
+    ),
     "_cuts": KERNEL_FAULTS["_cuts"],
+    "_cut_step_depth_2": ("_cut_step", ([0], 1, 2), lambda cuts: [0]),
+    "_cut_step_irreducible": ("_cut_step", ([0], 3, 2), lambda cuts: [0, 1]),
+    "_north_steps": KERNEL_FAULTS["_north_steps"],
+    "_phi_step_longer": ("_phi_step", FOLD_STEP, lambda p: [*p, 7, 6]),
     "_partner_from_code": ("_partner_from_code", ((1, 1, 1),), lambda p: (2, 1, 5, 6, 3, 4)),
     "_partner_from_code_last_block": (
         "_partner_from_code",
@@ -1094,27 +1229,35 @@ def test_a_bad_image_is_reported_not_raised(monkeypatch, capsys):
 
 
 def test_a_bad_code_read_is_reported_not_raised(monkeypatch, capsys):
-    # The code read of (1,4),(2,3) comes back with the entry 0, which no
-    # insertion code has.  Counterexamples print such a code raw instead of
-    # raising on it, so the command reports the failed claims and exits 1,
-    # not 2, the code for bad usage.  phi's kernel runs the same code read,
-    # so proposition_b, which runs it on the irreducible (1,4),(2,3), fails
-    # too.
+    # The code read of (1,4),(2,3) comes back with the entry 0, or 9, which
+    # no insertion code has.  Counterexamples print such a code raw instead
+    # of raising on it, and the insertion that round_trip_psi_inv runs, and
+    # the phi walk that proposition_b runs on the irreducible (1,4),(2,3),
+    # range-check the code first: 9 would index past both of their lists.
+    # So the command reports the failed claims and exits 1, not 2, the
+    # code for bad usage.
     from wedgematch.cli import main
 
-    _break_kernel(monkeypatch, "_sweep", ((4, 3, 2, 1),), _sweep_field(0, lambda b: (0, 1)))
-    claims = verify_all(2).to_json_value()["claims"]
-    assert {label for label, result in claims.items() if result["failed"]} == {
-        "round_trip_psi",
-        "round_trip_psi_inv",
-        "round_trip_big_phi",
-        "proposition_b",
-    }
-    assert claims["round_trip_psi"]["counterexamples"] == ["P=ENESSS: comes back as code(0, 1)"]
-    assert main(["verify", "2"]) == 1
-    out, err = capsys.readouterr()
-    assert "result: FAIL" in out
-    assert "error" not in err
+    for entry in (0, 9):
+        with monkeypatch.context() as patch:
+            _break_kernel(patch, "_sweep", ((4, 3, 2, 1),), _sweep_field(0, lambda b: (entry, 1)))
+            claims = verify_all(2).to_json_value()["claims"]
+            assert {label for label, result in claims.items() if result["failed"]} == {
+                "round_trip_psi",
+                "round_trip_psi_inv",
+                "round_trip_big_phi",
+                "proposition_b",
+            }, entry
+            assert claims["round_trip_psi"]["counterexamples"] == [
+                f"P=ENESSS: comes back as code({entry}, 1)"
+            ]
+            assert claims["round_trip_psi_inv"]["counterexamples"] == [
+                f"M=(1,4),(2,3): does not unwind: code entry {entry} at position 1 is outside 1..3"
+            ]
+            assert main(["verify", "2"]) == 1
+            out, err = capsys.readouterr()
+            assert "result: FAIL" in out
+            assert "error" not in err
 
 
 def test_an_image_that_does_not_unwind_is_reported_not_raised(monkeypatch, capsys):
@@ -1208,6 +1351,49 @@ def test_a_passing_run_builds_no_objects(monkeypatch, workers):
 
     for cls in (WedgePath, Matching, InsertionCode):
         monkeypatch.setattr(cls, "__post_init__", unreachable)
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
+    payload = json.dumps(verify_all(5, workers=workers).to_json_value())
+    assert hashlib.sha256(payload.encode()).hexdigest() == VERIFY_PAYLOAD_DIGESTS[5]
+
+
+@pytest.mark.parametrize(
+    "workers",
+    [
+        1,
+        pytest.param(
+            2,
+            marks=pytest.mark.skipif(
+                multiprocessing.get_start_method() != "fork",
+                reason="the pool's workers inherit the patched kernels only when forked",
+            ),
+        ),
+    ],
+)
+def test_a_passing_run_sweeps_no_record_whole(monkeypatch, workers):
+    # proposition_b's and lemma1's node checks read values carried from the
+    # parent or an ancestor: a passing run splits no path or image whole
+    # into components and lists no record's stacking formula.
+    import dataclasses
+
+    import wedgematch.enumeration as enumeration
+    import wedgematch.matching as matching
+    import wedgematch.paths as paths
+
+    def unreachable(*args):
+        raise AssertionError("a passing run swept a record whole")
+
+    for module, name in [
+        (enumeration, "_component_sizes"),
+        (enumeration, "_blocks"),
+        (matching, "_blocks"),
+        (enumeration, "_cuts"),
+        (paths, "_cuts"),
+    ]:
+        monkeypatch.setattr(module, name, unreachable)
+    lemma1 = enumeration._CLAIMS_BY_LABEL["lemma1"]
+    monkeypatch.setitem(
+        enumeration._CLAIMS_BY_LABEL, "lemma1", dataclasses.replace(lemma1, check=unreachable)
+    )
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
     payload = json.dumps(verify_all(5, workers=workers).to_json_value())
     assert hashlib.sha256(payload.encode()).hexdigest() == VERIFY_PAYLOAD_DIGESTS[5]
