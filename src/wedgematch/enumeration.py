@@ -25,13 +25,12 @@ from .bijections import (
     _phi_inv_code,
     _phi_inv_partner,
     _phi_inv_step,
-    _phi_partner,
     _phi_step,
     _phi_walk,
     path_from_code,
 )
 from .errors import InvalidMatchingError, OverCapError
-from .matching import Matching, _arc_counts, _block_end, _blocks, _check_partner, _stacking, _sweep
+from .matching import Matching, _arc_counts, _block_end, _blocks, _gap_counts, _sweep
 from .paths import (
     WedgePath, _cut_step, _cuts, _final_south_run, _north_steps, _reversed_south_positions, _steps
 )
@@ -81,7 +80,9 @@ def double_factorial(n: int) -> int:
 # a path is its heights a_i in [-(i-1), i-1], a matching its insertion code
 # b_i in [1, 2(n-i)+1].  Per family: the range of coordinate i, and the
 # object built from all n coordinates (a matching as its partner tuple,
-# which its readers check once, as Matching checks it).
+# which all_matchings checks once, in Matching).  The path ranges
+# also cut the harness's cells and nest in its code tree, which counts the
+# distribution tables.
 
 _FAMILIES: dict[str, tuple[Callable[[int, int], range], Callable]] = {
     "paths": (lambda n, i: range(-(i - 1), i), WedgePath),
@@ -120,15 +121,9 @@ def all_matchings(n: int) -> Iterator[Matching]:
 
 # -- distribution tables ------------------------------------------------------
 
-# Each statistic with the family it is counted over; a matching's statistic
-# checks its partner tuple first.
-_STATISTICS: dict[str, tuple[str, Callable]] = {
-    "north_steps": ("paths", WedgePath.north_steps),
-    "nestings": ("matchings", lambda partner: _arc_counts(_check_partner(partner))[1]),
-    "crossings": ("matchings", lambda partner: _arc_counts(_check_partner(partner))[0]),
-    "st_total": ("matchings", lambda partner: sum(_stacking(_check_partner(partner)))),
-}
-STATISTICS = tuple(_STATISTICS)
+# The statistics a distribution table counts, each a table of the harness's
+# records (see _RECORD_STATISTICS below).
+STATISTICS = ("north_steps", "nestings", "crossings", "st_total")
 
 
 @dataclass(frozen=True)
@@ -169,16 +164,22 @@ class DistributionTable:
 def distribution(n: int, statistic: str, max_n: int | None = None) -> DistributionTable:
     """Exact distribution of a statistic over all objects of size n.
 
+    The table is counted on the records of the code tree, one per path:
+    north steps from the path's heights, and the other three on its
+    insertion image, each one step from the parent's value (see
+    ``_Facts``), so no matching is built, checked or swept whole.  Every
+    matching of size n is the insertion image of exactly one path.
+
     >>> distribution(2, "nestings").to_text()
     '0:2 1:1'
     """
     _require_within_cap(n, max_n)
-    if statistic not in _STATISTICS:
+    if statistic not in STATISTICS:
         raise ValueError(
             f"unknown statistic {statistic!r}; choose from {', '.join(STATISTICS)}"
         )
-    family, fn = _STATISTICS[statistic]
-    counts = Counter(fn(obj) for _, obj in _objects(family, n))
+    fn = _RECORD_STATISTICS[statistic]
+    counts = Counter(fn(f) for f in _code_tree(n) if f.heights is not None)
     return DistributionTable(n=n, statistic=statistic, counts=dict(counts))
 
 
@@ -204,7 +205,7 @@ class _once:
 class _swept:
     """A field of the one sweep of a record's ``m`` (see
     :func:`~wedgematch.matching._sweep`): the first read of any of them
-    stores all four on the instance, whose attributes then shadow them."""
+    stores all three on the instance, whose attributes then shadow them."""
 
     def __set_name__(self, owner, name: str) -> None:
         self.name = name
@@ -213,7 +214,7 @@ class _swept:
         if obj is None:
             return self
         fields = obj.__dict__
-        fields["code_back"], fields["arcs"], fields["stacking"], fields["ends"] = _sweep(obj.m)
+        fields["code_back"], fields["stacking"], fields["ends"] = _sweep(obj.m)
         return fields[self.name]
 
 
@@ -226,20 +227,23 @@ class _Facts:
     code with b_1 in front, its ``parent`` (None at the root, whose code is
     empty) and, at a record (a leaf, depth n), its path's ``heights`` (else
     None).  Every other field is computed on first read, once, so a node
-    computes only what its readers read.  Two are one step on the
+    computes only what its readers read.  Four are one step on the
     parent's value: ``image``, the 0-based partner list of phi(psi(b)),
-    one surgery step with b_1 on the parent's image, and ``cuts``, the cut
+    one surgery step with b_1 on the parent's image; ``cuts``, the cut
     stack of the first k east steps (0 and the splits of
     :meth:`WedgePath.components` below k), one cut step with b_1 on a copy
-    of the parent's stack.  The rest are a record's north steps,
-    ``m = psi(b)``, whether ``m`` is a perfect matching of [2n],
-    ``nm = phi(m)``, the code read, arc counts, stacking values and block
-    ends of ``m`` (one sweep), the stacking total, the arc counts of
-    ``nm``, ``phi_inv(nm)`` (or why the unwinding refuses ``nm``), and
-    whether one unwinding step of the image gives back the parent's.  The
-    node checks compare a node's values with its parent's or an
-    ancestor's, so a passing run sweeps no record whole for its path
-    components, image blocks or stacking formula.
+    of the parent's stack; ``arcs``, the (crossings, nestings) of ``m``,
+    the parent's plus the parent's arcs open across and closed before the
+    gap where the new first edge ends (one ``gaps`` table per parent,
+    shared by its children); and ``st``, the stacking total of ``m``, the
+    parent's plus the new first stacking value.  The rest are a record's
+    north steps, ``m = psi(b)``, whether ``m`` is a perfect matching of
+    [2n], ``nm = phi(m)``, the code read, stacking values and block ends of
+    ``m`` (one sweep), the arc counts of ``nm``, ``phi_inv(nm)`` (or why
+    the unwinding refuses ``nm``), and whether one unwinding step of the
+    image gives back the parent's.  The node checks compare a node's values
+    with its parent's or an ancestor's, so a passing run sweeps no record
+    whole for its path components, image blocks or stacking formula.
     """
 
     def __init__(
@@ -274,17 +278,40 @@ class _Facts:
         return tuple([v + 1 for v in self.image])
 
     code_back = _swept()
-    arcs = _swept()
     stacking = _swept()
     ends = _swept()
 
     @_once
-    def image_arcs(self) -> tuple[int, int, int]:
-        return _arc_counts(self.nm)
+    def gaps(self) -> list[tuple[int, int]]:
+        return _gap_counts(self.m)
+
+    @_once
+    def arcs(self) -> tuple[int, int]:
+        """The first edge (1, b_1 + 1) of ``m`` ends in the gap b_1 - 1 of
+        the parent's ``m``: it crosses the parent's arcs open across that
+        gap, nests over those closed before it and is aligned with the
+        rest."""
+        if self.parent is None:
+            return 0, 0
+        crossings, nestings = self.parent.arcs
+        opened, closed = self.parent.gaps[self.b[0] - 1]
+        return crossings + opened, nestings + closed
 
     @_once
     def st(self) -> int:
-        return sum(self.stacking)
+        """Stacking reads only the edges from the second on, so a child adds
+        one value, for its first two edges: (1, b_1 + 1) and the parent's
+        first edge (1, u), moved to (2, u + 1) below b_1 + 1.  They nest when
+        u < b_1, and the window [u + 1, b_1 + 1] then holds b_1 - u endpoints
+        of later edges."""
+        if len(self.b) < 2:
+            return 0
+        u, b1 = self.parent.m[0], self.b[0]
+        return self.parent.st + (b1 - u if u < b1 else 0)
+
+    @_once
+    def image_arcs(self) -> tuple[int, int, int]:
+        return _arc_counts(self.nm)
 
     @_once
     def back(self) -> tuple[int, ...] | str:
@@ -364,15 +391,16 @@ def _code_tree(n: int, prefix: tuple[int, ...] = ()) -> Iterator[_Facts]:
             chain.pop()
 
 
-# Tables counted on the path records, each only in a cell whose claims' tables
-# name it: whether each record's m is a perfect matching of [2n], and the
-# statistics the distribution claims read; one arc sweep of m gives both arc
-# counts.
+# Tables counted on the path records: whether each record's m is a perfect
+# matching of [2n], and the STATISTICS that distribution counts and the
+# distribution claims compare.  A cell counts only the tables its claims'
+# tables name.
 _RECORD_STATISTICS: dict[str, Callable[[_Facts], int]] = {
     "matchings": lambda f: f.perfect,
     "north_steps": lambda f: f.north,
     "nestings": lambda f: f.arcs[1],
     "crossings": lambda f: f.arcs[0],
+    "st_total": lambda f: f.st,
 }
 
 
@@ -431,14 +459,13 @@ def _component_sizes(f: _Facts) -> tuple[list[int], list[int]]:
 
 
 def _piecewise(m: tuple[int, ...], ends: list[int]) -> tuple[int, ...]:
-    """phi's kernel on each block of ``m``, put back in place.  The code
-    read the kernel walks is range-checked first, as an entry out of range
-    would index past the walk's list."""
+    """phi's kernel on each block of ``m``, put back in place: the block's
+    code read, walked.  The code is range-checked first, as an entry out of
+    range would index past the walk's list."""
     out: list[int] = []
     for s, end in zip([0, *ends], ends):
         block = tuple([u - s for u in m[s:end]])
-        _check_code(_sweep(block)[0])
-        out += [v + s for v in _phi_partner(block)]
+        out += [v + s for v in _phi_walk(_check_code(_sweep(block)[0]))]
     return tuple(out)
 
 
@@ -546,32 +573,40 @@ def _unwinds_a_matching(f: _Facts) -> bool:
 def _stacks_on_parent(f: _Facts) -> bool:
     """lemma1: the stacking values of ``m`` are max(b_1 - b_2 - 1, 0)
     followed by the parent's, so along the chain they are the
-    code-difference formula, index by index.  A record also compares their
-    total with its north steps."""
+    code-difference formula, index by index.  The stacking total carried
+    from the parent adds that first value, so along the chain it is their
+    sum, and a record compares it with its north steps."""
     b = f.b
     first = [max(b[0] - b[1] - 1, 0)] if len(b) > 1 else []
-    return f.stacking == first + f.parent.stacking and (f.heights is None or f.st == f.north)
+    return (
+        f.stacking == first + f.parent.stacking
+        and f.st == f.parent.st + sum(first)
+        and (f.heights is None or f.st == f.north)
+    )
 
 
 def _piecewise_node(f: _Facts) -> bool:
     """proposition_b: the image's first block ends where the first block
-    of ``m`` does, at s.  An irreducible ``m`` reads back as b, so phi's
-    kernel on it walks b, which is the image; the image is then one block,
-    and the path one component.  A reducible ``m`` is its first block
-    ``m[:s]`` followed by the ancestor s/2 edges up, shifted by s, with
-    that ancestor's block ends; the image is phi of that block, which is
-    then one block, followed by the ancestor's image; and the path's cut
-    stack is the ancestor's with the ancestor's depth on top.  Along the
-    chain, the path's component sizes, read backwards, and the image's
-    block sizes are then both s/2 followed by the ancestor's."""
+    of ``m`` does, at s, and that block ``m[:s]`` reads back as the leading
+    code b[:s/2], so phi's kernel on it walks b[:s/2].  An irreducible
+    ``m`` is that block, and its walk is the image; the image is then one
+    block, and the path one component.  A reducible ``m`` is its first
+    block followed by the ancestor s/2 edges up, shifted by s, with that
+    ancestor's block ends; the image is the walk of b[:s/2], which is then
+    one block, followed by the ancestor's image; and the path's cut stack
+    is the ancestor's with the ancestor's depth on top.  Along the chain,
+    the path's component sizes, read backwards, and the image's block
+    sizes are then both s/2 followed by the ancestor's."""
     m, ends = f.m, f.ends
     if not ends or _block_end(f.nm, 0) != ends[0]:
         return False
     s = ends[0]
+    if f.code_back[: s // 2] != f.b[: s // 2]:
+        return False
     if s == len(m):
-        return len(f.nm) == s and f.cuts == [0] and f.code_back == f.b
+        return len(f.nm) == s and f.cuts == [0]
     a = f.ancestor(len(f.b) - s // 2)
-    head = [v - 1 for v in _phi_partner(m[:s])]
+    head = [v - 1 for v in _phi_walk(f.b[: s // 2])]
     return (
         f.cuts == [*a.cuts, len(a.b)]
         and ends[1:] == [e + s for e in a.ends]

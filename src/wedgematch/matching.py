@@ -280,30 +280,25 @@ def _stacking(partner: tuple[int, ...]) -> list[int]:
     return values
 
 
-def _sweep(
-    partner: tuple[int, ...],
-) -> tuple[tuple[int, ...], tuple[int, int, int], list[int], list[int]]:
-    """The insertion code, ``(crossings, nestings, alignments)``, the
-    stacking values and the block ends of ``partner``, in one left-to-right
-    sweep; ``psi_inv``, ``phi`` and the harness read the code only here.
+def _sweep(partner: tuple[int, ...]) -> tuple[tuple[int, ...], list[int], list[int]]:
+    """The insertion code, the stacking values and the block ends of
+    ``partner``, in one left-to-right sweep; ``psi_inv``, ``phi`` and the
+    harness read the code only here.
 
     Insertion step i connects the i-th left endpoint v to its mate w, at
     position b_i among the vertices still free (v at 0).  The vertices of
     (v, w) taken by earlier steps are the right endpoints before w of the
     arcs open at v, so b_i = w - v - k, where w enters ``open_rights`` at
-    slot k; the arc counts read the same slot.  The other fields equal
-    :func:`_arc_counts`, :func:`_stacking` and the vertex that ends each
-    block of :func:`_blocks`.  The stacking window of the previous left
-    endpoint's mate b needs no second search: b still sits at the slot it
-    entered at, less one for each arc closed since, as each closing drops
-    the least open right endpoint.  A block ends where the last open arc
-    closes.
+    slot k.  The other fields equal :func:`_stacking` and the vertex that
+    ends each block of :func:`_blocks`.  The stacking window of the
+    previous left endpoint's mate b needs no second search: b still sits at
+    the slot it entered at, less one for each arc closed since, as each
+    closing drops the least open right endpoint.  A block ends where the
+    last open arc closes.
     """
-    n = len(partner) // 2
     code: list[int] = []
     stacking: list[int] = []
     ends: list[int] = []
-    cr = ne = 0
     b = slot = 0
     open_rights: list[int] = []
     for v, w in enumerate(partner, start=1):
@@ -315,13 +310,33 @@ def _sweep(
             continue
         k = bisect_left(open_rights, w)
         code.append(w - v - k)
-        cr += k
-        ne += len(open_rights) - k
         if b:
             stacking.append(b - w - (slot - k) if w < b else 0)
         open_rights.insert(k, w)
         b, slot = w, k
-    return tuple(code), (cr, ne, n * (n - 1) // 2 - cr - ne), stacking, ends
+    return tuple(code), stacking, ends
+
+
+def _gap_counts(partner: Sequence[int]) -> list[tuple[int, int]]:
+    """For each gap t = 0..len(partner), the one right after vertex t:
+    ``(open, closed)``, the arcs (l, r) with l <= t < r and those with
+    r <= t.
+
+    A new first edge (1, w) put in front of ``partner``, with its vertex u
+    at u + 1 below w and at u + 2 above it, ends in the gap t = w - 2: it
+    crosses the open arcs, nests over the closed ones and is aligned with
+    the rest.  So one table of the parent serves each child's arc counts.
+    """
+    table = [(0, 0)]
+    opened = closed = 0
+    for v, w in enumerate(partner, start=1):
+        if v < w:
+            opened += 1
+        else:
+            opened -= 1
+            closed += 1
+        table.append((opened, closed))
+    return table
 
 
 def _block_end(partner: Sequence[int], start: int) -> int:

@@ -181,9 +181,8 @@ def test_cells_partition_the_code_tree(n):
 
 def test_each_streamed_matching_is_checked_once(monkeypatch):
     # all_matchings builds each Matching from an unchecked insertion image,
-    # so Matching's own check is the only one; distribution checks each
-    # partner tuple it counts once.
-    import wedgematch.enumeration as enumeration
+    # so Matching's own check is the only one; distribution counts on the
+    # code tree and checks no partner tuple.
     import wedgematch.matching as matching
 
     calls = Counter()
@@ -193,14 +192,13 @@ def test_each_streamed_matching_is_checked_once(monkeypatch):
         calls[table] += 1
         return check(table)
 
-    for module in (matching, enumeration):
-        monkeypatch.setattr(module, "_check_partner", counted)
+    monkeypatch.setattr(matching, "_check_partner", counted)
     assert sum(1 for _ in all_matchings(5)) == 945
     assert len(calls) == calls.total() == 945
     for statistic in ("nestings", "crossings", "st_total"):
         calls.clear()
         distribution(5, statistic)
-        assert len(calls) == calls.total() == 945, statistic
+        assert calls.total() == 0, statistic
 
 
 def test_streams_reject_nonpositive_size():
@@ -224,9 +222,65 @@ def test_all_statistics_equidistributed(n, statistic):
     assert distribution(n, statistic).counts == NESTING_ROWS[n]
 
 
+def raw_crossings(pairs):
+    return sum(
+        1
+        for (a, b), (c, d) in itertools.combinations(sorted(pairs), 2)
+        if a < c < b < d
+    )
+
+
+def raw_st_total(pairs):
+    """The stacking statistic by its definition: for consecutive edges
+    (a, b), (c, d) with a < c < d < b, the endpoints of the edges from
+    (c, d) on that lie in [d, b]."""
+    edges = sorted(pairs)
+    return sum(
+        sum(d <= v <= b for edge in edges[i + 1 :] for v in edge)
+        for i, ((a, b), (c, d)) in enumerate(zip(edges, edges[1:]))
+        if a < c < d < b
+    )
+
+
+def raw_north_steps(n):
+    """Every wedge path's north steps: the rises between consecutive heights
+    a_i in [-(i-1), i-1]."""
+    for heights in itertools.product(*(range(-i, i + 1) for i in range(n))):
+        yield sum(max(y - x, 0) for x, y in zip(heights, heights[1:]))
+
+
 def test_distribution_against_raw_oracle():
-    raw = Counter(raw_nestings(pairs) for pairs in raw_matchings(4))
-    assert distribution(4, "nestings").counts == dict(raw)
+    for n in range(1, 6):
+        pairs = list(raw_matchings(n))
+        raw = {
+            "north_steps": Counter(raw_north_steps(n)),
+            "nestings": Counter(map(raw_nestings, pairs)),
+            "crossings": Counter(map(raw_crossings, pairs)),
+            "st_total": Counter(map(raw_st_total, pairs)),
+        }
+        for statistic, counts in raw.items():
+            assert distribution(n, statistic).counts == dict(counts), (n, statistic)
+
+
+@pytest.mark.parametrize("statistic", ["north_steps", "nestings", "crossings", "st_total"])
+def test_a_distribution_builds_and_sweeps_no_object(monkeypatch, statistic):
+    # distribution counts on the code tree's records, each statistic one
+    # step from the parent's: it builds no WedgePath or Matching, checks no
+    # partner tuple and sweeps none for its arcs or stacking values.
+    import wedgematch.enumeration as enumeration
+    import wedgematch.matching as matching
+    from wedgematch import WedgePath
+
+    def unreachable(*args):
+        raise AssertionError("distribution built, checked or swept an object")
+
+    for cls in (WedgePath, Matching):
+        monkeypatch.setattr(cls, "__post_init__", unreachable)
+    for module in (matching, enumeration):
+        for name in ("_check_partner", "_arc_counts", "_stacking"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, unreachable)
+    assert distribution(5, statistic).counts == NESTING_ROWS[5]
 
 
 def test_distribution_formats():
@@ -464,7 +518,7 @@ BROKEN_N2_FAILURES = {
         "P=EESS: path_sizes(rev)=[] image_sizes=[2] "
         "piecewise=(1,3),(2,4) global=(1,3),(2,4)",
         "P=ENESSS: path_sizes(rev)=[] image_sizes=[2] "
-        "piecewise=(1,4),(2,3) global=(1,4),(2,3)",
+        "piecewise=(1,3),(2,4) global=(1,4),(2,3)",
     ],
     "dyck_proposition": [
         "P=ESES: nestings=0 lefts=[1, 3] expected=[] fixed=True",
@@ -480,17 +534,20 @@ def test_verify_reports_failures_verbatim(monkeypatch):
     # psi_inv is broken where the harness calls it, in the code field of its
     # one sweep of a partner tuple: decoding returns the all-zero path's
     # code.  The record's stacking total is one too high, while its
-    # per-index stacking values are right.  The height kernels behind
-    # WedgePath.final_south_run, WedgePath.reversed_south_positions and
-    # WedgePath.components answer one too many, no positions and no
-    # components, where they are defined and where the harness imports them.
+    # per-index stacking values and its parent's total are right.  The
+    # height kernels behind WedgePath.final_south_run,
+    # WedgePath.reversed_south_positions and WedgePath.components answer one
+    # too many, no positions and no components, where they are defined and
+    # where the harness imports them.
     st = enumeration._Facts.__dict__["st"].fn
     sweep = enumeration._sweep
     final_south_run = paths._final_south_run
     monkeypatch.setattr(
         enumeration, "_sweep", lambda p: (tuple(range(len(p) // 2, 0, -1)), *sweep(p)[1:])
     )
-    monkeypatch.setattr(enumeration._Facts, "st", property(lambda f: st(f) + 1))
+    monkeypatch.setattr(
+        enumeration._Facts, "st", property(lambda f: st(f) + (f.heights is not None))
+    )
     for module in (paths, enumeration):
         monkeypatch.setattr(module, "_final_south_run", lambda a: final_south_run(a) + 1)
         monkeypatch.setattr(module, "_reversed_south_positions", lambda a: set())
@@ -588,9 +645,11 @@ def _break_kernel(monkeypatch, kernel, trigger, wrong):
 
 def test_proposition_b_walks_components_against_the_table(monkeypatch):
     # The harness folds phi along the code tree, one surgery step per
-    # depth.  At a reducible node, proposition_b runs phi's own kernel (code
-    # read plus walk) on the first block and requires the image to be that
-    # followed by the image of the ancestor that many edges up.  Break the
+    # depth.  At a reducible node, proposition_b walks phi's steps along
+    # the first block's code, the leading code, and requires the image to
+    # be that followed by the image of the ancestor that many edges up.
+    # The fold and the walk share the step kernel, but the walk starts
+    # afresh from the leading code, not from an ancestor's image.  Break the
     # step that puts the edge (1,2) in front of the image (1,4),(2,3), which
     # makes the image of the code (1, 3, 1), into a rearrangement with the
     # same block sizes, and that comparison must fail.
@@ -609,14 +668,16 @@ def test_proposition_b_walks_components_against_the_table(monkeypatch):
 
 
 # Every kernel the claims call through the harness on a passing run, with a
-# wrong answer for one input (see CODE above).  The partner tuples of size 2
-# are a first block, which phi's kernel (code read plus walk) walks at a
-# reducible node of size 3.  The cut step that takes the path ESES to
-# ESESES, whose three components the cut kernel behind
-# WedgePath.components finds, drops the middle cut and keeps the last.
-# The arc counts and first block end of NESTED are read where it is an
-# image; as a record's m, its code read, arc counts, stacking values and
-# block ends come from one sweep, broken one field at a time.
+# wrong answer for one input (see CODE above).  The code (3, 1) is the
+# leading code of a reducible node of size 3, whose first block phi's walk
+# makes.  The cut step that takes the path ESES to ESESES, whose three
+# components the cut kernel behind WedgePath.components finds, drops the
+# middle cut and keeps the last.  The arc counts and first block end of
+# NESTED are read where it is an image; as a record's m, its code read,
+# stacking values and block ends come from one sweep, broken one field at
+# a time, and its arc counts from the gap table of its parent's m,
+# (1,4),(2,3), whose count of arcs closed by the gap NESTED's first edge
+# ends in is broken.
 def _other_partner(p):
     aligned = tuple(v + 1 if v % 2 else v - 1 for v in range(1, len(p) + 1))
     return aligned if p != aligned else tuple(range(len(p), 0, -1))
@@ -637,15 +698,18 @@ KERNEL_FAULTS = {
     "_phi_step": ("_phi_step", FOLD_STEP, lambda p: [1, 0, 3, 2, 5, 4]),
     "_phi_inv_step": ("_phi_inv_step", ([v - 1 for v in NESTED],), lambda step: (1, step[1])),
     "_phi_walk": ("_phi_walk", ((3, 1),), _other_partner),
-    "_phi_partner": ("_phi_partner", ((4, 3, 2, 1),), _other_partner),
     "_arc_counts": ("_arc_counts", (NESTED,), lambda c: (c[0], c[1] + 1, c[2])),
+    "_gap_counts": (
+        "_gap_counts",
+        ((4, 3, 2, 1),),
+        lambda gaps: [*gaps[:4], (gaps[4][0], gaps[4][1] + 1)],
+    ),
     "_blocks": ("_block_end", (NESTED, 0), lambda end: end - 2),
     "_cuts": ("_cut_step", ([0, 1], 1, 3), lambda cuts: [0, 2]),
     "_north_steps": ("_north_steps", ((0, 1, 2),), lambda north: north + 1),
     "_sweep_code": ("_sweep", (NESTED,), _sweep_field(0, _other_code)),
-    "_sweep_arcs": ("_sweep", (NESTED,), _sweep_field(1, lambda c: (c[0], c[1] + 1, c[2]))),
-    "_sweep_stacking": ("_sweep", (NESTED,), _sweep_field(2, lambda s: [s[0] + 1, *s[1:]])),
-    "_sweep_ends": ("_sweep", (NESTED,), _sweep_field(3, lambda ends: ends[:-1])),
+    "_sweep_stacking": ("_sweep", (NESTED,), _sweep_field(1, lambda s: [s[0] + 1, *s[1:]])),
+    "_sweep_ends": ("_sweep", (NESTED,), _sweep_field(2, lambda ends: ends[:-1])),
 }
 
 
@@ -684,7 +748,6 @@ def _sweep_mismatch():
 
     for p in _sweep_partners():
         single = (
-            matching._arc_counts(p),
             matching._stacking(p),
             [start + len(block) for start, block in matching._blocks(p)],
         )
@@ -710,15 +773,15 @@ def _bad_code_read():
 
 
 def test_sweep_equals_the_single_purpose_kernels():
-    # The harness reads m's code, arc counts, stacking values and block ends
-    # off one sweep; the public API keeps a kernel for each of the last
-    # three, which this pins.
+    # The harness reads m's code, stacking values and block ends off one
+    # sweep; the public API keeps a kernel for each of the last two, which
+    # this pins.
     from wedgematch.matching import _sweep
 
     assert _sweep_mismatch() is None
     for n in range(1, 6):
         for m in all_matchings(n):
-            assert _sweep(m.partner)[2] == [m.st_component(i) for i in range(1, m.n)], m
+            assert _sweep(m.partner)[1] == [m.st_component(i) for i in range(1, m.n)], m
 
 
 def test_sweep_code_inserts_back_to_its_matching():
@@ -744,7 +807,6 @@ def test_insertion_oracle_sees_a_broken_code_read(monkeypatch, fault):
 # The single-purpose kernels the harness no longer runs on a record's m, each
 # with a wrong answer on NESTED: the sweep's differential test must see it.
 PUBLIC_KERNEL_FAULTS = {
-    "_arc_counts": KERNEL_FAULTS["_arc_counts"],
     "_stacking": ("_stacking", (NESTED,), lambda s: [s[0] + 1, *s[1:]]),
     "_blocks": KERNEL_FAULTS["_blocks"],
 }
@@ -876,14 +938,88 @@ def test_child_stacking_is_one_value_then_the_parents(case):
     seen = 0
     for b, parent_b in _code_pairs():
         m = _partner_from_code(b)
-        _, _, parent_stacking, parent_ends = _sweep(_partner_from_code(parent_b))
+        _, parent_stacking, parent_ends = _sweep(_partner_from_code(parent_b))
         if _stacking_case(b, parent_ends) != case:
             continue
         seen += 1
-        stacking = _sweep(m)[2]
+        stacking = _sweep(m)[1]
         assert stacking[1:] == parent_stacking, b
         assert stacking[0] == Matching(m).st_component(1), b
     assert seen > 100
+
+
+def _carry_case(f):
+    """Where a node's first edge (1, b_1 + 1) ends on its parent's m: next
+    to the vertex 1 (b_1 = 1), past the parent's last vertex (b_1 = 2k - 1
+    at depth k, the last gap), right after another parent block, or
+    elsewhere."""
+    b1, k = f.b[0], len(f.b)
+    if b1 == 1:
+        return "b1_is_1"
+    if b1 == 2 * k - 1:
+        return "last_gap"
+    return "b1_minus_1_ends_a_parent_block" if b1 - 1 in f.parent.ends else "inside_a_block"
+
+
+def _carry_nodes(n=7):
+    """Every node of sizes 1..n, then every node of the random codes'
+    chains, folded one depth at a time from the root.  A chain node lets
+    its parent go once its own values are carried, as its child reads only
+    those, so a chain of 1024 holds two nodes, not every ancestor's
+    tables."""
+    from wedgematch.enumeration import _Facts
+
+    yield from _code_tree(n)
+    for b in _random_codes():
+        f = _Facts((), None)
+        for k in range(1, len(b) + 1):
+            f = _Facts(b[-k:], f)
+            yield f
+            f.arcs, f.st
+            f.parent = None
+
+
+def _carry_mismatch(n=7, case=None):
+    """The m of the first of the carry nodes, in the given case or in any,
+    whose carried (crossings, nestings) and stacking total differ from the
+    single-purpose kernels' on m, or None; and the number of nodes
+    compared."""
+    import wedgematch.matching as matching
+
+    seen = 0
+    for f in _carry_nodes(n):
+        if case is not None and _carry_case(f) != case:
+            continue
+        seen += 1
+        carried = f.arcs, f.st
+        if carried != (matching._arc_counts(f.m)[:2], sum(matching._stacking(f.m))):
+            return f.m, seen
+    return None, seen
+
+
+@pytest.mark.parametrize(
+    "case", ["b1_is_1", "b1_minus_1_ends_a_parent_block", "last_gap", "inside_a_block"]
+)
+def test_carried_arcs_and_stacking_total_equal_the_sweeps(case):
+    # A node's arc counts are its parent's plus two counts of the parent's
+    # gap table, and its stacking total the parent's plus one value read
+    # off the parent's first edge: on every node of sizes 1..7 and along
+    # seeded random chains up to n=1024, they equal what the kernels behind
+    # Matching.crossings(), nestings() and st_total() give on m.  The cases
+    # where the new edge closes next to vertex 1, right after a parent
+    # block or past the parent's last vertex are pinned apart from the rest.
+    mismatch, seen = _carry_mismatch(case=case)
+    assert mismatch is None
+    assert seen > 1000
+
+
+@pytest.mark.parametrize("kernel", ["_arc_counts", "_stacking"])
+def test_carry_differential_sees_a_broken_public_kernel(monkeypatch, kernel):
+    # The carried values stand in for the single-purpose kernels on every
+    # record's m: a wrong answer of either kernel on NESTED must show.
+    faults = {"_arc_counts": KERNEL_FAULTS["_arc_counts"], **PUBLIC_KERNEL_FAULTS}
+    _break_kernel(monkeypatch, *faults[kernel])
+    assert _carry_mismatch(n=3)[0] == NESTED
 
 
 def test_block_end_is_the_step_of_the_block_split():
@@ -893,7 +1029,7 @@ def test_block_end_is_the_step_of_the_block_split():
     from wedgematch.matching import _block_end, _blocks, _sweep
 
     for p in _sweep_partners():
-        ends = _sweep(p)[3]
+        ends = _sweep(p)[2]
         starts = [0, *ends]
         assert [_block_end(p, start) for start in starts] == [*ends, 0], p
         assert [start + len(block) for start, block in _blocks(p)] == ends, p
@@ -941,7 +1077,9 @@ def _full_report(monkeypatch, n):
 # irreducible (1,4),(2,3), the north steps of a record, a surgery step that
 # answers an image two vertices too long, an insertion that
 # keeps the first block of (1,2),(3,4),(5,6) but not the rest, one that
-# keeps every block end of (1,2),(3,5),(4,6) but not the last block, and an
+# keeps every block end of (1,2),(3,5),(4,6) but not the last block, one
+# that keeps the block ends and last block of (1,4),(2,3),(5,6) but not the
+# first block, whose code is then no longer the leading code, and an
 # unwinding step whose "parent" is no matching, yet one surgery step takes
 # it back to its input.
 DIFFERENTIAL_FAULTS = {
@@ -953,11 +1091,11 @@ DIFFERENTIAL_FAULTS = {
     "_blocks": KERNEL_FAULTS["_sweep_ends"],
     "_sweep_code": KERNEL_FAULTS["_sweep_code"],
     "_sweep_code_depth_2": ("_sweep", ((4, 3, 2, 1),), _sweep_field(0, lambda b: (1, 1))),
-    "_sweep_stacking_depth_2": ("_sweep", ((4, 3, 2, 1),), _sweep_field(2, lambda s: [s[0] + 1])),
+    "_sweep_stacking_depth_2": ("_sweep", ((4, 3, 2, 1),), _sweep_field(1, lambda s: [s[0] + 1])),
     "_sweep_stacking_past_the_first": (
         "_sweep",
         (tuple(range(8, 0, -1)),),
-        _sweep_field(2, lambda s: [s[0], s[1] + 1, s[2] - 1]),
+        _sweep_field(1, lambda s: [s[0], s[1] + 1, s[2] - 1]),
     ),
     "_cuts": KERNEL_FAULTS["_cuts"],
     "_cut_step_depth_2": ("_cut_step", ([0], 1, 2), lambda cuts: [0]),
@@ -969,6 +1107,11 @@ DIFFERENTIAL_FAULTS = {
         "_partner_from_code",
         ((1, 2, 1),),
         lambda p: (2, 1, 6, 5, 4, 3),
+    ),
+    "_partner_from_code_first_block": (
+        "_partner_from_code",
+        ((3, 1, 1),),
+        lambda p: (3, 4, 1, 2, 6, 5),
     ),
     "_phi_inv_step_not_a_matching": (
         "_phi_inv_step",
@@ -1232,10 +1375,13 @@ def test_a_bad_code_read_is_reported_not_raised(monkeypatch, capsys):
     # The code read of (1,4),(2,3) comes back with the entry 0, or 9, which
     # no insertion code has.  Counterexamples print such a code raw instead
     # of raising on it, and the insertion that round_trip_psi_inv runs, and
-    # the phi walk that proposition_b runs on the irreducible (1,4),(2,3),
-    # range-check the code first: 9 would index past both of their lists.
-    # So the command reports the failed claims and exits 1, not 2, the
-    # code for bad usage.
+    # the phi walk that proposition_b's full check runs on each block, such
+    # as the irreducible (1,4),(2,3) or the first block of
+    # (1,4),(2,3),(5,6), range-check the code first: 9 would index past
+    # both of their lists.  proposition_b's node check walks the leading
+    # code of the node itself.  So the command reports the failed claims
+    # and exits 1, not 2, the code for bad usage, with nothing on stderr
+    # (the JSON form writes no elapsed times there).
     from wedgematch.cli import main
 
     for entry in (0, 9):
@@ -1254,10 +1400,11 @@ def test_a_bad_code_read_is_reported_not_raised(monkeypatch, capsys):
             assert claims["round_trip_psi_inv"]["counterexamples"] == [
                 f"M=(1,4),(2,3): does not unwind: code entry {entry} at position 1 is outside 1..3"
             ]
-            assert main(["verify", "2"]) == 1
-            out, err = capsys.readouterr()
-            assert "result: FAIL" in out
-            assert "error" not in err
+            for n in ("2", "3"):
+                assert main(["verify", n, "--json"]) == 1, (entry, n)
+                out, err = capsys.readouterr()
+                assert json.loads(out)[-1]["passed"] is False
+                assert err == "", (entry, n)
 
 
 def test_an_image_that_does_not_unwind_is_reported_not_raised(monkeypatch, capsys):
