@@ -32,7 +32,7 @@ from .bijections import (
 from .errors import InvalidMatchingError, OverCapError
 from .matching import Matching, _arc_counts, _block_end, _blocks, _gap_counts, _sweep
 from .paths import (
-    WedgePath, _cut_step, _cuts, _final_south_run, _north_steps, _reversed_south_positions, _steps
+    WedgePath, _cut_step, _cuts, _final_south_run, _reversed_south_positions, _steps
 )
 
 __all__ = [
@@ -121,8 +121,7 @@ def all_matchings(n: int) -> Iterator[Matching]:
 
 # -- distribution tables ------------------------------------------------------
 
-# The statistics a distribution table counts, each a table of the harness's
-# records (see _RECORD_STATISTICS below).
+# The statistics a distribution table counts (see _CHILD_STATISTICS below).
 STATISTICS = ("north_steps", "nestings", "crossings", "st_total")
 
 
@@ -138,9 +137,7 @@ class DistributionTable:
         total = sum(self.counts.values())
         expected = double_factorial(self.n)
         if total != expected:
-            raise ValueError(
-                f"counts sum to {total}, expected (2n-1)!! = {expected}"
-            )
+            raise ValueError(f"counts sum to {total}, expected (2n-1)!! = {expected}")
 
     def items(self) -> list[tuple[int, int]]:
         return sorted(self.counts.items())
@@ -164,22 +161,22 @@ class DistributionTable:
 def distribution(n: int, statistic: str, max_n: int | None = None) -> DistributionTable:
     """Exact distribution of a statistic over all objects of size n.
 
-    The table is counted on the records of the code tree, one per path:
-    north steps from the path's heights, and the other three on its
-    insertion image, each one step from the parent's value (see
-    ``_Facts``), so no matching is built, checked or swept whole.  Every
-    matching of size n is the insertion image of exactly one path.
+    Each node of depth n-1 of the code tree gives the values of all its
+    2n-1 children, the records, one per path, at once (see ``_Facts``), so
+    the walk stops at depth n-1 and builds, checks or sweeps no matching.
+    Every matching of size n is the insertion image of exactly one path.
 
     >>> distribution(2, "nestings").to_text()
     '0:2 1:1'
     """
     _require_within_cap(n, max_n)
     if statistic not in STATISTICS:
-        raise ValueError(
-            f"unknown statistic {statistic!r}; choose from {', '.join(STATISTICS)}"
-        )
-    fn = _RECORD_STATISTICS[statistic]
-    counts = Counter(fn(f) for f in _code_tree(n) if f.heights is not None)
+        raise ValueError(f"unknown statistic {statistic!r}; choose from {', '.join(STATISTICS)}")
+    values, counts = _CHILD_STATISTICS[statistic], Counter()
+    # The nodes of depth n-1: the root, or the records of the tree of size n-1.
+    for parent in _code_tree(n - 1) if n > 1 else [_Facts((), None)]:
+        if len(parent.b) == n - 1:
+            counts.update(values(parent))
     return DistributionTable(n=n, statistic=statistic, counts=dict(counts))
 
 
@@ -227,23 +224,28 @@ class _Facts:
     code with b_1 in front, its ``parent`` (None at the root, whose code is
     empty) and, at a record (a leaf, depth n), its path's ``heights`` (else
     None).  Every other field is computed on first read, once, so a node
-    computes only what its readers read.  Four are one step on the
-    parent's value: ``image``, the 0-based partner list of phi(psi(b)),
-    one surgery step with b_1 on the parent's image; ``cuts``, the cut
-    stack of the first k east steps (0 and the splits of
-    :meth:`WedgePath.components` below k), one cut step with b_1 on a copy
-    of the parent's stack; ``arcs``, the (crossings, nestings) of ``m``,
-    the parent's plus the parent's arcs open across and closed before the
-    gap where the new first edge ends (one ``gaps`` table per parent,
-    shared by its children); and ``st``, the stacking total of ``m``, the
-    parent's plus the new first stacking value.  The rest are a record's
-    north steps, ``m = psi(b)``, whether ``m`` is a perfect matching of
-    [2n], ``nm = phi(m)``, the code read, stacking values and block ends of
-    ``m`` (one sweep), the arc counts of ``nm``, ``phi_inv(nm)`` (or why
-    the unwinding refuses ``nm``), and whether one unwinding step of the
-    image gives back the parent's.  The node checks compare a node's values
-    with its parent's or an ancestor's, so a passing run sweeps no record
-    whole for its path components, image blocks or stacking formula.
+    computes only what its readers read.  Two are one step on the parent's
+    value: ``image``, the 0-based partner list of phi(psi(b)), one surgery
+    step with b_1 on the parent's image; and ``cuts``, the cut stack of the
+    first k east steps (0 and the splits of :meth:`WedgePath.components`
+    below k), one cut step with b_1 on a copy of the parent's stack.  Three
+    are the parent's plus one step, which the parent takes for all its
+    children b_1 = 1..2k+1 at once (``child_north`` and so on), so a node of
+    depth n-1 gives its records' values without building them: ``north``,
+    the path's north steps, plus the new rise b_1 - c - 1 if positive, c the
+    parent's b_1; ``arcs``, the (crossings, nestings) of ``m``, plus the
+    parent's arcs open across and closed before the gap b_1 - 1, where the
+    new first edge (1, b_1 + 1) ends; and ``st``, the stacking total of
+    ``m``, plus b_1 - u if the parent's first edge (1, u) has u < b_1, when
+    the two first edges nest and [u + 1, b_1 + 1] holds b_1 - u endpoints of
+    later edges.  The rest are ``m = psi(b)``, whether ``m`` is a perfect
+    matching of [2n], ``nm = phi(m)``, the code read, stacking values and
+    block ends of ``m`` (one sweep), the arc counts of ``nm``,
+    ``phi_inv(nm)`` (or why the unwinding refuses ``nm``), and whether one
+    unwinding step of the image gives back the parent's.  The node checks
+    compare a node's values with its parent's or an ancestor's, so a passing
+    run sweeps no record whole for its path components, image blocks or
+    stacking formula.
     """
 
     def __init__(
@@ -262,10 +264,6 @@ class _Facts:
         return _cut_step(list(self.parent.cuts), self.b[0], len(self.b))
 
     @_once
-    def north(self) -> int:
-        return _north_steps(self.heights)
-
-    @_once
     def m(self) -> tuple[int, ...]:
         return _partner_from_code(self.b)
 
@@ -282,32 +280,29 @@ class _Facts:
     ends = _swept()
 
     @_once
-    def gaps(self) -> list[tuple[int, int]]:
-        return _gap_counts(self.m)
+    def north(self) -> int:
+        return 0 if self.parent is None else self.parent.child_north[self.b[0] - 1]
 
     @_once
     def arcs(self) -> tuple[int, int]:
-        """The first edge (1, b_1 + 1) of ``m`` ends in the gap b_1 - 1 of
-        the parent's ``m``: it crosses the parent's arcs open across that
-        gap, nests over those closed before it and is aligned with the
-        rest."""
-        if self.parent is None:
-            return 0, 0
-        crossings, nestings = self.parent.arcs
-        opened, closed = self.parent.gaps[self.b[0] - 1]
-        return crossings + opened, nestings + closed
+        return (0, 0) if self.parent is None else self.parent.child_arcs[self.b[0] - 1]
 
     @_once
     def st(self) -> int:
-        """Stacking reads only the edges from the second on, so a child adds
-        one value, for its first two edges: (1, b_1 + 1) and the parent's
-        first edge (1, u), moved to (2, u + 1) below b_1 + 1.  They nest when
-        u < b_1, and the window [u + 1, b_1 + 1] then holds b_1 - u endpoints
-        of later edges."""
-        if len(self.b) < 2:
-            return 0
-        u, b1 = self.parent.m[0], self.b[0]
-        return self.parent.st + (b1 - u if u < b1 else 0)
+        return 0 if self.parent is None else self.parent.child_st[self.b[0] - 1]
+
+    @_once
+    def child_north(self) -> list[int]:
+        return _rises(self.north, self.b[0] + 1 if self.b else 1, 2 * len(self.b) + 1)
+
+    @_once
+    def child_arcs(self) -> list[tuple[int, int]]:
+        crossings, nestings = self.arcs
+        return [(crossings + opened, nestings + closed) for opened, closed in _gap_counts(self.m)]
+
+    @_once
+    def child_st(self) -> list[int]:
+        return _rises(self.st, self.m[0] if self.b else 1, 2 * len(self.b) + 1)
 
     @_once
     def image_arcs(self) -> tuple[int, int, int]:
@@ -336,6 +331,11 @@ class _Facts:
     def name(self, names_image: bool) -> str:
         """The counterexample's name: the path, or its insertion image."""
         return f"M={_partner_text(self.m)}" if names_image else f"P={_steps(self.heights)}"
+
+
+def _rises(base: int, flat: int, count: int) -> list[int]:
+    """base + max(b_1 - flat, 0) for b_1 = 1..count, as two runs, if 0 <= flat <= count."""
+    return [base] * flat + [*range(base + 1, base + count - flat + 1)]
 
 
 def _unwound(unwind: Callable[[], tuple[int, ...]]) -> tuple[int, ...] | str:
@@ -391,16 +391,12 @@ def _code_tree(n: int, prefix: tuple[int, ...] = ()) -> Iterator[_Facts]:
             chain.pop()
 
 
-# Tables counted on the path records: whether each record's m is a perfect
-# matching of [2n], and the STATISTICS that distribution counts and the
-# distribution claims compare.  A cell counts only the tables its claims'
-# tables name.
-_RECORD_STATISTICS: dict[str, Callable[[_Facts], int]] = {
-    "matchings": lambda f: f.perfect,
-    "north_steps": lambda f: f.north,
-    "nestings": lambda f: f.arcs[1],
-    "crossings": lambda f: f.arcs[0],
-    "st_total": lambda f: f.st,
+# The STATISTICS, each as the list of a node's children's values (see _Facts).
+_CHILD_STATISTICS: dict[str, Callable[[_Facts], list[int]]] = {
+    "north_steps": lambda f: f.child_north,
+    "nestings": lambda f: [nestings for _, nestings in f.child_arcs],
+    "crossings": lambda f: [crossings for crossings, _ in f.child_arcs],
+    "st_total": lambda f: f.child_st,
 }
 
 
@@ -432,12 +428,11 @@ def _round_trip_big_phi(f: _Facts) -> str | None:
 
 
 def _lemma1(f: _Facts) -> str | None:
-    b = f.b
-    per_index_ok = f.stacking == [max(b[i - 1] - b[i] - 1, 0) for i in range(1, len(b))]
-    st = f.st
-    if st == f.north and per_index_ok:
+    per_index_ok = f.stacking == [max(f.b[i - 1] - f.b[i] - 1, 0) for i in range(1, len(f.b))]
+    # North steps and the stacking total take one step (_rises): hold st to the sweep's too.
+    if f.st == f.north == sum(f.stacking) and per_index_ok:
         return None
-    return f"north={f.north} stacking={st} indexwise_ok={per_index_ok}"
+    return f"north={f.north} stacking={f.st} indexwise_ok={per_index_ok}"
 
 
 def _theorem1(f: _Facts) -> str | None:
@@ -866,8 +861,9 @@ def _run_cell(cell: _Cell) -> tuple[int, dict[str, list], dict[str, Counter]] | 
     ]
     failures: dict[str, list] = {c.label: [0, []] for c in per_object}
     read = {name for c in claims for name in c.tables}
-    counters = {name: Counter() for name in _RECORD_STATISTICS if name in read}
-    statistics = [(_RECORD_STATISTICS[name], counter) for name, counter in counters.items()]
+    counters = {name: Counter() for name in ("matchings", *STATISTICS) if name in read}
+    perfect = counters.get("matchings")
+    statistics = [(_CHILD_STATISTICS[name], counters[name]) for name in STATISTICS if name in read]
     count = 0
     for f in _code_tree(cell.n, cell.prefix):
         for node in nodes:
@@ -876,8 +872,12 @@ def _run_cell(cell: _Cell) -> tuple[int, dict[str, list], dict[str, Counter]] | 
         if f.heights is None:
             continue
         count += 1
-        for fn, counter in statistics:
-            counter[fn(f)] += 1
+        if f.b[0] == 1:
+            # The first of its parent's children: the cell holds them all.
+            for values, counter in statistics:
+                counter.update(values(f.parent))
+        if perfect is not None:
+            perfect[f.perfect] += 1
         for label, names_image, check in checks:
             detail = check(f)
             if detail is not None:

@@ -264,9 +264,10 @@ def test_distribution_against_raw_oracle():
 
 @pytest.mark.parametrize("statistic", ["north_steps", "nestings", "crossings", "st_total"])
 def test_a_distribution_builds_and_sweeps_no_object(monkeypatch, statistic):
-    # distribution counts on the code tree's records, each statistic one
-    # step from the parent's: it builds no WedgePath or Matching, checks no
-    # partner tuple and sweeps none for its arcs or stacking values.
+    # distribution counts the values that the code tree's nodes of depth
+    # n-1 give for their children, each one step from the node's own: it
+    # builds no WedgePath or Matching, checks no partner tuple and sweeps
+    # none for its arcs or stacking values.
     import wedgematch.enumeration as enumeration
     import wedgematch.matching as matching
     from wedgematch import WedgePath
@@ -281,6 +282,39 @@ def test_a_distribution_builds_and_sweeps_no_object(monkeypatch, statistic):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, unreachable)
     assert distribution(5, statistic).counts == NESTING_ROWS[5]
+
+
+@pytest.mark.parametrize("statistic", ["north_steps", "nestings", "crossings", "st_total"])
+def test_a_distribution_builds_no_record(monkeypatch, statistic):
+    # Each node of depth n-1 gives the statistic of its 2n-1 children, the
+    # records, at once, so distribution(n, s) makes no node of depth n.  At
+    # n = 1 that node is the root, which the code tree's walk never yields.
+    import wedgematch.enumeration as enumeration
+
+    expected = {n: dict(Counter(_record_values(n, statistic))) for n in range(1, 7)}
+    depths = []
+    init = enumeration._Facts.__init__
+
+    def recording(self, b, *args):
+        depths.append(len(b))
+        init(self, b, *args)
+
+    monkeypatch.setattr(enumeration._Facts, "__init__", recording)
+    for n in range(1, 7):
+        depths.clear()
+        assert distribution(n, statistic).counts == expected[n]
+        assert max(depths) == n - 1, n
+    assert distribution(1, statistic).counts == {0: 1}
+
+
+def test_the_smallest_verify_payload_is_pinned(capsys):
+    # Size 1 is the one size whose records' parent is the root.
+    from wedgematch.cli import main
+
+    assert main(["verify", "1", "--json"]) == 0
+    (report,) = json.loads(capsys.readouterr().out)
+    payload = json.dumps(report).encode()
+    assert hashlib.sha256(payload).hexdigest() == VERIFY_PAYLOAD_DIGESTS[1]
 
 
 def test_distribution_formats():
@@ -630,8 +664,9 @@ def _break_kernel(monkeypatch, kernel, trigger, wrong):
     import wedgematch.bijections as bijections
     import wedgematch.enumeration as enumeration
     import wedgematch.matching as matching
+    import wedgematch.paths as paths
 
-    holders = [m for m in (enumeration, bijections, matching) if hasattr(m, kernel)]
+    holders = [m for m in (enumeration, bijections, matching, paths) if hasattr(m, kernel)]
     right = getattr(holders[0], kernel)
 
     def faulty(*args):
@@ -677,7 +712,9 @@ def test_proposition_b_walks_components_against_the_table(monkeypatch):
 # stacking values and block ends come from one sweep, broken one field at
 # a time, and its arc counts from the gap table of its parent's m,
 # (1,4),(2,3), whose count of arcs closed by the gap NESTED's first edge
-# ends in is broken.
+# ends in is broken.  The children's north steps and stacking totals, which
+# that parent gives as runs of rises from its own values 1 and 1, are broken
+# at its first child.
 def _other_partner(p):
     aligned = tuple(v + 1 if v % 2 else v - 1 for v in range(1, len(p) + 1))
     return aligned if p != aligned else tuple(range(len(p), 0, -1))
@@ -706,7 +743,7 @@ KERNEL_FAULTS = {
     ),
     "_blocks": ("_block_end", (NESTED, 0), lambda end: end - 2),
     "_cuts": ("_cut_step", ([0, 1], 1, 3), lambda cuts: [0, 2]),
-    "_north_steps": ("_north_steps", ((0, 1, 2),), lambda north: north + 1),
+    "_rises": ("_rises", (1, 4, 5), lambda values: [values[0] + 1, *values[1:]]),
     "_sweep_code": ("_sweep", (NESTED,), _sweep_field(0, _other_code)),
     "_sweep_stacking": ("_sweep", (NESTED,), _sweep_field(1, lambda s: [s[0] + 1, *s[1:]])),
     "_sweep_ends": ("_sweep", (NESTED,), _sweep_field(2, lambda ends: ends[:-1])),
@@ -718,6 +755,13 @@ def test_every_kernel_is_checked_by_some_claim(monkeypatch, kernel):
     _break_kernel(monkeypatch, *KERNEL_FAULTS[kernel])
     report = verify_all(3)
     assert not report.passed, kernel
+
+
+def test_lemma1_sees_a_wrong_carried_step(monkeypatch):
+    # North steps and stacking totals are carried by the same step, which a
+    # fault then breaks alike: lemma1 must still fail, on the sweep's total.
+    _break_kernel(monkeypatch, *KERNEL_FAULTS["_rises"])
+    assert verify_all(3).to_json_value()["claims"]["lemma1"]["failed"] == 1
 
 
 def _random_partner(rng, n):
@@ -804,15 +848,17 @@ def test_insertion_oracle_sees_a_broken_code_read(monkeypatch, fault):
     assert _bad_code_read() == NESTED
 
 
-# The single-purpose kernels the harness no longer runs on a record's m, each
-# with a wrong answer on NESTED: the sweep's differential test must see it.
+# The single-purpose kernels the harness no longer runs on a record, each with
+# a wrong answer on NESTED or on its path's heights (0, 1, 2): the sweep's or
+# the carried values' differential test must see it.
 PUBLIC_KERNEL_FAULTS = {
     "_stacking": ("_stacking", (NESTED,), lambda s: [s[0] + 1, *s[1:]]),
     "_blocks": KERNEL_FAULTS["_blocks"],
+    "_north_steps": ("_north_steps", ((0, 1, 2),), lambda north: north + 1),
 }
 
 
-@pytest.mark.parametrize("kernel", sorted(PUBLIC_KERNEL_FAULTS))
+@pytest.mark.parametrize("kernel", ["_blocks", "_stacking"])
 def test_sweep_differential_sees_a_broken_public_kernel(monkeypatch, kernel):
     _break_kernel(monkeypatch, *PUBLIC_KERNEL_FAULTS[kernel])
     assert _sweep_mismatch() == NESTED
@@ -975,24 +1021,40 @@ def _carry_nodes(n=7):
         for k in range(1, len(b) + 1):
             f = _Facts(b[-k:], f)
             yield f
-            f.arcs, f.st
+            f.arcs, f.st, f.north
             f.parent = None
+
+
+def _heights(b):
+    """The heights a_1..a_k of the path whose code is b."""
+    return tuple(b[len(b) - i] - i for i in range(1, len(b) + 1))
+
+
+def _kernel_statistics(b):
+    """The (crossings, nestings), stacking total and north steps of the
+    node with code b, from the single-purpose kernels on its m and path."""
+    import wedgematch.matching as matching
+    import wedgematch.paths as paths
+
+    m = _partner_from_code(b)
+    return (
+        matching._arc_counts(m)[:2],
+        sum(matching._stacking(m)),
+        paths._north_steps(_heights(b)),
+    )
 
 
 def _carry_mismatch(n=7, case=None):
     """The m of the first of the carry nodes, in the given case or in any,
-    whose carried (crossings, nestings) and stacking total differ from the
-    single-purpose kernels' on m, or None; and the number of nodes
-    compared."""
-    import wedgematch.matching as matching
-
+    whose carried (crossings, nestings), stacking total and north steps
+    differ from the single-purpose kernels' on m and its path, or None; and
+    the number of nodes compared."""
     seen = 0
     for f in _carry_nodes(n):
         if case is not None and _carry_case(f) != case:
             continue
         seen += 1
-        carried = f.arcs, f.st
-        if carried != (matching._arc_counts(f.m)[:2], sum(matching._stacking(f.m))):
+        if (f.arcs, f.st, f.north) != _kernel_statistics(f.b):
             return f.m, seen
     return None, seen
 
@@ -1002,10 +1064,11 @@ def _carry_mismatch(n=7, case=None):
 )
 def test_carried_arcs_and_stacking_total_equal_the_sweeps(case):
     # A node's arc counts are its parent's plus two counts of the parent's
-    # gap table, and its stacking total the parent's plus one value read
-    # off the parent's first edge: on every node of sizes 1..7 and along
-    # seeded random chains up to n=1024, they equal what the kernels behind
-    # Matching.crossings(), nestings() and st_total() give on m.  The cases
+    # gap table, its stacking total the parent's plus one value read off the
+    # parent's first edge, and its north steps the parent's plus its last
+    # rise: on every node of sizes 1..7 and along seeded random chains up to
+    # n=1024, they equal what the kernels behind Matching.crossings(),
+    # nestings(), st_total() and WedgePath.north_steps() give.  The cases
     # where the new edge closes next to vertex 1, right after a parent
     # block or past the parent's last vertex are pinned apart from the rest.
     mismatch, seen = _carry_mismatch(case=case)
@@ -1013,13 +1076,58 @@ def test_carried_arcs_and_stacking_total_equal_the_sweeps(case):
     assert seen > 1000
 
 
-@pytest.mark.parametrize("kernel", ["_arc_counts", "_stacking"])
+@pytest.mark.parametrize("kernel", ["_arc_counts", "_north_steps", "_stacking"])
 def test_carry_differential_sees_a_broken_public_kernel(monkeypatch, kernel):
     # The carried values stand in for the single-purpose kernels on every
-    # record's m: a wrong answer of either kernel on NESTED must show.
+    # record: a wrong answer of any of them on NESTED or its path must show.
     faults = {"_arc_counts": KERNEL_FAULTS["_arc_counts"], **PUBLIC_KERNEL_FAULTS}
     _break_kernel(monkeypatch, *faults[kernel])
     assert _carry_mismatch(n=3)[0] == NESTED
+
+
+def _parent_cases(parent):
+    """The children b_1 of a node pinned apart, by case: next to the vertex
+    1, at and right after the end u of the node's first edge (1, u), and
+    past the node's last vertex, the last gap."""
+    cases = {"b1_is_1": 1, "last_gap": 2 * len(parent.b) + 1}
+    if parent.b:
+        u = parent.m[0]
+        cases.update(b1_is_u=u, b1_is_u_plus_1=u + 1)
+    return cases
+
+
+def _record_values(n, statistic):
+    """The statistic on every record of size n, from the kernels."""
+    index = ("crossings", "nestings", "st_total", "north_steps").index(statistic)
+    for f in _code_tree(n):
+        if f.heights is not None:
+            arcs, st, north = _kernel_statistics(f.b)
+            yield (*arcs, st, north)[index]
+
+
+@pytest.mark.parametrize("case", ["b1_is_1", "b1_is_u", "b1_is_u_plus_1", "last_gap"])
+def test_a_parent_gives_its_records_statistics(case):
+    # A node of depth n-1 gives the statistics of all its 2n-1 children,
+    # the records of size n, in one loop each: on every such node of sizes
+    # 1..7, the root included, its values equal what the kernels behind
+    # WedgePath.north_steps(), Matching.crossings(), nestings() and
+    # st_total() give on the child.  The children next to vertex 1, at and
+    # right after the end of the node's first edge, and in the last gap are
+    # pinned apart.
+    from wedgematch.enumeration import _CHILD_STATISTICS, _Facts
+
+    seen = 0
+    for parent in [_Facts((), None), *_code_tree(6)]:
+        values = {s: rule(parent) for s, rule in _CHILD_STATISTICS.items()}
+        assert {len(v) for v in values.values()} == {2 * len(parent.b) + 1}, parent.b
+        b1 = _parent_cases(parent).get(case)
+        if b1 is None:
+            continue
+        seen += 1
+        got = [values[s][b1 - 1] for s in ("crossings", "nestings", "st_total", "north_steps")]
+        arcs, st, north = _kernel_statistics((b1, *parent.b))
+        assert got == [*arcs, st, north], (b1, parent.b)
+    assert seen > 10_000
 
 
 def test_block_end_is_the_step_of_the_block_split():
@@ -1074,7 +1182,8 @@ def _full_report(monkeypatch, n):
 # (1,4),(2,3) at depth 2, and two of the fully nested matching of size 4
 # with their total kept), the cut step dropping a middle cut at a record,
 # dropping the cut of (1,2),(3,4) at depth 2 and adding one to the
-# irreducible (1,4),(2,3), the north steps of a record, a surgery step that
+# irreducible (1,4),(2,3), the carried north steps and stacking total of a
+# record, a surgery step that
 # answers an image two vertices too long, an insertion that
 # keeps the first block of (1,2),(3,4),(5,6) but not the rest, one that
 # keeps every block end of (1,2),(3,5),(4,6) but not the last block, one
@@ -1100,7 +1209,7 @@ DIFFERENTIAL_FAULTS = {
     "_cuts": KERNEL_FAULTS["_cuts"],
     "_cut_step_depth_2": ("_cut_step", ([0], 1, 2), lambda cuts: [0]),
     "_cut_step_irreducible": ("_cut_step", ([0], 3, 2), lambda cuts: [0, 1]),
-    "_north_steps": KERNEL_FAULTS["_north_steps"],
+    "_rises": KERNEL_FAULTS["_rises"],
     "_phi_step_longer": ("_phi_step", FOLD_STEP, lambda p: [*p, 7, 6]),
     "_partner_from_code": ("_partner_from_code", ((1, 1, 1),), lambda p: (2, 1, 5, 6, 3, 4)),
     "_partner_from_code_last_block": (
