@@ -111,7 +111,7 @@ def psi_inv(m: Matching) -> WedgePath:
     """
     if m.n == 0:
         raise InvalidMatchingError("the empty matching has no path preimage")
-    return path_from_code(InsertionCode(_sweep(m.partner)[0]))
+    return path_from_code(InsertionCode(_sweep(m.partner)))
 
 
 # -- the three-case rearrangement -------------------------------------------
@@ -175,7 +175,7 @@ def _phi_walk(code: Sequence[int]) -> tuple[int, ...]:
 
 def _phi_partner(partner: Sequence[int]) -> tuple[int, ...]:
     """The kernel of :func:`phi`: read the code with ``_sweep``, then walk it."""
-    return _phi_walk(_sweep(partner)[0])
+    return _phi_walk(_sweep(partner))
 
 
 def phi(m: Matching) -> Matching:

@@ -30,7 +30,9 @@ from .bijections import (
     path_from_code,
 )
 from .errors import InvalidMatchingError, OverCapError
-from .matching import Matching, _arc_counts, _block_end, _blocks, _gap_counts, _sweep
+from .matching import (
+    Matching, _arc_counts, _block_end, _blocks, _first_stacking, _gap_counts, _stacking, _sweep
+)
 from .paths import (
     WedgePath, _cut_step, _cuts, _final_south_run, _reversed_south_positions, _steps
 )
@@ -199,22 +201,6 @@ class _once:
         return value
 
 
-class _swept:
-    """A field of the one sweep of a record's ``m`` (see
-    :func:`~wedgematch.matching._sweep`): the first read of any of them
-    stores all three on the instance, whose attributes then shadow them."""
-
-    def __set_name__(self, owner, name: str) -> None:
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        fields = obj.__dict__
-        fields["code_back"], fields["stacking"], fields["ends"] = _sweep(obj.m)
-        return fields[self.name]
-
-
 class _Facts:
     """One node of the code tree, with the values the claims and statistics
     read.
@@ -239,13 +225,13 @@ class _Facts:
     ``m``, plus b_1 - u if the parent's first edge (1, u) has u < b_1, when
     the two first edges nest and [u + 1, b_1 + 1] holds b_1 - u endpoints of
     later edges.  The rest are ``m = psi(b)``, whether ``m`` is a perfect
-    matching of [2n], ``nm = phi(m)``, the code read, stacking values and
-    block ends of ``m`` (one sweep), the arc counts of ``nm``,
-    ``phi_inv(nm)`` (or why the unwinding refuses ``nm``), and whether one
-    unwinding step of the image gives back the parent's.  The node checks
-    compare a node's values with its parent's or an ancestor's, so a passing
-    run sweeps no record whole for its path components, image blocks or
-    stacking formula.
+    matching of [2n], ``nm = phi(m)``, the code read of ``m``, the arc
+    counts of ``nm``, ``phi_inv(nm)`` (or why the unwinding refuses
+    ``nm``), and whether one unwinding step of the image gives back the
+    parent's.  The node checks compare a node's values with its parent's or
+    an ancestor's, and read only the first block end and first stacking
+    value of ``m``, so a passing run sweeps no record whole for its path
+    components, image blocks or stacking formula.
     """
 
     def __init__(
@@ -275,9 +261,9 @@ class _Facts:
     def nm(self) -> tuple[int, ...]:
         return tuple([v + 1 for v in self.image])
 
-    code_back = _swept()
-    stacking = _swept()
-    ends = _swept()
+    @_once
+    def code_back(self) -> tuple[int, ...]:
+        return _sweep(self.m)
 
     @_once
     def north(self) -> int:
@@ -423,14 +409,15 @@ def _round_trip_psi(f: _Facts) -> str | None:
 
 
 def _round_trip_big_phi(f: _Facts) -> str | None:
-    back = f.back if isinstance(f.back, str) else _sweep(f.back)[0]
+    back = f.back if isinstance(f.back, str) else _sweep(f.back)
     return None if back == f.b else _came_back(back, _code_text)
 
 
 def _lemma1(f: _Facts) -> str | None:
-    per_index_ok = f.stacking == [max(f.b[i - 1] - f.b[i] - 1, 0) for i in range(1, len(f.b))]
+    stacking = _stacking(f.m)
+    per_index_ok = stacking == [max(f.b[i - 1] - f.b[i] - 1, 0) for i in range(1, len(f.b))]
     # North steps and the stacking total take one step (_rises): hold st to the sweep's too.
-    if f.st == f.north == sum(f.stacking) and per_index_ok:
+    if f.st == f.north == sum(stacking) and per_index_ok:
         return None
     return f"north={f.north} stacking={f.st} indexwise_ok={per_index_ok}"
 
@@ -453,20 +440,19 @@ def _component_sizes(f: _Facts) -> tuple[list[int], list[int]]:
     return path_sizes, [len(block) // 2 for _, block in _blocks(f.nm)]
 
 
-def _piecewise(m: tuple[int, ...], ends: list[int]) -> tuple[int, ...]:
+def _piecewise(m: tuple[int, ...]) -> tuple[int, ...]:
     """phi's kernel on each block of ``m``, put back in place: the block's
     code read, walked.  The code is range-checked first, as an entry out of
     range would index past the walk's list."""
     out: list[int] = []
-    for s, end in zip([0, *ends], ends):
-        block = tuple([u - s for u in m[s:end]])
-        out += [v + s for v in _phi_walk(_check_code(_sweep(block)[0]))]
+    for s, block in _blocks(m):
+        out += [v + s for v in _phi_walk(_check_code(_sweep(block)))]
     return tuple(out)
 
 
 def _proposition_b(f: _Facts) -> str | None:
     path_sizes, image_sizes = _component_sizes(f)
-    piecewise = _unwound(lambda: _piecewise(f.m, f.ends))
+    piecewise = _unwound(lambda: _piecewise(f.m))
     if path_sizes == image_sizes and piecewise == f.nm:
         return None
     shown = f"not walked: {piecewise}" if isinstance(piecewise, str) else _partner_text(piecewise)
@@ -566,16 +552,19 @@ def _unwinds_a_matching(f: _Facts) -> bool:
 
 
 def _stacks_on_parent(f: _Facts) -> bool:
-    """lemma1: the stacking values of ``m`` are max(b_1 - b_2 - 1, 0)
-    followed by the parent's, so along the chain they are the
+    """lemma1: the code read of ``m`` gives back b, so ``m`` is psi(b), the
+    parent's ``m`` with the edge (1, b_1 + 1) put in front, and its
+    stacking values are its first one followed by the parent's.  That first
+    one must be max(b_1 - b_2 - 1, 0), so along the chain they are the
     code-difference formula, index by index.  The stacking total carried
     from the parent adds that first value, so along the chain it is their
     sum, and a record compares it with its north steps."""
     b = f.b
-    first = [max(b[0] - b[1] - 1, 0)] if len(b) > 1 else []
+    first = max(b[0] - b[1] - 1, 0) if len(b) > 1 else 0
     return (
-        f.stacking == first + f.parent.stacking
-        and f.st == f.parent.st + sum(first)
+        f.code_back == b
+        and _first_stacking(f.m) == first
+        and f.st == f.parent.st + first
         and (f.heights is None or f.st == f.north)
     )
 
@@ -586,16 +575,16 @@ def _piecewise_node(f: _Facts) -> bool:
     code b[:s/2], so phi's kernel on it walks b[:s/2].  An irreducible
     ``m`` is that block, and its walk is the image; the image is then one
     block, and the path one component.  A reducible ``m`` is its first
-    block followed by the ancestor s/2 edges up, shifted by s, with that
-    ancestor's block ends; the image is the walk of b[:s/2], which is then
-    one block, followed by the ancestor's image; and the path's cut stack
-    is the ancestor's with the ancestor's depth on top.  Along the chain,
-    the path's component sizes, read backwards, and the image's block
-    sizes are then both s/2 followed by the ancestor's."""
-    m, ends = f.m, f.ends
-    if not ends or _block_end(f.nm, 0) != ends[0]:
+    block followed by the ancestor s/2 edges up, shifted by s, so its other
+    block ends are the ancestor's, shifted; the image is the walk of
+    b[:s/2], which is then one block, followed by the ancestor's image; and
+    the path's cut stack is the ancestor's with the ancestor's depth on
+    top.  Along the chain, the path's component sizes, read backwards, and
+    the image's block sizes are then both s/2 followed by the ancestor's."""
+    m = f.m
+    s = _block_end(m, 0)
+    if not s or _block_end(f.nm, 0) != s:
         return False
-    s = ends[0]
     if f.code_back[: s // 2] != f.b[: s // 2]:
         return False
     if s == len(m):
@@ -604,7 +593,6 @@ def _piecewise_node(f: _Facts) -> bool:
     head = [v - 1 for v in _phi_walk(f.b[: s // 2])]
     return (
         f.cuts == [*a.cuts, len(a.b)]
-        and ends[1:] == [e + s for e in a.ends]
         and m[s:] == tuple([v + s for v in a.m])
         and f.image == head + [v + s for v in a.image]
     )

@@ -280,41 +280,34 @@ def _stacking(partner: tuple[int, ...]) -> list[int]:
     return values
 
 
-def _sweep(partner: tuple[int, ...]) -> tuple[tuple[int, ...], list[int], list[int]]:
-    """The insertion code, the stacking values and the block ends of
-    ``partner``, in one left-to-right sweep; ``psi_inv``, ``phi`` and the
-    harness read the code only here.
+def _first_stacking(partner: Sequence[int]) -> int:
+    """``st_component(1)`` read off vertices 1 and 2 (n >= 1): the first
+    edges (1, b) and (2, d) nest when 2 < d < b, and the window [d, b] then
+    holds b - d endpoints of edges after the first: all its vertices but b."""
+    b, d = partner[0], partner[1]
+    return b - d if 2 < d < b else 0
+
+
+def _sweep(partner: tuple[int, ...]) -> tuple[int, ...]:
+    """The insertion code of ``partner``, in one left-to-right sweep: the
+    one code read, which ``psi_inv``, ``phi`` and the harness run.
 
     Insertion step i connects the i-th left endpoint v to its mate w, at
     position b_i among the vertices still free (v at 0).  The vertices of
     (v, w) taken by earlier steps are the right endpoints before w of the
     arcs open at v, so b_i = w - v - k, where w enters ``open_rights`` at
-    slot k.  The other fields equal :func:`_stacking` and the vertex that
-    ends each block of :func:`_blocks`.  The stacking window of the
-    previous left endpoint's mate b needs no second search: b still sits at
-    the slot it entered at, less one for each arc closed since, as each
-    closing drops the least open right endpoint.  A block ends where the
-    last open arc closes.
+    slot k.
     """
     code: list[int] = []
-    stacking: list[int] = []
-    ends: list[int] = []
-    b = slot = 0
     open_rights: list[int] = []
     for v, w in enumerate(partner, start=1):
         if v > w:
             del open_rights[0]
-            slot -= 1
-            if not open_rights:
-                ends.append(v)
             continue
         k = bisect_left(open_rights, w)
         code.append(w - v - k)
-        if b:
-            stacking.append(b - w - (slot - k) if w < b else 0)
         open_rights.insert(k, w)
-        b, slot = w, k
-    return tuple(code), stacking, ends
+    return tuple(code)
 
 
 def _gap_counts(partner: Sequence[int]) -> list[tuple[int, int]]:

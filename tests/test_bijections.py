@@ -101,7 +101,7 @@ def _free_list_code(m):
 
 
 def _check_code_sweep(m):
-    code = _sweep(m.partner)[0]
+    code = _sweep(m.partner)
     assert code == _free_list_code(m)
     p = path_from_code(InsertionCode(code))
     assert big_phi(p) == phi(psi(p))
@@ -129,7 +129,7 @@ def test_first_block_of_an_insertion_has_the_leading_code(n):
         m = _partner_from_code(b)
         end = len(_blocks(m)[0][1])
         s = end // 2
-        assert _sweep(m[:end])[0] == b[:s], b
+        assert _sweep(m[:end]) == b[:s], b
         assert m[end:] == tuple(v + end for v in _partner_from_code(b[s:])), b
 
 
@@ -239,9 +239,9 @@ def test_path_records_fold_phi(n):
     # depth.  The nodes above the records are checked too.
     for f in _code_tree(n):
         m = Matching(f.m)
-        assert f.b == _sweep(f.m)[0]
+        assert f.b == _sweep(f.m)
         assert f.nm == _phi_walk(f.b) == phi(m).partner
-        assert _phi_inv_code(f.m) == _sweep(phi_inv(m).partner)[0]
+        assert _phi_inv_code(f.m) == _sweep(phi_inv(m).partner)
 
 
 # One entry out of range: too low in the middle, too high first or last.

@@ -493,3 +493,26 @@ def test_any_argv_exits_with_a_documented_code(argv):
         except SystemExit as exc:
             code = exc.code
     assert code in EXIT_CODES, (argv, code, err.getvalue())
+
+
+@pytest.mark.parametrize("n", [8, 10])
+def test_pin_script_reports_a_wrong_or_unpinned_size_without_a_traceback(capsys, tmp_path, n):
+    # The CI pin check on a doctored `verify 2 --json` payload whose last
+    # size reads n: a pinned size whose digest differs (8) and a size with
+    # no pin (10) are each one error line and exit 1, not a traceback.
+    assert main(["verify", "2", "--json"]) == 0
+    reports = json.loads(capsys.readouterr().out)
+    reports[-1]["n"] = n
+    payload = tmp_path / "verify.json"
+    payload.write_text(json.dumps(reports))
+    done = subprocess.run(
+        [sys.executable, ".github/check_verify_pins.py", str(payload), "2"],
+        cwd=Path(__file__).resolve().parents[1],
+        capture_output=True,
+        text=True,
+    )
+    assert (done.returncode, done.stderr) == (1, "")
+    last = "differs from the pin" if n == 8 else f"verify n={n} has no pinned digest"
+    assert done.stdout.splitlines()[0] == f"verify reported sizes [1, {n}]"
+    assert done.stdout.splitlines()[-1].endswith(last)
+    assert len(done.stdout.splitlines()) == 2

@@ -565,20 +565,16 @@ def test_verify_reports_failures_verbatim(monkeypatch):
     import wedgematch.enumeration as enumeration
     import wedgematch.paths as paths
 
-    # psi_inv is broken where the harness calls it, in the code field of its
-    # one sweep of a partner tuple: decoding returns the all-zero path's
-    # code.  The record's stacking total is one too high, while its
-    # per-index stacking values and its parent's total are right.  The
-    # height kernels behind WedgePath.final_south_run,
-    # WedgePath.reversed_south_positions and WedgePath.components answer one
-    # too many, no positions and no components, where they are defined and
-    # where the harness imports them.
+    # psi_inv is broken where the harness calls it, in its code read of a
+    # partner tuple: decoding returns the all-zero path's code.  The
+    # record's stacking total is one too high, while its per-index stacking
+    # values and its parent's total are right.  The height kernels behind
+    # WedgePath.final_south_run, WedgePath.reversed_south_positions and
+    # WedgePath.components answer one too many, no positions and no
+    # components, where they are defined and where the harness imports them.
     st = enumeration._Facts.__dict__["st"].fn
-    sweep = enumeration._sweep
     final_south_run = paths._final_south_run
-    monkeypatch.setattr(
-        enumeration, "_sweep", lambda p: (tuple(range(len(p) // 2, 0, -1)), *sweep(p)[1:])
-    )
+    monkeypatch.setattr(enumeration, "_sweep", lambda p: tuple(range(len(p) // 2, 0, -1)))
     monkeypatch.setattr(
         enumeration._Facts, "st", property(lambda f: st(f) + (f.heights is not None))
     )
@@ -707,14 +703,14 @@ def test_proposition_b_walks_components_against_the_table(monkeypatch):
 # leading code of a reducible node of size 3, whose first block phi's walk
 # makes.  The cut step that takes the path ESES to ESESES, whose three
 # components the cut kernel behind WedgePath.components finds, drops the
-# middle cut and keeps the last.  The arc counts and first block end of
-# NESTED are read where it is an image; as a record's m, its code read,
-# stacking values and block ends come from one sweep, broken one field at
-# a time, and its arc counts from the gap table of its parent's m,
-# (1,4),(2,3), whose count of arcs closed by the gap NESTED's first edge
-# ends in is broken.  The children's north steps and stacking totals, which
-# that parent gives as runs of rises from its own values 1 and 1, are broken
-# at its first child.
+# middle cut and keeps the last.  The first block end of NESTED is read
+# where it is a record's m and where it is an image, and its arc counts
+# where it is an image; as a record's m, its code read is broken, and its
+# arc counts come from the gap table of its parent's m, (1,4),(2,3), whose
+# count of arcs closed by the gap NESTED's first edge ends in is broken.
+# The children's north steps and stacking totals, which that parent gives
+# as runs of rises from its own values 1 and 1, are broken at its first
+# child.
 def _other_partner(p):
     aligned = tuple(v + 1 if v % 2 else v - 1 for v in range(1, len(p) + 1))
     return aligned if p != aligned else tuple(range(len(p), 0, -1))
@@ -722,11 +718,6 @@ def _other_partner(p):
 
 def _other_code(b):
     return (1, 1, 1) if b != (1, 1, 1) else (2, 1, 1)
-
-
-def _sweep_field(index, wrong):
-    """A wrong answer in one field of the sweep's result."""
-    return lambda out: (*out[:index], wrong(out[index]), *out[index + 1 :])
 
 
 # name: (kernel, the arguments on which it answers wrongly, the wrong answer).
@@ -744,9 +735,7 @@ KERNEL_FAULTS = {
     "_blocks": ("_block_end", (NESTED, 0), lambda end: end - 2),
     "_cuts": ("_cut_step", ([0, 1], 1, 3), lambda cuts: [0, 2]),
     "_rises": ("_rises", (1, 4, 5), lambda values: [values[0] + 1, *values[1:]]),
-    "_sweep_code": ("_sweep", (NESTED,), _sweep_field(0, _other_code)),
-    "_sweep_stacking": ("_sweep", (NESTED,), _sweep_field(1, lambda s: [s[0] + 1, *s[1:]])),
-    "_sweep_ends": ("_sweep", (NESTED,), _sweep_field(2, lambda ends: ends[:-1])),
+    "_sweep_code": ("_sweep", (NESTED,), _other_code),
 }
 
 
@@ -762,6 +751,23 @@ def test_lemma1_sees_a_wrong_carried_step(monkeypatch):
     # fault then breaks alike: lemma1 must still fail, on the sweep's total.
     _break_kernel(monkeypatch, *KERNEL_FAULTS["_rises"])
     assert verify_all(3).to_json_value()["claims"]["lemma1"]["failed"] == 1
+
+
+def test_lemma1s_node_check_reads_the_first_stacking_value(monkeypatch):
+    # The carried stacking total takes its step from the parent's first
+    # edge, so along a chain of m = psi(b) it adds the code-difference term
+    # whatever m's stacking values are: only the first stacking value read
+    # off m ties them to the formula.  A wrong read at NESTED fails lemma1's
+    # node check there alone, and the rerun's full check, on the stacking
+    # sweep, passes.
+    import wedgematch.enumeration as enumeration
+
+    _break_kernel(monkeypatch, "_first_stacking", (NESTED,), lambda st: st + 1)
+    node = enumeration._CLAIMS_BY_LABEL["lemma1"].node
+    assert [f.b for f in _code_tree(3) if not node(f)] == [CODE]
+    passes = _count_passes(monkeypatch)
+    assert verify_all(3, claims=["lemma1"]).passed
+    assert passes == [False, False]
 
 
 def _random_partner(rng, n):
@@ -784,18 +790,14 @@ def _sweep_partners():
     )
 
 
-def _sweep_mismatch():
-    """The first of the sweep partners on which a field of the harness's
-    sweep other than the code differs from the single-purpose kernel the
-    public API runs, or None."""
+def _first_stacking_mismatch():
+    """The first of the sweep partners, past the empty one, whose first
+    stacking value as lemma1's node check reads it differs from the first
+    value of the stacking sweep (0 at size 1), or None."""
     import wedgematch.matching as matching
 
     for p in _sweep_partners():
-        single = (
-            matching._stacking(p),
-            [start + len(block) for start, block in matching._blocks(p)],
-        )
-        if matching._sweep(p)[1:] != single:
+        if p and matching._first_stacking(p) != [*matching._stacking(p), 0][0]:
             return p
     return None
 
@@ -807,7 +809,7 @@ def _bad_code_read():
     import wedgematch.matching as matching
 
     for p in _sweep_partners():
-        code, n = matching._sweep(p)[0], len(p) // 2
+        code, n = matching._sweep(p), len(p) // 2
         in_range = len(code) == n and all(
             1 <= b <= 2 * (n - i) + 1 for i, b in enumerate(code, start=1)
         )
@@ -817,15 +819,10 @@ def _bad_code_read():
 
 
 def test_sweep_equals_the_single_purpose_kernels():
-    # The harness reads m's code, stacking values and block ends off one
-    # sweep; the public API keeps a kernel for each of the last two, which
-    # this pins.
-    from wedgematch.matching import _sweep
-
-    assert _sweep_mismatch() is None
-    for n in range(1, 6):
-        for m in all_matchings(n):
-            assert _sweep(m.partner)[1] == [m.st_component(i) for i in range(1, m.n)], m
+    # lemma1's node check reads m's first stacking value off its first two
+    # vertices; the stacking sweep behind Matching.st_component and
+    # st_total, which lemma1's full check runs, must agree.
+    assert _first_stacking_mismatch() is None
 
 
 def test_sweep_code_inserts_back_to_its_matching():
@@ -844,24 +841,24 @@ SWEEP_CODE_FAULTS = {
 
 @pytest.mark.parametrize("fault", sorted(SWEEP_CODE_FAULTS))
 def test_insertion_oracle_sees_a_broken_code_read(monkeypatch, fault):
-    _break_kernel(monkeypatch, "_sweep", (NESTED,), _sweep_field(0, SWEEP_CODE_FAULTS[fault]))
+    _break_kernel(monkeypatch, "_sweep", (NESTED,), SWEEP_CODE_FAULTS[fault])
     assert _bad_code_read() == NESTED
 
 
-# The single-purpose kernels the harness no longer runs on a record, each with
-# a wrong answer on NESTED or on its path's heights (0, 1, 2): the sweep's or
-# the carried values' differential test must see it.
+# The single-purpose kernels the harness does not run on a passing run's
+# records, each with a wrong answer on NESTED or on its path's heights
+# (0, 1, 2): the first stacking read's or the carried values' differential
+# test must see it.
 PUBLIC_KERNEL_FAULTS = {
     "_stacking": ("_stacking", (NESTED,), lambda s: [s[0] + 1, *s[1:]]),
-    "_blocks": KERNEL_FAULTS["_blocks"],
     "_north_steps": ("_north_steps", ((0, 1, 2),), lambda north: north + 1),
 }
 
 
-@pytest.mark.parametrize("kernel", ["_blocks", "_stacking"])
+@pytest.mark.parametrize("kernel", ["_stacking"])
 def test_sweep_differential_sees_a_broken_public_kernel(monkeypatch, kernel):
     _break_kernel(monkeypatch, *PUBLIC_KERNEL_FAULTS[kernel])
-    assert _sweep_mismatch() == NESTED
+    assert _first_stacking_mismatch() == NESTED
 
 
 def _code_tree_by_diff(n, prefix=()):
@@ -950,6 +947,17 @@ def test_carried_cuts_are_the_cuts_of_the_height_prefix():
             assert cuts + [k] == _cuts_by_sweep(a[:k]), (len(a), k)
 
 
+def _ends(p):
+    """The vertices where the last open arc closes: the block ends, by the
+    count of open arcs, kept as the oracle of _block_end."""
+    ends, depth = [], 0
+    for v, w in enumerate(p, start=1):
+        depth += 1 if v < w else -1
+        if not depth:
+            ends.append(v)
+    return ends
+
+
 def _stacking_case(b, parent_ends):
     """Where the first edge (1, b_1 + 1) lands on the parent: next to the
     vertex 1 (b_1 = 1), right after a block of the parent, or elsewhere."""
@@ -976,21 +984,21 @@ def _code_pairs():
 def test_child_stacking_is_one_value_then_the_parents(case):
     # st_component(i) reads only the edges from e_i on, and the first edge
     # is no later edge of any window, so the child's stacking values are
-    # st_component(1) followed by the parent's: lemma1's node check.  The
-    # cases where the new edge closes next to vertex 1 or right after a
-    # parent block are pinned apart from the rest.
-    from wedgematch.matching import _sweep
+    # st_component(1), which lemma1's node check reads off the first two
+    # vertices, followed by the parent's.  The cases where the new edge
+    # closes next to vertex 1 or right after a parent block are pinned apart
+    # from the rest.
+    from wedgematch.matching import _first_stacking, _stacking
 
     seen = 0
     for b, parent_b in _code_pairs():
-        m = _partner_from_code(b)
-        _, parent_stacking, parent_ends = _sweep(_partner_from_code(parent_b))
-        if _stacking_case(b, parent_ends) != case:
+        m, parent_m = _partner_from_code(b), _partner_from_code(parent_b)
+        if _stacking_case(b, _ends(parent_m)) != case:
             continue
         seen += 1
-        stacking = _sweep(m)[1]
-        assert stacking[1:] == parent_stacking, b
-        assert stacking[0] == Matching(m).st_component(1), b
+        stacking = _stacking(m)
+        assert stacking[1:] == _stacking(parent_m), b
+        assert stacking[0] == Matching(m).st_component(1) == _first_stacking(m), b
     assert seen > 100
 
 
@@ -1004,7 +1012,7 @@ def _carry_case(f):
         return "b1_is_1"
     if b1 == 2 * k - 1:
         return "last_gap"
-    return "b1_minus_1_ends_a_parent_block" if b1 - 1 in f.parent.ends else "inside_a_block"
+    return "b1_minus_1_ends_a_parent_block" if b1 - 1 in _ends(f.parent.m) else "inside_a_block"
 
 
 def _carry_nodes(n=7):
@@ -1131,13 +1139,14 @@ def test_a_parent_gives_its_records_statistics(case):
 
 
 def test_block_end_is_the_step_of_the_block_split():
-    # _blocks is the fold of _block_end; each block end must also be the
-    # end the sweep finds, from each block's start, and no block opens at
-    # the last one.  Shifting the vertices after a block shifts their ends.
-    from wedgematch.matching import _block_end, _blocks, _sweep
+    # _blocks is the fold of _block_end; each block end must also be where
+    # the count of open arcs drops to 0, from each block's start, and no
+    # block opens at the last one.  Shifting the vertices after a block
+    # shifts their ends.
+    from wedgematch.matching import _block_end, _blocks
 
     for p in _sweep_partners():
-        ends = _sweep(p)[2]
+        ends = _ends(p)
         starts = [0, *ends]
         assert [_block_end(p, start) for start in starts] == [*ends, 0], p
         assert [start + len(block) for start, block in _blocks(p)] == ends, p
@@ -1176,12 +1185,12 @@ def _full_report(monkeypatch, n):
 
 
 # Faults for the differential test, as (kernel, trigger, wrong answer): none,
-# then kernels broken at a record of size 3, at depth 2 only, in the block
-# ends of the harness's sweep of m (named for the single-purpose kernel they
-# stand for), in its code read, in its stacking values (the first of
-# (1,4),(2,3) at depth 2, and two of the fully nested matching of size 4
-# with their total kept), the cut step dropping a middle cut at a record,
-# dropping the cut of (1,2),(3,4) at depth 2 and adding one to the
+# then kernels broken at a record of size 3, at depth 2 only, in the first
+# block end of NESTED (named for the fold the full check runs) and of
+# (1,4),(2,3) at depth 2, in the code read, in the first stacking value
+# (of (1,4),(2,3) at depth 2, and of the fully nested matching of size 4,
+# whose later values are its ancestors' first), the cut step dropping a
+# middle cut at a record, dropping the cut of (1,2),(3,4) at depth 2 and adding one to the
 # irreducible (1,4),(2,3), the carried north steps and stacking total of a
 # record, a surgery step that
 # answers an image two vertices too long, an insertion that
@@ -1197,15 +1206,12 @@ DIFFERENTIAL_FAULTS = {
     "_phi_step_depth_2": ("_phi_step", (3, [1, 0]), lambda p: [1, 0, 3, 2]),
     "_phi_inv_step": KERNEL_FAULTS["_phi_inv_step"],
     "_phi_inv_step_depth_2": ("_phi_inv_step", ([3, 2, 1, 0],), lambda step: (1, step[1])),
-    "_blocks": KERNEL_FAULTS["_sweep_ends"],
+    "_blocks": KERNEL_FAULTS["_blocks"],
+    "_block_end_depth_2": ("_block_end", ((4, 3, 2, 1), 0), lambda end: 0),
     "_sweep_code": KERNEL_FAULTS["_sweep_code"],
-    "_sweep_code_depth_2": ("_sweep", ((4, 3, 2, 1),), _sweep_field(0, lambda b: (1, 1))),
-    "_sweep_stacking_depth_2": ("_sweep", ((4, 3, 2, 1),), _sweep_field(1, lambda s: [s[0] + 1])),
-    "_sweep_stacking_past_the_first": (
-        "_sweep",
-        (tuple(range(8, 0, -1)),),
-        _sweep_field(1, lambda s: [s[0], s[1] + 1, s[2] - 1]),
-    ),
+    "_sweep_code_depth_2": ("_sweep", ((4, 3, 2, 1),), lambda b: (1, 1)),
+    "_first_stacking": ("_first_stacking", (tuple(range(8, 0, -1)),), lambda st: st + 1),
+    "_first_stacking_depth_2": ("_first_stacking", ((4, 3, 2, 1),), lambda st: st + 1),
     "_cuts": KERNEL_FAULTS["_cuts"],
     "_cut_step_depth_2": ("_cut_step", ([0], 1, 2), lambda cuts: [0]),
     "_cut_step_irreducible": ("_cut_step", ([0], 3, 2), lambda cuts: [0, 1]),
@@ -1495,7 +1501,7 @@ def test_a_bad_code_read_is_reported_not_raised(monkeypatch, capsys):
 
     for entry in (0, 9):
         with monkeypatch.context() as patch:
-            _break_kernel(patch, "_sweep", ((4, 3, 2, 1),), _sweep_field(0, lambda b: (entry, 1)))
+            _break_kernel(patch, "_sweep", ((4, 3, 2, 1),), lambda b: (entry, 1))
             claims = verify_all(2).to_json_value()["claims"]
             assert {label for label, result in claims.items() if result["failed"]} == {
                 "round_trip_psi",
@@ -1627,10 +1633,9 @@ def test_a_passing_run_builds_no_objects(monkeypatch, workers):
 )
 def test_a_passing_run_sweeps_no_record_whole(monkeypatch, workers):
     # proposition_b's and lemma1's node checks read values carried from the
-    # parent or an ancestor: a passing run splits no path or image whole
-    # into components and lists no record's stacking formula.
-    import dataclasses
-
+    # parent or an ancestor, and m's first block end and first stacking
+    # value: a passing run splits no path or image whole into components and
+    # runs no stacking sweep.
     import wedgematch.enumeration as enumeration
     import wedgematch.matching as matching
     import wedgematch.paths as paths
@@ -1644,12 +1649,10 @@ def test_a_passing_run_sweeps_no_record_whole(monkeypatch, workers):
         (matching, "_blocks"),
         (enumeration, "_cuts"),
         (paths, "_cuts"),
+        (enumeration, "_stacking"),
+        (matching, "_stacking"),
     ]:
         monkeypatch.setattr(module, name, unreachable)
-    lemma1 = enumeration._CLAIMS_BY_LABEL["lemma1"]
-    monkeypatch.setitem(
-        enumeration._CLAIMS_BY_LABEL, "lemma1", dataclasses.replace(lemma1, check=unreachable)
-    )
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
     payload = json.dumps(verify_all(5, workers=workers).to_json_value())
     assert hashlib.sha256(payload.encode()).hexdigest() == VERIFY_PAYLOAD_DIGESTS[5]
@@ -1687,6 +1690,35 @@ def test_the_fold_runs_once_per_node_and_only_when_read(monkeypatch, claims):
     monkeypatch.setattr(enumeration, "_phi_step", counting)
     assert verify_all(6, claims=claims).passed
     assert len(calls) == (0 if claims else 1 + 3 + 15 + 105 + 945 + 10_395)
+
+
+# The claims whose node checks read m's code at every node.
+CODE_READ_AT_NODES = ("round_trip_psi_inv", "round_trip_big_phi", "lemma1", "proposition_b")
+
+
+@pytest.mark.parametrize("claims", [[label] for label in CLAIMS] + [None], ids=[*CLAIMS, "all"])
+def test_the_code_read_runs_once_per_node_and_only_when_read(monkeypatch, claims):
+    # m's code read is one field of its node: a passing verify_all(6) reads
+    # it once at every node of depths 1..6 for a claim whose node check
+    # reads it, once at every record for round_trip_psi, whose per-object
+    # check reads it, and never for the rest.  Only the harness's own reads
+    # are counted, not those inside phi's and psi_inv's kernels.
+    import wedgematch.enumeration as enumeration
+
+    sweep = enumeration._sweep
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return sweep(p)
+
+    monkeypatch.setattr(enumeration, "_sweep", counting)
+    assert verify_all(6, claims=claims).passed
+    nodes, records = 1 + 3 + 15 + 105 + 945 + 10_395, 10_395
+    if claims is None or claims[0] in CODE_READ_AT_NODES:
+        assert len(calls) == nodes
+    else:
+        assert len(calls) == (records if claims == ["round_trip_psi"] else 0)
 
 
 @pytest.mark.parametrize("fault", ["none", "_phi_step_depth_2"])
