@@ -31,7 +31,7 @@ from .bijections import (
 )
 from .errors import InvalidMatchingError, OverCapError
 from .matching import (
-    Matching, _arc_counts, _block_end, _blocks, _first_stacking, _gap_counts, _stacking, _sweep
+    Matching, _arc_counts, _block_end, _blocks, _first_stacking, _stacking, _sweep
 )
 from .paths import (
     WedgePath, _cut_step, _cuts, _final_south_run, _reversed_south_positions, _steps
@@ -166,6 +166,7 @@ def distribution(n: int, statistic: str, max_n: int | None = None) -> Distributi
     Each node of depth n-1 of the code tree gives the values of all its
     2n-1 children, the records, one per path, at once (see ``_Facts``), so
     the walk stops at depth n-1 and builds, checks or sweeps no matching.
+    Only ``st_total`` inserts a code: each node's, for its first edge.
     Every matching of size n is the insertion image of exactly one path.
 
     >>> distribution(2, "nestings").to_text()
@@ -210,28 +211,32 @@ class _Facts:
     code with b_1 in front, its ``parent`` (None at the root, whose code is
     empty) and, at a record (a leaf, depth n), its path's ``heights`` (else
     None).  Every other field is computed on first read, once, so a node
-    computes only what its readers read.  Two are one step on the parent's
+    computes only what its readers read.  Four are one step on the parent's
     value: ``image``, the 0-based partner list of phi(psi(b)), one surgery
-    step with b_1 on the parent's image; and ``cuts``, the cut stack of the
+    step with b_1 on the parent's image; ``cuts``, the cut stack of the
     first k east steps (0 and the splits of :meth:`WedgePath.components`
-    below k), one cut step with b_1 on a copy of the parent's stack.  Three
-    are the parent's plus one step, which the parent takes for all its
-    children b_1 = 1..2k+1 at once (``child_north`` and so on), so a node of
-    depth n-1 gives its records' values without building them: ``north``,
-    the path's north steps, plus the new rise b_1 - c - 1 if positive, c the
-    parent's b_1; ``arcs``, the (crossings, nestings) of ``m``, plus the
-    parent's arcs open across and closed before the gap b_1 - 1, where the
-    new first edge (1, b_1 + 1) ends; and ``st``, the stacking total of
+    below k), one cut step with b_1 on a copy of the parent's stack; and
+    ``opened`` and ``closed``, the gap columns of ``m``, one column step
+    each with b_1 on the parent's (see ``_opened_step``), so no node reads
+    ``m`` for them.  Three are the parent's plus one step that depends only
+    on the parent and b_1, so a node of depth n-1 gives the values of all
+    its children b_1 = 1..2k+1, its records, without building them:
+    ``north``, the path's north steps, plus the new rise b_1 - c - 1 if
+    positive, c the parent's b_1 (``child_north``); ``arcs``, the
+    (crossings, nestings) of ``m``, plus the parent's column entries at the
+    gap b_1 - 1, where the new first edge (1, b_1 + 1) ends, the arcs it
+    crosses and those it nests over; and ``st``, the stacking total of
     ``m``, plus b_1 - u if the parent's first edge (1, u) has u < b_1, when
     the two first edges nest and [u + 1, b_1 + 1] holds b_1 - u endpoints of
-    later edges.  The rest are ``m = psi(b)``, whether ``m`` is a perfect
-    matching of [2n], ``nm = phi(m)``, the code read of ``m``, the arc
-    counts of ``nm``, ``phi_inv(nm)`` (or why the unwinding refuses
-    ``nm``), and whether one unwinding step of the image gives back the
-    parent's.  The node checks compare a node's values with its parent's or
-    an ancestor's, and read only the first block end and first stacking
-    value of ``m``, so a passing run sweeps no record whole for its path
-    components, image blocks or stacking formula.
+    later edges (``child_st``).  The rest are ``m = psi(b)``, whether ``m``
+    is a perfect matching of [2n], ``nm = phi(m)``, the code read of ``m``
+    (or why the sweep refuses ``m``), the arc counts of ``nm``,
+    ``phi_inv(nm)`` (or why the unwinding refuses ``nm``), and whether one
+    unwinding step of the image gives back the parent's.  The node checks
+    compare a node's values with its parent's or an ancestor's, and read
+    only the first block end and first stacking value of ``m``, so a
+    passing run sweeps no record whole for its path components, image
+    blocks or stacking formula.
     """
 
     def __init__(
@@ -262,8 +267,8 @@ class _Facts:
         return tuple([v + 1 for v in self.image])
 
     @_once
-    def code_back(self) -> tuple[int, ...]:
-        return _sweep(self.m)
+    def code_back(self) -> tuple[int, ...] | str:
+        return _unwound(lambda: _sweep(self.m))
 
     @_once
     def north(self) -> int:
@@ -271,7 +276,20 @@ class _Facts:
 
     @_once
     def arcs(self) -> tuple[int, int]:
-        return (0, 0) if self.parent is None else self.parent.child_arcs[self.b[0] - 1]
+        parent = self.parent
+        if parent is None:
+            return (0, 0)
+        crossings, nestings = parent.arcs
+        gap = self.b[0] - 1
+        return (crossings + parent.opened[gap], nestings + parent.closed[gap])
+
+    @_once
+    def opened(self) -> list[int]:
+        return [0] if self.parent is None else _opened_step(self.parent.opened, self.b[0])
+
+    @_once
+    def closed(self) -> list[int]:
+        return [0] if self.parent is None else _closed_step(self.parent.closed, self.b[0])
 
     @_once
     def st(self) -> int:
@@ -280,11 +298,6 @@ class _Facts:
     @_once
     def child_north(self) -> list[int]:
         return _rises(self.north, self.b[0] + 1 if self.b else 1, 2 * len(self.b) + 1)
-
-    @_once
-    def child_arcs(self) -> list[tuple[int, int]]:
-        crossings, nestings = self.arcs
-        return [(crossings + opened, nestings + closed) for opened, closed in _gap_counts(self.m)]
 
     @_once
     def child_st(self) -> list[int]:
@@ -324,9 +337,31 @@ def _rises(base: int, flat: int, count: int) -> list[int]:
     return [base] * flat + [*range(base + 1, base + count - flat + 1)]
 
 
+# The gap columns of a node's m, one entry per gap t = 0..2k, the one right
+# after vertex t: the arcs (l, r) open across it, l <= t < r, and those
+# closed before it, r <= t.  A child puts its first edge (1, b_1 + 1) in
+# front of its parent's m, so the parent's vertices u < b_1 move to u + 1
+# and the rest to u + 2: each child column is the parent's, shifted, with
+# the new edge counted where it is open or closed.  The new edge ends in
+# the parent's gap b_1 - 1, where it crosses the arcs open and nests over
+# the arcs closed.
+_plus_one = (1).__add__
+
+
+def _opened_step(column: list[int], b1: int) -> list[int]:
+    """The child b_1's open column from its parent's."""
+    return [0, *map(_plus_one, column[:b1]), *column[b1 - 1 :]]
+
+
+def _closed_step(column: list[int], b1: int) -> list[int]:
+    """The child b_1's closed column from its parent's."""
+    return [0, *column[:b1], *map(_plus_one, column[b1 - 1 :])]
+
+
 def _unwound(unwind: Callable[[], tuple[int, ...]]) -> tuple[int, ...] | str:
-    """``unwind()``, or why it refuses its input, so that an image a fault
-    made no matching fails the claims that unwind it instead of the run."""
+    """``unwind()``, or why it refuses its input, so that an image or an
+    ``m`` that a fault made no matching fails the claims that unwind or
+    sweep it instead of the run."""
     try:
         return unwind()
     except ValueError as error:
@@ -377,11 +412,11 @@ def _code_tree(n: int, prefix: tuple[int, ...] = ()) -> Iterator[_Facts]:
             chain.pop()
 
 
-# The STATISTICS, each as the list of a node's children's values (see _Facts).
-_CHILD_STATISTICS: dict[str, Callable[[_Facts], list[int]]] = {
+# The STATISTICS, each as the values of a node's children (see _Facts).
+_CHILD_STATISTICS: dict[str, Callable[[_Facts], Iterable[int]]] = {
     "north_steps": lambda f: f.child_north,
-    "nestings": lambda f: [nestings for _, nestings in f.child_arcs],
-    "crossings": lambda f: [crossings for crossings, _ in f.child_arcs],
+    "nestings": lambda f: map(f.arcs[1].__add__, f.closed),
+    "crossings": lambda f: map(f.arcs[0].__add__, f.opened),
     "st_total": lambda f: f.child_st,
 }
 
@@ -405,19 +440,19 @@ def _came_back(back: tuple[int, ...] | str, text: Callable[[tuple[int, ...]], st
 
 def _round_trip_psi(f: _Facts) -> str | None:
     back = f.code_back
-    return None if back == f.b else f"comes back as {_code_text(back)}"
+    return None if back == f.b else _came_back(back, _code_text)
 
 
 def _round_trip_big_phi(f: _Facts) -> str | None:
-    back = f.back if isinstance(f.back, str) else _sweep(f.back)
+    back = f.back if isinstance(f.back, str) else _unwound(lambda: _sweep(f.back))
     return None if back == f.b else _came_back(back, _code_text)
 
 
 def _lemma1(f: _Facts) -> str | None:
-    stacking = _stacking(f.m)
+    stacking = _unwound(lambda: _stacking(f.m))
     per_index_ok = stacking == [max(f.b[i - 1] - f.b[i] - 1, 0) for i in range(1, len(f.b))]
     # North steps and the stacking total take one step (_rises): hold st to the sweep's too.
-    if f.st == f.north == sum(stacking) and per_index_ok:
+    if per_index_ok and f.st == f.north == sum(stacking):
         return None
     return f"north={f.north} stacking={f.st} indexwise_ok={per_index_ok}"
 
@@ -478,7 +513,10 @@ def _dyck_proposition(f: _Facts) -> str | None:
 
 
 def _round_trip_psi_inv(f: _Facts) -> str | None:
-    back = _unwound(lambda: _partner_from_code(_check_code(f.code_back)))
+    code = f.code_back
+    if isinstance(code, str):
+        return _came_back(code, _partner_text)
+    back = _unwound(lambda: _partner_from_code(_check_code(code)))
     return None if back == f.m else _came_back(back, _partner_text)
 
 

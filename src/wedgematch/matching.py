@@ -230,6 +230,12 @@ def _check_partner(table: tuple[int, ...]) -> tuple[int, ...]:
     return table
 
 
+def _closes_unopened(partner: Sequence[int]) -> InvalidMatchingError:
+    """The error of a left-to-right sweep that meets a vertex v with a mate
+    w < v while no arc is open: ``partner`` is then no matching."""
+    return InvalidMatchingError(f"partner table closes an arc it never opened: {tuple(partner)}")
+
+
 def _arc_counts(partner: tuple[int, ...]) -> tuple[int, int, int]:
     """(crossings, nestings, alignments) in one left-to-right sweep.
 
@@ -241,15 +247,18 @@ def _arc_counts(partner: tuple[int, ...]) -> tuple[int, int, int]:
     n = len(partner) // 2
     cr = ne = 0
     open_rights: list[int] = []
-    for v, w in enumerate(partner, start=1):
-        if v < w:
-            k = bisect_left(open_rights, w)
-            cr += k
-            ne += len(open_rights) - k
-            open_rights.insert(k, w)
-        else:
-            # Every other open arc closes after v, so v is the least.
-            del open_rights[0]
+    try:
+        for v, w in enumerate(partner, start=1):
+            if v < w:
+                k = bisect_left(open_rights, w)
+                cr += k
+                ne += len(open_rights) - k
+                open_rights.insert(k, w)
+            else:
+                # Every other open arc closes after v, so v is the least.
+                del open_rights[0]
+    except IndexError:
+        raise _closes_unopened(partner) from None
     return cr, ne, n * (n - 1) // 2 - cr - ne
 
 
@@ -268,15 +277,18 @@ def _stacking(partner: tuple[int, ...]) -> list[int]:
     values: list[int] = []
     b = 0
     open_rights: list[int] = []
-    for c, d in enumerate(partner, start=1):
-        if c > d:
-            del open_rights[0]
-            continue
-        k = bisect_left(open_rights, d)
-        if b:
-            values.append(b - d - (bisect_left(open_rights, b) - k) if d < b else 0)
-        open_rights.insert(k, d)
-        b = d
+    try:
+        for c, d in enumerate(partner, start=1):
+            if c > d:
+                del open_rights[0]
+                continue
+            k = bisect_left(open_rights, d)
+            if b:
+                values.append(b - d - (bisect_left(open_rights, b) - k) if d < b else 0)
+            open_rights.insert(k, d)
+            b = d
+    except IndexError:
+        raise _closes_unopened(partner) from None
     return values
 
 
@@ -300,36 +312,17 @@ def _sweep(partner: tuple[int, ...]) -> tuple[int, ...]:
     """
     code: list[int] = []
     open_rights: list[int] = []
-    for v, w in enumerate(partner, start=1):
-        if v > w:
-            del open_rights[0]
-            continue
-        k = bisect_left(open_rights, w)
-        code.append(w - v - k)
-        open_rights.insert(k, w)
+    try:
+        for v, w in enumerate(partner, start=1):
+            if v > w:
+                del open_rights[0]
+                continue
+            k = bisect_left(open_rights, w)
+            code.append(w - v - k)
+            open_rights.insert(k, w)
+    except IndexError:
+        raise _closes_unopened(partner) from None
     return tuple(code)
-
-
-def _gap_counts(partner: Sequence[int]) -> list[tuple[int, int]]:
-    """For each gap t = 0..len(partner), the one right after vertex t:
-    ``(open, closed)``, the arcs (l, r) with l <= t < r and those with
-    r <= t.
-
-    A new first edge (1, w) put in front of ``partner``, with its vertex u
-    at u + 1 below w and at u + 2 above it, ends in the gap t = w - 2: it
-    crosses the open arcs, nests over the closed ones and is aligned with
-    the rest.  So one table of the parent serves each child's arc counts.
-    """
-    table = [(0, 0)]
-    opened = closed = 0
-    for v, w in enumerate(partner, start=1):
-        if v < w:
-            opened += 1
-        else:
-            opened -= 1
-            closed += 1
-        table.append((opened, closed))
-    return table
 
 
 def _block_end(partner: Sequence[int], start: int) -> int:

@@ -267,13 +267,15 @@ def test_a_distribution_builds_and_sweeps_no_object(monkeypatch, statistic):
     # distribution counts the values that the code tree's nodes of depth
     # n-1 give for their children, each one step from the node's own: it
     # builds no WedgePath or Matching, checks no partner tuple and sweeps
-    # none for its arcs or stacking values.
+    # none for its arcs or stacking values.  Only the stacking table reads
+    # a node's m, for its first edge: the others insert no code at all.
+    import wedgematch.bijections as bijections
     import wedgematch.enumeration as enumeration
     import wedgematch.matching as matching
     from wedgematch import WedgePath
 
     def unreachable(*args):
-        raise AssertionError("distribution built, checked or swept an object")
+        raise AssertionError("distribution built, checked, swept or inserted an object")
 
     for cls in (WedgePath, Matching):
         monkeypatch.setattr(cls, "__post_init__", unreachable)
@@ -281,6 +283,9 @@ def test_a_distribution_builds_and_sweeps_no_object(monkeypatch, statistic):
         for name in ("_check_partner", "_arc_counts", "_stacking"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, unreachable)
+    if statistic != "st_total":
+        for module in (bijections, enumeration):
+            monkeypatch.setattr(module, "_partner_from_code", unreachable)
     assert distribution(5, statistic).counts == NESTING_ROWS[5]
 
 
@@ -706,8 +711,10 @@ def test_proposition_b_walks_components_against_the_table(monkeypatch):
 # middle cut and keeps the last.  The first block end of NESTED is read
 # where it is a record's m and where it is an image, and its arc counts
 # where it is an image; as a record's m, its code read is broken, and its
-# arc counts come from the gap table of its parent's m, (1,4),(2,3), whose
-# count of arcs closed by the gap NESTED's first edge ends in is broken.
+# arc counts come from the gap columns of its parent's m, (1,4),(2,3), whose
+# counts of arcs open across and closed before the gap NESTED's first edge
+# ends in are broken, one by each column step, which takes the column from
+# that of (1,2): [0, 1, 0] open, [0, 0, 1] closed.
 # The children's north steps and stacking totals, which that parent gives
 # as runs of rises from its own values 1 and 1, are broken at its first
 # child.
@@ -727,11 +734,8 @@ KERNEL_FAULTS = {
     "_phi_inv_step": ("_phi_inv_step", ([v - 1 for v in NESTED],), lambda step: (1, step[1])),
     "_phi_walk": ("_phi_walk", ((3, 1),), _other_partner),
     "_arc_counts": ("_arc_counts", (NESTED,), lambda c: (c[0], c[1] + 1, c[2])),
-    "_gap_counts": (
-        "_gap_counts",
-        ((4, 3, 2, 1),),
-        lambda gaps: [*gaps[:4], (gaps[4][0], gaps[4][1] + 1)],
-    ),
+    "_opened_step": ("_opened_step", ([0, 1, 0], 3), lambda gaps: [*gaps[:4], gaps[4] + 1]),
+    "_closed_step": ("_closed_step", ([0, 0, 1], 3), lambda gaps: [*gaps[:4], gaps[4] + 1]),
     "_blocks": ("_block_end", (NESTED, 0), lambda end: end - 2),
     "_cuts": ("_cut_step", ([0, 1], 1, 3), lambda cuts: [0, 2]),
     "_rises": ("_rises", (1, 4, 5), lambda values: [values[0] + 1, *values[1:]]),
@@ -1018,9 +1022,9 @@ def _carry_case(f):
 def _carry_nodes(n=7):
     """Every node of sizes 1..n, then every node of the random codes'
     chains, folded one depth at a time from the root.  A chain node lets
-    its parent go once its own values are carried, as its child reads only
-    those, so a chain of 1024 holds two nodes, not every ancestor's
-    tables."""
+    its parent go once its own values and gap columns are carried, as its
+    child reads only those, so a chain of 1024 holds two nodes, not every
+    ancestor's tables."""
     from wedgematch.enumeration import _Facts
 
     yield from _code_tree(n)
@@ -1029,7 +1033,7 @@ def _carry_nodes(n=7):
         for k in range(1, len(b) + 1):
             f = _Facts(b[-k:], f)
             yield f
-            f.arcs, f.st, f.north
+            f.arcs, f.st, f.north, f.opened, f.closed
             f.parent = None
 
 
@@ -1084,6 +1088,42 @@ def test_carried_arcs_and_stacking_total_equal_the_sweeps(case):
     assert seen > 1000
 
 
+def _gap_columns(m):
+    """The arcs open across and closed before each gap t = 0..len(m), the
+    one right after vertex t, counted off m's endpoints: an arc (l, r) is
+    open across t when l <= t < r and closed before it when r <= t."""
+    closed = [*itertools.accumulate([v > w for v, w in enumerate(m, start=1)], initial=0)]
+    return [t - 2 * c for t, c in enumerate(closed)], closed
+
+
+def _column_mismatch(n=7):
+    """The m of the first of the carry nodes whose carried gap columns
+    differ from the count of its endpoints, or None; and the number of
+    nodes compared."""
+    seen = 0
+    for f in _carry_nodes(n):
+        seen += 1
+        if (f.opened, f.closed) != _gap_columns(f.m):
+            return f.m, seen
+    return None, seen
+
+
+def test_carried_gap_columns_count_the_endpoints_of_m():
+    # A node's gap columns are one step from its parent's, which no node
+    # reads m for: on every node of sizes 1..7 and along seeded random
+    # chains up to n=1024, they equal the count of m's left and right
+    # endpoints up to each gap.
+    mismatch, seen = _column_mismatch()
+    assert mismatch is None
+    assert seen > 100_000
+
+
+@pytest.mark.parametrize("kernel", ["_opened_step", "_closed_step"])
+def test_column_differential_sees_a_broken_step(monkeypatch, kernel):
+    _break_kernel(monkeypatch, *KERNEL_FAULTS[kernel])
+    assert _column_mismatch(n=3)[0] == (4, 3, 2, 1)
+
+
 @pytest.mark.parametrize("kernel", ["_arc_counts", "_north_steps", "_stacking"])
 def test_carry_differential_sees_a_broken_public_kernel(monkeypatch, kernel):
     # The carried values stand in for the single-purpose kernels on every
@@ -1126,7 +1166,7 @@ def test_a_parent_gives_its_records_statistics(case):
 
     seen = 0
     for parent in [_Facts((), None), *_code_tree(6)]:
-        values = {s: rule(parent) for s, rule in _CHILD_STATISTICS.items()}
+        values = {s: list(rule(parent)) for s, rule in _CHILD_STATISTICS.items()}
         assert {len(v) for v in values.values()} == {2 * len(parent.b) + 1}, parent.b
         b1 = _parent_cases(parent).get(case)
         if b1 is None:
@@ -1520,6 +1560,41 @@ def test_a_bad_code_read_is_reported_not_raised(monkeypatch, capsys):
                 out, err = capsys.readouterr()
                 assert json.loads(out)[-1]["passed"] is False
                 assert err == "", (entry, n)
+
+
+def test_a_code_read_of_no_matching_is_reported_not_raised(monkeypatch, capsys):
+    # The insertion image (3, 1, 1, 2, 6, 5) of (1, 1, 1) closes vertex 3
+    # while no arc is open.  The sweeps that read it, the code read among
+    # them, refuse it as no matching instead of failing on their lists of
+    # open arcs, and the claims that read its code report the refusal, each
+    # run alone too.  So the command exits 1, the code for a failed claim,
+    # with nothing on stderr.
+    from wedgematch.cli import main
+
+    doctored = (3, 1, 1, 2, 6, 5)
+    _break_kernel(monkeypatch, "_partner_from_code", ((1, 1, 1),), lambda p: doctored)
+    claims = verify_all(3).to_json_value()["claims"]
+    failed = {label for label, result in claims.items() if result["failed"]}
+    assert failed == {
+        "cardinality_matchings",
+        "round_trip_psi",
+        "round_trip_psi_inv",
+        "round_trip_phi_inv",
+        "round_trip_big_phi",
+        "lemma1",
+        "theorem2",
+        "proposition_b",
+        "dyck_proposition",
+    }
+    refusal = f"does not unwind: partner table closes an arc it never opened: {doctored}"
+    assert claims["round_trip_psi"]["counterexamples"] == [f"P=ESESES: {refusal}"]
+    assert claims["round_trip_psi_inv"]["counterexamples"] == [f"M=partners{doctored}: {refusal}"]
+    for label in failed:
+        assert not verify_all(3, claims=[label]).passed, label
+    assert main(["verify", "3", "--json"]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out)[-1]["passed"] is False
+    assert err == ""
 
 
 def test_an_image_that_does_not_unwind_is_reported_not_raised(monkeypatch, capsys):

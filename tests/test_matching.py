@@ -200,6 +200,17 @@ def test_stacking_sweep_matches_st_component():
         assert _stacking(m.partner) == [m.st_component(i) for i in range(1, m.n)]
 
 
+@pytest.mark.parametrize("kernel", ["_arc_counts", "_stacking", "_sweep"])
+def test_a_sweep_refuses_a_vertex_closed_while_no_arc_is_open(kernel):
+    # In (3, 1, 1, 2, 6, 5), vertex 2 closes the one open arc and vertex 3
+    # then closes another: the sweeps raise InvalidMatchingError, which the
+    # harness reports as a failed claim, not an IndexError.
+    import wedgematch.matching as matching
+
+    with pytest.raises(InvalidMatchingError, match="never opened"):
+        getattr(matching, kernel)((3, 1, 1, 2, 6, 5))
+
+
 # -- irreducible components ------------------------------------------------------
 
 
