@@ -8,6 +8,7 @@ writable, 130 interrupted (Ctrl-C), 141 stdout closed early (broken pipe).
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import os
@@ -267,9 +268,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first call to main, not at import, and shared by every later
+# call: parse_args keeps no state on the parser between calls.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command on ``argv`` (default ``sys.argv[1:]``) and return its
+    exit code; a usage error or ``--help`` raises ``SystemExit``.
+
+    May be called repeatedly in one process.  The parser is built on the
+    first call and reused, so the ``cmd_*`` functions, argument types and
+    choices it dispatches to are the ones the module held then.
+    """
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

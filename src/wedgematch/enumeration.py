@@ -230,13 +230,13 @@ class _Facts:
     the two first edges nest and [u + 1, b_1 + 1] holds b_1 - u endpoints of
     later edges (``child_st``).  The rest are ``m = psi(b)``, whether ``m``
     is a perfect matching of [2n], ``nm = phi(m)``, the code read of ``m``
-    (or why the sweep refuses ``m``), the arc counts of ``nm``,
-    ``phi_inv(nm)`` (or why the unwinding refuses ``nm``), and whether one
-    unwinding step of the image gives back the parent's.  The node checks
-    compare a node's values with its parent's or an ancestor's, and read
-    only the first block end and first stacking value of ``m``, so a
-    passing run sweeps no record whole for its path components, image
-    blocks or stacking formula.
+    (or why the sweep refuses ``m``), the nestings of ``nm`` (or why the
+    arc count refuses ``nm``), ``phi_inv(nm)`` (or why the unwinding
+    refuses ``nm``), and whether one unwinding step of the image gives back
+    the parent's.  The node checks compare a node's values with its
+    parent's or an ancestor's, and read only the first block end and first
+    stacking value of ``m``, so a passing run sweeps no record whole for
+    its path components, image blocks or stacking formula.
     """
 
     def __init__(
@@ -304,8 +304,9 @@ class _Facts:
         return _rises(self.st, self.m[0] if self.b else 1, 2 * len(self.b) + 1)
 
     @_once
-    def image_arcs(self) -> tuple[int, int, int]:
-        return _arc_counts(self.nm)
+    def image_nestings(self) -> int | str:
+        arcs = _unwound(lambda: _arc_counts(self.nm))
+        return f"not counted: {arcs}" if isinstance(arcs, str) else arcs[1]
 
     @_once
     def back(self) -> tuple[int, ...] | str:
@@ -458,7 +459,7 @@ def _lemma1(f: _Facts) -> str | None:
 
 
 def _theorem1(f: _Facts) -> str | None:
-    ne = f.image_arcs[1]
+    ne = f.image_nestings
     return None if ne == f.north else f"north={f.north} nestings={ne}"
 
 
@@ -501,7 +502,7 @@ def _dyck_proposition(f: _Facts) -> str | None:
     if f.north:
         return None
     nm = f.nm
-    ne = f.image_arcs[1]
+    ne = f.image_nestings
     lefts = {v for v, w in enumerate(nm, start=1) if v < w}
     expected = _reversed_south_positions(f.heights)
     if ne == 0 and lefts == expected and nm == f.m:
@@ -531,7 +532,7 @@ def _round_trip_phi_inv(f: _Facts) -> str | None:
 
 def _theorem2(f: _Facts) -> str | None:
     st = f.st
-    ne = f.image_arcs[1]
+    ne = f.image_nestings
     same_first = f.nm[0] == f.m[0]
     if ne == st and same_first:
         return None

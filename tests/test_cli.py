@@ -1,5 +1,6 @@
 """Command-line behaviour: formats, directions, and exit codes."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from strategies import matchings, wedge_paths
 
 import wedgematch
-from wedgematch import Matching
+from wedgematch import Matching, cli
 from wedgematch.cli import main
 from wedgematch.render import render_svg
 
@@ -410,6 +411,80 @@ def test_closed_unbuffered_stdout_exits_141_without_traceback():
     assert code == 141
     assert "Traceback" not in err
     assert "Exception ignored" not in err
+
+
+# -- repeated calls in one process ----------------------------------------------
+
+# One valid call of each subcommand.
+EVERY_COMMAND = [
+    ["convert", "--to-matching", "ENESSS"],
+    ["stats", "--json", "(1,4),(2,3)"],
+    ["enumerate", "3", "nestings"],
+    ["verify", "2", "--json"],
+    ["render", "--format", "svg", "ESES"],
+]
+
+
+def test_later_calls_build_no_parser(capsys, monkeypatch):
+    # main builds its parser on the first call and reuses it, so after one
+    # call no call of any subcommand constructs an ArgumentParser.
+    main(EVERY_COMMAND[0])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for argv in EVERY_COMMAND:
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    assert built == []
+    cli.build_parser()
+    assert "wedgematch" in built  # the count sees a build
+
+
+# Valid calls around usage errors, --help and a rejected flag pair: a shared
+# parser that kept anything from one call would show it in a later one.
+CALL_SEQUENCE = [
+    *EVERY_COMMAND,
+    ["verify", "0"],
+    ["--help"],
+    ["enumerate", "2", "nestings", "--json", "--csv"],
+    ["convert", "--to-matching", "--to-path", "ES"],
+    ["render", "--help"],
+    *EVERY_COMMAND,
+]
+
+
+def _outcome(capsys, argv):
+    """What one main call returns or exits with, and what it prints."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = f"SystemExit({exc.code})"
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_a_shared_parser_answers_as_a_fresh_one(capsys, monkeypatch):
+    shared = [_outcome(capsys, argv) for argv in CALL_SEQUENCE]
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = [_outcome(capsys, argv) for argv in CALL_SEQUENCE]
+    for argv, once, again in zip(CALL_SEQUENCE, shared, fresh):
+        assert once == again, argv
+    # The valid calls after the errors answer as they did before them.
+    assert shared[-len(EVERY_COMMAND) :] == shared[: len(EVERY_COMMAND)]
+    assert [code for code, _, _ in shared] == [
+        *[0] * len(EVERY_COMMAND),
+        "SystemExit(2)",
+        "SystemExit(0)",
+        2,
+        "SystemExit(2)",
+        "SystemExit(0)",
+        *[0] * len(EVERY_COMMAND),
+    ]
 
 
 # -- any argv -------------------------------------------------------------------

@@ -1526,6 +1526,43 @@ def test_a_bad_image_is_reported_not_raised(monkeypatch, capsys):
     assert "result: FAIL" in capsys.readouterr().out
 
 
+def test_an_image_the_arc_count_refuses_is_reported_not_raised(monkeypatch, capsys):
+    # The surgery step that puts the edge (1,2) in front of (1,2) answers
+    # [-1, 0, 3, 2], whose image (0, 1, 4, 3) closes vertex 1 while no arc
+    # is open.  The arc count refuses it as no matching, and the claims
+    # that count its nestings report the refusal, each run alone too.  So
+    # the command exits 1, the code for a failed claim, not 3, the code for
+    # bad input, with nothing on stderr.
+    from wedgematch.cli import main
+
+    _break_kernel(monkeypatch, "_phi_step", (1, [1, 0]), lambda p: [-1, 0, 3, 2])
+    claims = verify_all(2).to_json_value()["claims"]
+    assert {label for label, result in claims.items() if result["failed"]} == {
+        "round_trip_phi",
+        "round_trip_phi_inv",
+        "round_trip_big_phi",
+        "theorem2",
+        "theorem1",
+        "proposition_a",
+        "proposition_b",
+        "dyck_proposition",
+    }
+    refusal = "not counted: partner table closes an arc it never opened: (0, 1, 4, 3)"
+    assert claims["theorem1"]["counterexamples"] == [f"P=ESES: north=0 nestings={refusal}"]
+    assert claims["theorem2"]["counterexamples"] == [
+        f"M=(1,2),(3,4): stacking=0 nestings={refusal} first_edge_kept=False"
+    ]
+    assert claims["dyck_proposition"]["counterexamples"][0].startswith(
+        f"P=ESES: nestings={refusal} "
+    )
+    for label in ("theorem1", "theorem2", "dyck_proposition"):
+        assert not verify_all(2, claims=[label]).passed, label
+    assert main(["verify", "2", "--json"]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out)[-1]["passed"] is False
+    assert err == ""
+
+
 def test_a_bad_code_read_is_reported_not_raised(monkeypatch, capsys):
     # The code read of (1,4),(2,3) comes back with the entry 0, or 9, which
     # no insertion code has.  Counterexamples print such a code raw instead
