@@ -173,21 +173,17 @@ def _phi_walk(code: Sequence[int]) -> tuple[int, ...]:
     return tuple(v + 1 for v in p)
 
 
-def _phi_partner(partner: Sequence[int]) -> tuple[int, ...]:
-    """The kernel of :func:`phi`: read the code with ``_sweep``, then walk it."""
-    return _phi_walk(_sweep(partner))
-
-
 def phi(m: Matching) -> Matching:
     """First-edge-preserving rearrangement with nestings(phi(M)) = st_total(M).
 
-    Walks the insertion code of ``m`` from last to first, applying one
-    surgery step (see :func:`_phi_step`) per entry.
+    Reads the insertion code of ``m`` with the code read ``_sweep``, then
+    walks it from last to first, applying one surgery step (see
+    :func:`_phi_step`) per entry.
 
     >>> phi(Matching.from_pairs([(1, 6), (2, 5), (3, 4)])).to_text()
     '(1,6),(2,3),(4,5)'
     """
-    return Matching(_phi_partner(m.partner))
+    return Matching(_phi_walk(_sweep(m.partner)))
 
 
 def _phi_inv_step(p: Sequence[int]) -> tuple[int, list[int]]:

@@ -247,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="worker processes, this one included (capped at the CPU count); "
-        "sizes below 5 always run in this process",
+        "sizes below 6 always run in this process",
     )
     p.add_argument(
         "--limit", type=int, default=10, help="counterexamples kept per claim"
@@ -284,9 +284,6 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (InvalidMatchingError, InvalidPathError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -54,9 +54,13 @@ __all__ = [
 DEFAULT_MAX_N = 7
 
 
-def _require_within_cap(n: int, max_n: int | None) -> None:
+def _require_size(n: int) -> None:
     if n < 1:
         raise ValueError(f"size must be at least 1, got {n}")
+
+
+def _require_within_cap(n: int, max_n: int | None) -> None:
+    _require_size(n)
     cap = DEFAULT_MAX_N if max_n is None else max_n
     if n > cap:
         raise OverCapError(f"size {n} exceeds the enumeration cap {cap}")
@@ -78,47 +82,39 @@ def double_factorial(n: int) -> int:
 
 # -- streams -----------------------------------------------------------------
 #
-# Both families of size n are products of per-coordinate ranges, i = 1..n:
-# a path is its heights a_i in [-(i-1), i-1], a matching its insertion code
-# b_i in [1, 2(n-i)+1].  Per family: the range of coordinate i, and the
-# object built from all n coordinates (a matching as its partner tuple,
-# which all_matchings checks once, in Matching).  The path ranges
-# also cut the harness's cells and nest in its code tree, which counts the
-# distribution tables.
-
-_FAMILIES: dict[str, tuple[Callable[[int, int], range], Callable]] = {
-    "paths": (lambda n, i: range(-(i - 1), i), WedgePath),
-    "matchings": (lambda n, i: range(1, 2 * (n - i) + 2), _partner_from_code),
-}
+# A path of size n is its heights a_i in [-(i-1), i-1], i = 1..n, and a
+# matching its insertion code b_i in [1, 2(n-i)+1]; each stream is the
+# product of its ranges, lexicographic.  The height ranges also cut the
+# harness's cells and nest in its code tree, which counts the distribution
+# tables.
 
 
-def _objects(family: str, n: int) -> Iterator[tuple[tuple[int, ...], object]]:
-    """(coordinates, object) for every object of the family, lexicographic
-    in the coordinates."""
-    if n < 1:
-        raise ValueError(f"size must be at least 1, got {n}")
-    coordinate_range, build = _FAMILIES[family]
-    for coordinates in itertools.product(*[coordinate_range(n, i) for i in range(1, n + 1)]):
-        yield coordinates, build(coordinates)
+def _heights(i: int) -> range:
+    """The range of a path's height a_i."""
+    return range(-(i - 1), i)
 
 
 def _cells(n: int) -> list[tuple[int, ...]]:
-    """The cells of the harness's process pool: the path stream cut by its
-    heights a_1..a_{min(4, n-3)} (a_1 has a single value), in stream order.
-    That is 1, 1, 1, 1, 3 and 15 cells for n = 1..6 and 105 from n = 7 on,
-    so a size up to 4 is one cell and never reaches the pool."""
-    coordinate_range = _FAMILIES["paths"][0]
-    return list(itertools.product(*[coordinate_range(n, i) for i in range(1, min(4, n - 3) + 1)]))
+    """The cells of size n, the unit of work of every run: the path stream
+    cut by its heights a_1..a_{min(4, n-3)} (a_1 has a single value), in
+    stream order.  A size up to 5 is one cell, prefix (); n = 6 has 15
+    cells and every later size 105, so the pool starts at n = 6."""
+    depth = min(4, n - 3) if n > 5 else 0
+    return list(itertools.product(*map(_heights, range(1, depth + 1))))
 
 
 def all_paths(n: int) -> Iterator[WedgePath]:
     """All wedge paths with n east steps, lexicographic in their heights."""
-    return (path for _, path in _objects("paths", n))
+    _require_size(n)
+    return map(WedgePath, itertools.product(*map(_heights, range(1, n + 1))))
 
 
 def all_matchings(n: int) -> Iterator[Matching]:
-    """All matchings on [2n], lexicographic in their insertion codes."""
-    return (Matching(partner) for _, partner in _objects("matchings", n))
+    """All matchings on [2n], lexicographic in their insertion codes; each
+    is checked once, in Matching."""
+    _require_size(n)
+    codes = itertools.product(*[range(1, 2 * (n - i) + 2) for i in range(1, n + 1)])
+    return (Matching(_partner_from_code(b)) for b in codes)
 
 
 # -- distribution tables ------------------------------------------------------
@@ -388,9 +384,8 @@ def _code_tree(n: int, prefix: tuple[int, ...] = ()) -> Iterator[_Facts]:
     of a size partition its records, and each also yields the nodes of
     the depths its prefix fixes, which other cells share: their checks are
     pure, so repeating them changes no report."""
-    coordinate_range = _FAMILIES["paths"][0]
     ranges = [range(a, a + 1) for a in prefix]
-    ranges += [coordinate_range(n, i) for i in range(len(prefix) + 1, n + 1)]
+    ranges += map(_heights, range(len(prefix) + 1, n + 1))
     heights = [0] * n
     # chain[i] is the node of depth i whose children levels[i] runs through.
     chain = [_Facts((), None)]
@@ -676,8 +671,9 @@ class Claim:
     the number of values tested and the failure details.
 
     A claim without ``tables`` is checked object by object, on one facts
-    record per path: the path and its insertion image, and the images are
-    the matching stream's tuples, each once.  ``check`` gets the record and
+    record per path, walked cell by cell (``_cells``) on any worker count:
+    the path and its insertion image, and the images are the matching
+    stream's tuples, each once.  ``check`` gets the record and
     returns None on a pass or the counterexample detail on a failure, so
     detail text is built only for failures, and ``tested`` counts the
     records.  ``names_image`` makes a counterexample name the image
@@ -858,15 +854,15 @@ class VerificationReport:
 
 @dataclass(frozen=True)
 class _Cell:
-    """One unit of work: the paths whose first heights are ``prefix``.  A
-    size of more than one ``_cells`` cell is run as that partition, shared
-    by this process and the pool; one worker, or a size of one cell, runs
-    it as one cell with prefix ``()``, the whole path stream.  A cell
-    walks the nodes on its paths' chains for the claims ``labels`` names:
-    it counts its records and, on them, the tables its whole-stream claims
-    compare, and tests each per-object claim by its node checks, or by its
-    per-object check at the records if it has none; with ``full`` set,
-    every record runs each per-object claim's check instead."""
+    """One unit of work: the paths whose first heights are ``prefix``, one
+    of ``_cells(n)``.  Every run walks a size as those cells, on any worker
+    count; from n = 6, where a size has more than one, a pool shares them
+    with this process.  A cell walks the nodes on its paths' chains for the
+    claims ``labels`` names: it counts its records and, on them, the tables
+    its whole-stream claims compare, and tests each per-object claim by its
+    node checks, or by its per-object check at the records if it has none;
+    with ``full`` set, every record runs each per-object claim's check
+    instead."""
 
     n: int
     prefix: tuple[int, ...]
@@ -932,14 +928,12 @@ def _run_cells(cells: list[_Cell], pool, workers: int) -> list:
 def _verify_size(
     n: int, selected: list[str], limit: int, pool, workers: int
 ) -> VerificationReport:
-    """Replay the selected claims over all objects of size n: as the
-    ``_cells`` partition shared with the pool if there is one, else as one
-    cell."""
+    """Replay the selected claims over all objects of size n, as its
+    ``_cells``, shared with the pool if there is one (n >= 6)."""
     started = time.perf_counter()
     chosen = [claim for claim in _REGISTRY if claim.label in selected]
     labels = tuple(claim.label for claim in chosen)
-    prefixes = _cells(n) if pool is not None else [()]
-    cells = [_Cell(n, prefix, labels, limit) for prefix in prefixes]
+    cells = [_Cell(n, prefix, labels, limit) for prefix in _cells(n)]
     results = _run_cells(cells, pool, workers)
     # A failed test anywhere reruns every cell with every claim's per-object
     # check on every record, and the report comes from that pass alone.
@@ -1031,11 +1025,12 @@ def verify_all(
     """Replay every claim exhaustively over all objects of size n.
 
     ``claims`` selects a subset of labels from :data:`CLAIMS`; by default
-    everything runs, and an empty selection is rejected.  ``workers`` = k
-    > 1 shares the path stream's cells between this process and a pool of
-    k - 1 processes, if the size has more than one cell (n >= 5); otherwise
-    the stream is walked whole, in this process.  The report is identical
-    for any worker count because the cells are merged in stream order.
+    everything runs, and an empty selection is rejected.  Every run walks
+    the path stream as the size's cells.  ``workers`` = k > 1 shares them
+    between this process and a pool of k - 1 processes, if the size has
+    more than one cell (n >= 6); otherwise this process walks them all.
+    The report is identical for any worker count because the cells are the
+    same and are merged in stream order.
     Counterexamples are collected up to ``counterexample_limit`` per claim;
     failures beyond that are only counted.  ``workers`` must be at least 1
     and is capped at the CPU count; ``counterexample_limit`` must not be

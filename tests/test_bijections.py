@@ -32,7 +32,7 @@ from wedgematch.bijections import (
     _phi_walk,
 )
 from wedgematch.cli import main
-from wedgematch.enumeration import _code_tree, _objects, all_matchings, all_paths
+from wedgematch.enumeration import _code_tree, all_matchings, all_paths
 from wedgematch.matching import _blocks, _sweep
 
 EXAMPLE_IMAGE = [(1, 4), (2, 14), (3, 12), (5, 8), (6, 9), (7, 11), (10, 13)]
@@ -221,7 +221,8 @@ def test_phi_golden_digest(n):
 def test_phi_kernels_are_folds_of_their_steps(n):
     # The harness checks phi and phi_inv one step per node of the code tree;
     # the kernels behind the public maps must be exactly those steps, folded.
-    for code, partner in _objects("matchings", n):
+    for code in itertools.product(*(range(1, 2 * (n - i) + 2) for i in range(1, n + 1))):
+        partner = _partner_from_code(code)
         image: list[int] = []
         for b in reversed(code):
             image = _phi_step(b, image)

@@ -1,7 +1,8 @@
-"""Run the usage examples embedded in the library docstrings, and check the
-public namespace."""
+"""Run the usage examples embedded in the library docstrings and in
+README.md, and check the public namespace."""
 
 import doctest
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +26,13 @@ def test_module_doctests(module):
     result = doctest.testmod(module)
     assert result.failed == 0
     assert result.attempted > 0
+
+
+def test_readme_examples():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    result = doctest.testfile(str(readme), module_relative=False)
+    assert result.failed == 0
+    assert result.attempted == 4
 
 
 def test_public_names_resolve():

@@ -26,7 +26,6 @@ from wedgematch.enumeration import (
     VerificationReport,
     _cells,
     _code_tree,
-    _objects,
     verify_ladder,
 )
 
@@ -128,16 +127,28 @@ def test_stream_golden_digest(n):
     assert (paths.hexdigest(), matchings.hexdigest()) == STREAM_DIGESTS[n]
 
 
-# The cells at n = 1..6 fix the heights a_1..a_{min(4, n-3)}, so the counts
-# are 1 (no height, or a_1 alone) up to n=4, then 3 and 15; from n=7 on they
-# fix a_1..a_4, 105 cells.  Only the path stream is cut into cells; the
-# partition keeps reports independent of the worker count.
-CELL_COUNTS = [1, 1, 1, 1, 3, 15]
+# A size up to 5 is one cell, prefix (); n = 6 fixes the heights a_1..a_3,
+# 15 cells, and from n = 7 on they fix a_1..a_4, 105 cells.  Only the path
+# stream is cut into cells, and every run walks them, whatever the worker
+# count, so reports do not depend on it.
+CELL_COUNTS = [1, 1, 1, 1, 1, 15]
+
+
+def _path_heights(n):
+    """Every path's heights, in stream order: one product of the ranges
+    [-(i-1), i-1]."""
+    return itertools.product(*(range(-(i - 1), i) for i in range(1, n + 1)))
+
+
+def _codes(n):
+    """Every insertion code, in stream order: one product of the ranges
+    [1, 2(n-i)+1]."""
+    return itertools.product(*(range(1, 2 * (n - i) + 2) for i in range(1, n + 1)))
 
 
 def _paths_under(n, prefix):
     """The heights of the path stream that start with ``prefix``, in order."""
-    return [h for h, _ in _objects("paths", n) if h[: len(prefix)] == prefix]
+    return [h for h in _path_heights(n) if h[: len(prefix)] == prefix]
 
 
 @pytest.mark.parametrize("family", ["paths"])
@@ -145,7 +156,8 @@ def _paths_under(n, prefix):
 def test_cells_partition_the_stream(family, n):
     cells = _cells(n)
     assert len(cells) == CELL_COUNTS[n - 1]
-    stream = [coordinates for coordinates, _ in _objects(family, n)]
+    stream = [p.heights for p in all_paths(n)]
+    assert stream == list(_path_heights(n))
     assert [h for prefix in cells for h in _paths_under(n, prefix)] == stream
 
 
@@ -154,10 +166,9 @@ def test_path_codes_insert_to_the_matching_stream(n):
     # The harness checks both families' per-object claims on the path
     # stream: each path's insertion image must be one matching of the
     # matching stream, and each matching the image of exactly one path.
-    images = [
-        _partner_from_code(_code_from_heights(heights)) for heights, _ in _objects("paths", n)
-    ]
-    matchings = [partner for _, partner in _objects("matchings", n)]
+    images = [_partner_from_code(_code_from_heights(heights)) for heights in _path_heights(n)]
+    matchings = [m.partner for m in all_matchings(n)]
+    assert matchings == [_partner_from_code(b) for b in _codes(n)]
     assert sorted(images) == sorted(matchings)
     assert len(set(matchings)) == double_factorial(n)
 
@@ -175,7 +186,7 @@ def test_cells_partition_the_code_tree(n):
     assert sorted(piece for piece in pieces if piece[1]) == sorted(b for b in tree if b[1])
     assert len(set(tree)) == len(tree) == sum(double_factorial(k) for k in range(1, n + 1))
     assert [b for b, leaf in tree if leaf] == [
-        _code_from_heights(heights) for heights, _ in _objects("paths", n)
+        _code_from_heights(heights) for heights in _path_heights(n)
     ]
 
 
@@ -394,16 +405,16 @@ def test_verify_workers_capped_at_cpu_count(monkeypatch):
 
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 1)
     monkeypatch.setattr(enumeration, "Pool", no_pool)
-    capped = verify_all(5, workers=64)
-    serial = verify_all(5, workers=1)
+    capped = verify_all(6, workers=64)
+    serial = verify_all(6, workers=1)
     assert capped.to_json_value() == serial.to_json_value()
 
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_verify_ladder_starts_one_pool_where_it_pays(monkeypatch, workers):
-    # Sizes up to 4 are one cell each and start no pool; the first size of
-    # more than one cell starts one pool of workers - 1 processes, since
-    # this process is a worker too, and the later sizes share it.
+    # Sizes up to 5 are one cell each and start no pool; the first size of
+    # more than one cell, n=6, starts one pool of workers - 1 processes,
+    # since this process is a worker too, and the later sizes share it.
     import wedgematch.enumeration as enumeration
 
     real_pool = enumeration.Pool
@@ -415,9 +426,9 @@ def test_verify_ladder_starts_one_pool_where_it_pays(monkeypatch, workers):
 
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: workers)
     monkeypatch.setattr(enumeration, "Pool", counting_pool)
-    reports = [r.to_json_value() for r in verify_ladder(4, workers=workers)]
+    reports = [r.to_json_value() for r in verify_ladder(5, workers=workers)]
     assert started == []
-    assert reports == [verify_all(n).to_json_value() for n in range(1, 5)]
+    assert reports == [verify_all(n).to_json_value() for n in range(1, 6)]
     reports = [r.to_json_value() for r in verify_ladder(6, workers=workers)]
     assert started == [workers - 1]
     assert reports == [verify_all(n).to_json_value() for n in range(1, 7)]
@@ -425,14 +436,14 @@ def test_verify_ladder_starts_one_pool_where_it_pays(monkeypatch, workers):
 
 
 def test_a_ladder_closed_early_leaves_no_process(monkeypatch):
-    # The pool starts at n=5; closing the ladder after that report, as a
+    # The pool starts at n=6; closing the ladder after that report, as a
     # caller that stops reading does, must terminate it.
     import wedgematch.enumeration as enumeration
 
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
-    ladder = verify_ladder(6, workers=2)
+    ladder = verify_ladder(7, workers=2)
     for report in ladder:
-        if report.n == 5:
+        if report.n == 6:
             break
     assert len(multiprocessing.active_children()) == 1
     ladder.close()
@@ -457,7 +468,7 @@ def test_an_interrupted_size_leaves_no_process(monkeypatch):
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(enumeration, "_run_cell", interrupted)
     with pytest.raises(KeyboardInterrupt):
-        verify_all(5, workers=2)
+        verify_all(6, workers=2)
     assert multiprocessing.active_children() == []
 
 
@@ -484,6 +495,7 @@ VERIFY_PAYLOAD_DIGESTS = {
     3: "21f7efa7e4058f9c6fdadc6bc8d1d803ea2cb0348090f5ede93ac4f56f7b422e",
     4: "3c73a91b5cf89bb109029a7031f61ef98c2dde624f0d87e8b708ba8dec98414b",
     5: "421f61ada44e04daa198b616d70f5157fedf836d9918927709f1162a0be7fcf8",
+    6: "9e101d1ed6fa88e8019afb2f7b1cb43ca405a7acdcabd00090c2059567a16f20",
 }
 
 
@@ -789,7 +801,7 @@ def _sweep_partners():
     rng = random.Random(2008)
     return itertools.chain(
         [()],
-        *([p for _, p in _objects("matchings", n)] for n in range(1, 7)),
+        *([_partner_from_code(b) for b in _codes(n)] for n in range(1, 7)),
         (_random_partner(rng, n) for n in (16, 64, 256, 1024) for _ in range(200)),
     )
 
@@ -892,8 +904,8 @@ def _walked(nodes):
 def test_code_tree_walk_equals_the_product_diff(n):
     # The depth-first walk over nested height ranges yields the nodes, their
     # images and the records' heights in the order the product-and-diff walk
-    # does: for the whole stream, and for each pool cell up to n=5.
-    for prefix in [()] + (_cells(n) if n <= 5 else []):
+    # does: for the whole stream, and for each cell of n=6.
+    for prefix in [()] + [prefix for prefix in _cells(n) if prefix]:
         assert _walked(_code_tree(n, prefix)) == list(_code_tree_by_diff(n, prefix)), prefix
 
 
@@ -1209,8 +1221,9 @@ NODE_CHECKED = (
 WHOLE_TREE = ("round_trip_phi_inv",)
 
 
-def _full_report(monkeypatch, n):
-    """verify_all(n) with every claim's per-object check run on every record."""
+def _full_report(monkeypatch, n, claims=None):
+    """verify_all(n, claims=claims) with every claim's per-object check run
+    on every record."""
     import dataclasses
 
     import wedgematch.enumeration as enumeration
@@ -1221,7 +1234,7 @@ def _full_report(monkeypatch, n):
             "_CLAIMS_BY_LABEL",
             {c.label: dataclasses.replace(c, node=None) for c in enumeration._REGISTRY},
         )
-        return verify_all(n).to_json_value()
+        return verify_all(n, claims=claims).to_json_value()
 
 
 # Faults for the differential test, as (kernel, trigger, wrong answer): none,
@@ -1371,25 +1384,36 @@ def test_a_passing_size_decides_in_one_pass(monkeypatch):
     reason="the pool's workers inherit the broken kernel only when forked",
 )
 def test_a_failing_size_reruns_on_the_process_pool(monkeypatch):
-    # Each fault fires at depth 2 only, so one of the 3 cells of size 5 fails
-    # a node check and the rest pass: the last cell (a_2 = 1), which this
-    # process runs, or the middle one (a_2 = 0), which the pool runs.  The
-    # size must then be rerun in full on the pool as well, and report as one
-    # worker and the full checks do.
+    # Each fault breaks the harness's fold, not phi's own walk, at one node
+    # of depth 3, the depth n=6's cells fix: (5, 3, 1), in the last of the 15
+    # cells, which this process runs, or (4, 3, 1), in the one before, which
+    # the pool runs.  So that cell alone fails a node check, round_trip_phi's.
+    # The size must then be rerun in full on the pool as well, and the two
+    # round trips that unwind the image report as their full checks do (on
+    # one worker too, as the node/full differential test requires).
     import wedgematch.enumeration as enumeration
 
+    step = enumeration._phi_step
+    claims = ("round_trip_phi", "round_trip_big_phi")
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
-    for fault in (
-        DIFFERENTIAL_FAULTS["_phi_step_depth_2"],
-        ("_phi_step", (2, [1, 0]), lambda p: [3, 2, 1, 0]),
-    ):
+    for b1, failing in ((5, 14), (4, 13)):
+
+        def faulty(*args, trigger=(b1, [3, 2, 1, 0])):
+            hit = args == trigger
+            image = step(*args)
+            return [1, 0, 3, 2, 5, 4] if hit else image
+
         with monkeypatch.context() as patch:
-            _break_kernel(patch, *fault)
+            patch.setattr(enumeration, "_phi_step", faulty)
+            cells = [enumeration._Cell(6, prefix, claims, 10) for prefix in _cells(6)]
+            assert [i for i, c in enumerate(cells) if enumeration._run_cell(c) is None] == [
+                failing
+            ]
             passes = _count_passes(patch)
-            parallel = verify_all(5, workers=2).to_json_value()
-            assert passes == [True, True], fault[:2]
+            parallel = verify_all(6, workers=2, claims=claims).to_json_value()
+            assert passes == [True, True], b1
             assert not parallel["passed"]
-            assert parallel == verify_all(5).to_json_value() == _full_report(patch, 5)
+            assert parallel == _full_report(patch, 6, claims)
 
 
 def _count_cells(monkeypatch):
@@ -1407,18 +1431,36 @@ def _count_cells(monkeypatch):
     return cells
 
 
-def test_one_worker_walks_each_stream_as_one_cell(monkeypatch):
-    # Without a process pool, a size is one cell, prefix (): the whole path
-    # stream, whose records also stand for the matching stream.  A passing
-    # size runs that cell, and a failing one runs it again for its rerun.
-    cells = _count_cells(monkeypatch)
-    payload = json.dumps(verify_all(5).to_json_value())
-    assert hashlib.sha256(payload.encode()).hexdigest() == VERIFY_PAYLOAD_DIGESTS[5]
-    assert cells == [()]
+def test_one_and_two_workers_run_the_same_cells(monkeypatch):
+    # Every run walks a size as its _cells, in stream order, whatever the
+    # worker count: one cell, prefix (), up to n=5, and 15 at n=6.  A passing
+    # size runs them once, and a failing one runs the same cells again for
+    # its rerun; one worker runs every cell in this process.
+    import wedgematch.enumeration as enumeration
+
+    run_cells = enumeration._run_cells
+    runs = []
+
+    def recording(cells, pool, workers):
+        runs.append([cell.prefix for cell in cells])
+        return run_cells(cells, pool, workers)
+
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(enumeration, "_run_cells", recording)
+    for workers in (1, 2):
+        for n in (5, 6):
+            runs.clear()
+            payload = json.dumps(verify_all(n, workers=workers).to_json_value())
+            assert hashlib.sha256(payload.encode()).hexdigest() == VERIFY_PAYLOAD_DIGESTS[n]
+            assert runs == [_cells(n)], (workers, n)
+    # The pool's processes look _run_cell up by name, so it is recorded on
+    # one worker only.
+    own = _count_cells(monkeypatch)
     _break_kernel(monkeypatch, *DIFFERENTIAL_FAULTS["_phi_step_depth_2"])
-    cells.clear()
-    assert not verify_all(4).passed
-    assert cells == [()] * 2
+    runs.clear()
+    assert not verify_all(6, claims=["round_trip_phi"]).passed
+    assert runs == [_cells(6)] * 2
+    assert own == _cells(6) * 2
 
 
 def _merge(results, limit):
@@ -1683,20 +1725,20 @@ def test_an_image_that_does_not_unwind_is_reported_not_raised(monkeypatch, capsy
 def test_cardinality_matchings_counts_perfect_images(monkeypatch, workers):
     # cardinality_matchings counts the records whose m is a perfect matching
     # of [2n], not the records: with one image broken, it fails alone.  The
-    # broken code (1, 1, 1, 2, 1) has heights 0, 0, -2, -3, -4, in the second
-    # of the 3 cells of n=5, which a pool's process runs.
+    # broken code (1, 1, 1, 2, 1, 1) has heights 0, -1, -1, -3, -4, -5, in
+    # the second of the 15 cells of n=6, which a pool's process runs.
     import wedgematch.enumeration as enumeration
 
     _break_kernel(
-        monkeypatch, "_partner_from_code", ((1, 1, 1, 2, 1),), lambda p: (p[1],) + p[1:]
+        monkeypatch, "_partner_from_code", ((1, 1, 1, 2, 1, 1),), lambda p: (p[1],) + p[1:]
     )
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
-    report = verify_all(5, workers=workers, claims=["cardinality_matchings"])
+    report = verify_all(6, workers=workers, claims=["cardinality_matchings"])
     assert report.to_json_value()["claims"] == {
         "cardinality_matchings": {
-            "tested": 945,
+            "tested": 10395,
             "failed": 1,
-            "counterexamples": ["944 of 945 images are matchings of [10], expected 945"],
+            "counterexamples": ["10394 of 10395 images are matchings of [12], expected 10395"],
         }
     }
 
@@ -1726,8 +1768,8 @@ def test_a_passing_run_builds_no_objects(monkeypatch, workers):
     for cls in (WedgePath, Matching, InsertionCode):
         monkeypatch.setattr(cls, "__post_init__", unreachable)
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
-    payload = json.dumps(verify_all(5, workers=workers).to_json_value())
-    assert hashlib.sha256(payload.encode()).hexdigest() == VERIFY_PAYLOAD_DIGESTS[5]
+    payload = json.dumps(verify_all(6, workers=workers).to_json_value())
+    assert hashlib.sha256(payload.encode()).hexdigest() == VERIFY_PAYLOAD_DIGESTS[6]
 
 
 @pytest.mark.parametrize(
@@ -1766,8 +1808,8 @@ def test_a_passing_run_sweeps_no_record_whole(monkeypatch, workers):
     ]:
         monkeypatch.setattr(module, name, unreachable)
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
-    payload = json.dumps(verify_all(5, workers=workers).to_json_value())
-    assert hashlib.sha256(payload.encode()).hexdigest() == VERIFY_PAYLOAD_DIGESTS[5]
+    payload = json.dumps(verify_all(6, workers=workers).to_json_value())
+    assert hashlib.sha256(payload.encode()).hexdigest() == VERIFY_PAYLOAD_DIGESTS[6]
 
 
 # The claims none of whose checks, node checks or tables read a node's image.
@@ -1788,7 +1830,7 @@ IMAGE_FREE = (
 def test_the_fold_runs_once_per_node_and_only_when_read(monkeypatch, claims):
     # A node's image is one phi step on its parent's, folded when first
     # read: a passing verify_all(6) folds no step for a claim that reads no
-    # image, and one per node of depths 1..6 for the full claim set.  Only
+    # image, and one per node its cells walk for the full claim set.  Only
     # the harness's own fold is counted, not the walks of phi's kernel.
     import wedgematch.enumeration as enumeration
 
@@ -1801,7 +1843,14 @@ def test_the_fold_runs_once_per_node_and_only_when_read(monkeypatch, claims):
 
     monkeypatch.setattr(enumeration, "_phi_step", counting)
     assert verify_all(6, claims=claims).passed
-    assert len(calls) == (0 if claims else 1 + 3 + 15 + 105 + 945 + 10_395)
+    assert len(calls) == (0 if claims else CELL_NODES_6)
+
+
+# The nodes n=6's 15 cells walk: every node of depths 1..6, 11,464, and again
+# the nodes of the depths their prefixes fix that more than one cell shares,
+# the depth-1 node 14 more times and each of the 3 of depth 2 4 more times.
+CELL_NODES_6 = 1 + 3 + 15 + 105 + 945 + 10_395 + 14 + 3 * 4
+assert CELL_NODES_6 == 11_490
 
 
 # The claims whose node checks read m's code at every node.
@@ -1811,7 +1860,7 @@ CODE_READ_AT_NODES = ("round_trip_psi_inv", "round_trip_big_phi", "lemma1", "pro
 @pytest.mark.parametrize("claims", [[label] for label in CLAIMS] + [None], ids=[*CLAIMS, "all"])
 def test_the_code_read_runs_once_per_node_and_only_when_read(monkeypatch, claims):
     # m's code read is one field of its node: a passing verify_all(6) reads
-    # it once at every node of depths 1..6 for a claim whose node check
+    # it once at every node its cells walk for a claim whose node check
     # reads it, once at every record for round_trip_psi, whose per-object
     # check reads it, and never for the rest.  Only the harness's own reads
     # are counted, not those inside phi's and psi_inv's kernels.
@@ -1826,7 +1875,7 @@ def test_the_code_read_runs_once_per_node_and_only_when_read(monkeypatch, claims
 
     monkeypatch.setattr(enumeration, "_sweep", counting)
     assert verify_all(6, claims=claims).passed
-    nodes, records = 1 + 3 + 15 + 105 + 945 + 10_395, 10_395
+    nodes, records = CELL_NODES_6, 10_395
     if claims is None or claims[0] in CODE_READ_AT_NODES:
         assert len(calls) == nodes
     else:
