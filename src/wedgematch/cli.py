@@ -246,8 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="worker processes, this one included (capped at the CPU count); "
-        "sizes below 6 always run in this process",
+        help="processes in the pool that runs sizes from 6 on, capped at the CPU count",
     )
     p.add_argument(
         "--limit", type=int, default=10, help="counterexamples kept per claim"

@@ -119,8 +119,15 @@ def all_matchings(n: int) -> Iterator[Matching]:
 
 # -- distribution tables ------------------------------------------------------
 
-# The statistics a distribution table counts (see _CHILD_STATISTICS below).
-STATISTICS = ("north_steps", "nestings", "crossings", "st_total")
+# The statistics a distribution table counts, each as the values of a node's
+# children (see _Facts).
+_CHILD_STATISTICS: dict[str, Callable[[_Facts], Iterable[int]]] = {
+    "north_steps": lambda f: f.child_north,
+    "nestings": lambda f: map(f.arcs[1].__add__, f.closed),
+    "crossings": lambda f: map(f.arcs[0].__add__, f.opened),
+    "st_total": lambda f: f.child_st,
+}
+STATISTICS = tuple(_CHILD_STATISTICS)
 
 
 @dataclass(frozen=True)
@@ -406,15 +413,6 @@ def _code_tree(n: int, prefix: tuple[int, ...] = ()) -> Iterator[_Facts]:
         else:
             levels.pop()
             chain.pop()
-
-
-# The STATISTICS, each as the values of a node's children (see _Facts).
-_CHILD_STATISTICS: dict[str, Callable[[_Facts], Iterable[int]]] = {
-    "north_steps": lambda f: f.child_north,
-    "nestings": lambda f: map(f.arcs[1].__add__, f.closed),
-    "crossings": lambda f: map(f.arcs[0].__add__, f.opened),
-    "st_total": lambda f: f.child_st,
-}
 
 
 # Per-object checks: None on a pass, else the counterexample detail.  They run
@@ -856,13 +854,12 @@ class VerificationReport:
 class _Cell:
     """One unit of work: the paths whose first heights are ``prefix``, one
     of ``_cells(n)``.  Every run walks a size as those cells, on any worker
-    count; from n = 6, where a size has more than one, a pool shares them
-    with this process.  A cell walks the nodes on its paths' chains for the
-    claims ``labels`` names: it counts its records and, on them, the tables
-    its whole-stream claims compare, and tests each per-object claim by its
-    node checks, or by its per-object check at the records if it has none;
-    with ``full`` set, every record runs each per-object claim's check
-    instead."""
+    count; from n = 6, where a size has more than one, a pool runs them.  A
+    cell walks the nodes on its paths' chains for the claims ``labels``
+    names: it counts its records and, on them, the tables its whole-stream
+    claims compare, and tests each per-object claim by its node checks, or
+    by its per-object check at the records if it has none; with ``full``
+    set, every record runs each per-object claim's check instead."""
 
     n: int
     prefix: tuple[int, ...]
@@ -913,33 +910,25 @@ def _run_cell(cell: _Cell) -> tuple[int, dict[str, list], dict[str, Counter]] | 
     return count, failures, counters
 
 
-def _run_cells(cells: list[_Cell], pool, workers: int) -> list:
-    """The cells' results in stream order.  With a pool, this process runs
-    every ``workers``-th cell, from the first, while the pool's
-    ``workers - 1`` processes run the rest."""
-    if pool is None:
-        return [_run_cell(cell) for cell in cells]
-    pending = pool.map_async(_run_cell, [c for i, c in enumerate(cells) if i % workers])
-    own = iter([_run_cell(cell) for cell in cells[::workers]])
-    theirs = iter(pending.get())
-    return [next(theirs if i % workers else own) for i in range(len(cells))]
-
-
-def _verify_size(
-    n: int, selected: list[str], limit: int, pool, workers: int
-) -> VerificationReport:
+def _verify_size(n: int, selected: list[str], limit: int, pool) -> VerificationReport:
     """Replay the selected claims over all objects of size n, as its
-    ``_cells``, shared with the pool if there is one (n >= 6)."""
+    ``_cells``.  Each pass is one lazy stream of the cells' results in
+    stream order: ``map`` in this process, or the pool's ``imap`` if there
+    is a pool (n >= 6)."""
     started = time.perf_counter()
     chosen = [claim for claim in _REGISTRY if claim.label in selected]
     labels = tuple(claim.label for claim in chosen)
+    run = map if pool is None else pool.imap
     cells = [_Cell(n, prefix, labels, limit) for prefix in _cells(n)]
-    results = _run_cells(cells, pool, workers)
-    # A failed test anywhere reruns every cell with every claim's per-object
-    # check on every record, and the report comes from that pass alone.
-    if None in results:
-        cells = [replace(cell, full=True) for cell in cells]
-        results = _run_cells(cells, pool, workers)
+    results = []
+    for result in run(_run_cell, cells):
+        if result is None:
+            # A failed test anywhere ends this pass and reruns every cell with
+            # every claim's per-object check on every record, and the report
+            # comes from that pass alone.
+            results = run(_run_cell, [replace(cell, full=True) for cell in cells])
+            break
+        results.append(result)
 
     tables: dict = {"paths": 0}
     failed: Counter = Counter()
@@ -976,9 +965,9 @@ def _verify_sizes(
 ) -> Iterator[VerificationReport]:
     """Check the arguments once, then yield the report of each size
     first..last as it finishes.  With k > 1 workers, one process pool of
-    k - 1 processes, started at the first size of more than one cell,
-    serves that size and every later one; this process is the k-th worker.
-    The pool is terminated however the generator ends."""
+    k processes, started at the first size of more than one cell, runs the
+    cells of that size and every later one, and this process merges their
+    results.  The pool is terminated however the generator ends."""
     _require_within_cap(last, max_n)
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -1006,12 +995,12 @@ def _verify_sizes(
                 # reports the interrupt.
                 pool = stack.enter_context(
                     Pool(
-                        workers - 1,
+                        workers,
                         initializer=signal.signal,
                         initargs=(signal.SIGINT, signal.SIG_IGN),
                     )
                 )
-            yield _verify_size(n, selected, counterexample_limit, pool, workers)
+            yield _verify_size(n, selected, counterexample_limit, pool)
 
 
 def verify_all(
@@ -1026,11 +1015,11 @@ def verify_all(
 
     ``claims`` selects a subset of labels from :data:`CLAIMS`; by default
     everything runs, and an empty selection is rejected.  Every run walks
-    the path stream as the size's cells.  ``workers`` = k > 1 shares them
-    between this process and a pool of k - 1 processes, if the size has
-    more than one cell (n >= 6); otherwise this process walks them all.
-    The report is identical for any worker count because the cells are the
-    same and are merged in stream order.
+    the path stream as the size's cells.  ``workers`` = k > 1 runs them on
+    a pool of k processes, if the size has more than one cell (n >= 6);
+    otherwise this process walks them all.  The report is identical for
+    any worker count because the cells are the same and are merged in
+    stream order.
     Counterexamples are collected up to ``counterexample_limit`` per claim;
     failures beyond that are only counted.  ``workers`` must be at least 1
     and is capped at the CPU count; ``counterexample_limit`` must not be
@@ -1050,6 +1039,6 @@ def verify_ladder(
 ) -> Iterator[VerificationReport]:
     """:func:`verify_all` for each size 1..n, yielding each report as it
     finishes; the arguments are checked before any size runs, and one
-    process pool, started at the first size that uses it, serves every
-    size from there on."""
+    process pool of ``workers`` processes, started at the first size that
+    uses it, runs the cells of every size from there on."""
     return _verify_sizes(1, n, max_n, workers, counterexample_limit, claims)

@@ -3,7 +3,7 @@
 import hashlib
 import itertools
 import json
-import multiprocessing
+import multiprocessing.pool
 import random
 from collections import Counter
 
@@ -26,6 +26,7 @@ from wedgematch.enumeration import (
     VerificationReport,
     _cells,
     _code_tree,
+    _run_cell,
     verify_ladder,
 )
 
@@ -386,7 +387,7 @@ def test_verify_all_exhaustive_counts():
 
 
 def test_verify_reports_identical_across_worker_counts(monkeypatch):
-    # n=6 has 15 cells: three workers are this process and a pool of two.
+    # n=6 has 15 cells: two or three workers are a pool of that many processes.
     import wedgematch.enumeration as enumeration
 
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 3)
@@ -413,8 +414,8 @@ def test_verify_workers_capped_at_cpu_count(monkeypatch):
 @pytest.mark.parametrize("workers", [2, 3])
 def test_verify_ladder_starts_one_pool_where_it_pays(monkeypatch, workers):
     # Sizes up to 5 are one cell each and start no pool; the first size of
-    # more than one cell, n=6, starts one pool of workers - 1 processes,
-    # since this process is a worker too, and the later sizes share it.
+    # more than one cell, n=6, starts one pool of `workers` processes, while
+    # this process only merges their results, and the later sizes share it.
     import wedgematch.enumeration as enumeration
 
     real_pool = enumeration.Pool
@@ -430,7 +431,7 @@ def test_verify_ladder_starts_one_pool_where_it_pays(monkeypatch, workers):
     assert started == []
     assert reports == [verify_all(n).to_json_value() for n in range(1, 6)]
     reports = [r.to_json_value() for r in verify_ladder(6, workers=workers)]
-    assert started == [workers - 1]
+    assert started == [workers]
     assert reports == [verify_all(n).to_json_value() for n in range(1, 7)]
     assert multiprocessing.active_children() == []
 
@@ -445,30 +446,45 @@ def test_a_ladder_closed_early_leaves_no_process(monkeypatch):
     for report in ladder:
         if report.n == 6:
             break
-    assert len(multiprocessing.active_children()) == 1
+    assert len(multiprocessing.active_children()) == 2
     ladder.close()
     assert multiprocessing.active_children() == []
 
 
+def _stalled_cell(cell):
+    """A cell that never finishes, for the pool's processes to hang on."""
+    import time
+
+    time.sleep(60)
+
+
 def test_an_interrupted_size_leaves_no_process(monkeypatch):
-    # Ctrl-C while this process runs its own share of the cells ends the
-    # run; the pool must not outlive it.
+    # Ctrl-C while this process waits on the pool's results ends the run;
+    # the pool must not outlive it.  The pool runs cells that never finish,
+    # and the interrupt comes 0.2 s after it is handed them, so it cannot
+    # miss the wait.
     import os
+    import signal
+    import threading
 
     import wedgematch.enumeration as enumeration
 
-    run_cell = enumeration._run_cell
-    caller = os.getpid()
+    timers = []
 
-    def interrupted(cell):
-        if os.getpid() == caller:
-            raise KeyboardInterrupt
-        return run_cell(cell)
+    class InterruptedPool(multiprocessing.pool.Pool):
+        def imap(self, func, cells, chunksize=1):
+            results = super().imap(_stalled_cell, cells, chunksize)
+            timers.append(threading.Timer(0.2, os.kill, (os.getpid(), signal.SIGINT)))
+            timers[-1].start()
+            return results
 
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(enumeration, "_run_cell", interrupted)
+    monkeypatch.setattr(enumeration, "Pool", InterruptedPool)
     with pytest.raises(KeyboardInterrupt):
         verify_all(6, workers=2)
+    (timer,) = timers
+    timer.join(timeout=5)
+    assert not timer.is_alive()
     assert multiprocessing.active_children() == []
 
 
@@ -781,9 +797,9 @@ def test_lemma1s_node_check_reads_the_first_stacking_value(monkeypatch):
     _break_kernel(monkeypatch, "_first_stacking", (NESTED,), lambda st: st + 1)
     node = enumeration._CLAIMS_BY_LABEL["lemma1"].node
     assert [f.b for f in _code_tree(3) if not node(f)] == [CODE]
-    passes = _count_passes(monkeypatch)
+    passes = _record_passes(monkeypatch)
     assert verify_all(3, claims=["lemma1"]).passed
-    assert passes == [False, False]
+    assert passes == [[False, [()]], [False, [()]]]
 
 
 def _random_partner(rng, n):
@@ -1339,19 +1355,36 @@ def test_a_fault_above_the_records_fails_the_top_size(monkeypatch, fault):
     assert claims == {label: full[label] for label in NODE_CHECKED}
 
 
-def _count_passes(monkeypatch):
-    """Record, for each pass of the harness over a size's cells, whether it
-    ran on the process pool."""
+def _pooled_cell(cell):
+    """_run_cell under a name of its own, which the pool can send while the
+    harness's name for it is patched: a function crosses to the pool's
+    processes as its name."""
+    return _run_cell(cell)
+
+
+def _record_passes(monkeypatch):
+    """Record each pass of the harness over a size's cells as [pooled,
+    prefixes]: whether it ran on the process pool, and the prefixes of the
+    cells it was handed.  A pass on the pool is one call of its imap, which
+    is handed every cell; a pass in this process is a run of _run_cell
+    calls, which starts at the size's first cell."""
     import wedgematch.enumeration as enumeration
 
-    run_cells = enumeration._run_cells
     passes = []
 
-    def counting(cells, pool, workers):
-        passes.append(pool is not None)
-        return run_cells(cells, pool, workers)
+    def recording(cell):
+        if cell.prefix == _cells(cell.n)[0]:
+            passes.append([False, []])
+        passes[-1][1].append(cell.prefix)
+        return _run_cell(cell)
 
-    monkeypatch.setattr(enumeration, "_run_cells", counting)
+    class RecordingPool(multiprocessing.pool.Pool):
+        def imap(self, func, cells, chunksize=1):
+            passes.append([True, [cell.prefix for cell in cells]])
+            return super().imap(_pooled_cell, cells, chunksize)
+
+    monkeypatch.setattr(enumeration, "_run_cell", recording)
+    monkeypatch.setattr(enumeration, "Pool", RecordingPool)
     return passes
 
 
@@ -1373,10 +1406,10 @@ def test_a_passing_size_decides_in_one_pass(monkeypatch):
             for c in enumeration._REGISTRY
         },
     )
-    passes = _count_passes(monkeypatch)
+    passes = _record_passes(monkeypatch)
     payload = json.dumps(verify_all(5).to_json_value())
     assert hashlib.sha256(payload.encode()).hexdigest() == VERIFY_PAYLOAD_DIGESTS[5]
-    assert passes == [False]
+    assert passes == [[False, [()]]]
 
 
 @pytest.mark.skipif(
@@ -1386,8 +1419,8 @@ def test_a_passing_size_decides_in_one_pass(monkeypatch):
 def test_a_failing_size_reruns_on_the_process_pool(monkeypatch):
     # Each fault breaks the harness's fold, not phi's own walk, at one node
     # of depth 3, the depth n=6's cells fix: (5, 3, 1), in the last of the 15
-    # cells, which this process runs, or (4, 3, 1), in the one before, which
-    # the pool runs.  So that cell alone fails a node check, round_trip_phi's.
+    # cells, or (4, 3, 1), in the one before.  So that cell alone fails a
+    # node check, round_trip_phi's.
     # The size must then be rerun in full on the pool as well, and the two
     # round trips that unwind the image report as their full checks do (on
     # one worker too, as the node/full differential test requires).
@@ -1409,58 +1442,34 @@ def test_a_failing_size_reruns_on_the_process_pool(monkeypatch):
             assert [i for i, c in enumerate(cells) if enumeration._run_cell(c) is None] == [
                 failing
             ]
-            passes = _count_passes(patch)
+            passes = _record_passes(patch)
             parallel = verify_all(6, workers=2, claims=claims).to_json_value()
-            assert passes == [True, True], b1
+            assert passes == [[True, _cells(6)], [True, _cells(6)]], b1
             assert not parallel["passed"]
             assert parallel == _full_report(patch, 6, claims)
 
 
-def _count_cells(monkeypatch):
-    """Record the prefix of every cell the harness runs in this process."""
-    import wedgematch.enumeration as enumeration
-
-    run_cell = enumeration._run_cell
-    cells = []
-
-    def counting(cell):
-        cells.append(cell.prefix)
-        return run_cell(cell)
-
-    monkeypatch.setattr(enumeration, "_run_cell", counting)
-    return cells
-
-
 def test_one_and_two_workers_run_the_same_cells(monkeypatch):
     # Every run walks a size as its _cells, in stream order, whatever the
-    # worker count: one cell, prefix (), up to n=5, and 15 at n=6.  A passing
-    # size runs them once, and a failing one runs the same cells again for
-    # its rerun; one worker runs every cell in this process.
+    # worker count: one cell, prefix (), up to n=5, and 15 at n=6.  One
+    # worker runs every cell in this process, and two run n=6 on the pool.
+    # A passing size runs its cells once.
     import wedgematch.enumeration as enumeration
 
-    run_cells = enumeration._run_cells
-    runs = []
-
-    def recording(cells, pool, workers):
-        runs.append([cell.prefix for cell in cells])
-        return run_cells(cells, pool, workers)
-
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(enumeration, "_run_cells", recording)
+    passes = _record_passes(monkeypatch)
     for workers in (1, 2):
         for n in (5, 6):
-            runs.clear()
+            passes.clear()
             payload = json.dumps(verify_all(n, workers=workers).to_json_value())
             assert hashlib.sha256(payload.encode()).hexdigest() == VERIFY_PAYLOAD_DIGESTS[n]
-            assert runs == [_cells(n)], (workers, n)
-    # The pool's processes look _run_cell up by name, so it is recorded on
-    # one worker only.
-    own = _count_cells(monkeypatch)
+            assert passes == [[workers > 1 and n > 5, _cells(n)]], (workers, n)
+    # A failing size's first pass stops at its first failing cell, the 11th,
+    # whose paths start a_2 = 1, and its rerun runs every cell again.
     _break_kernel(monkeypatch, *DIFFERENTIAL_FAULTS["_phi_step_depth_2"])
-    runs.clear()
+    passes.clear()
     assert not verify_all(6, claims=["round_trip_phi"]).passed
-    assert runs == [_cells(6)] * 2
-    assert own == _cells(6) * 2
+    assert passes == [[False, _cells(6)[:11]], [False, _cells(6)]]
 
 
 def _merge(results, limit):
