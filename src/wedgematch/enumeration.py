@@ -12,9 +12,10 @@ import itertools
 import os
 import signal
 import time
-from collections import Counter
+from collections import Counter, deque
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
+from functools import partial
 from multiprocessing import Pool
 from typing import Callable, ClassVar, Iterable, Iterator, Sequence
 
@@ -910,15 +911,27 @@ def _run_cell(cell: _Cell) -> tuple[int, dict[str, list], dict[str, Counter]] | 
     return count, failures, counters
 
 
-def _verify_size(n: int, selected: list[str], limit: int, pool) -> VerificationReport:
+def _windowed(pool, window: int, func, cells) -> Iterator:
+    """``func`` over ``cells`` on ``pool``, as ``map`` gives it: results in
+    order, with at most ``window`` cells handed to the pool and not yet
+    yielded, so a pass that stops early leaves at most that many behind."""
+    pending: deque = deque()
+    for cell in cells:
+        if len(pending) == window:
+            yield pending.popleft().get()
+        pending.append(pool.apply_async(func, (cell,)))
+    while pending:
+        yield pending.popleft().get()
+
+
+def _verify_size(n: int, selected: list[str], limit: int, run) -> VerificationReport:
     """Replay the selected claims over all objects of size n, as its
     ``_cells``.  Each pass is one lazy stream of the cells' results in
-    stream order: ``map`` in this process, or the pool's ``imap`` if there
-    is a pool (n >= 6)."""
+    stream order, from ``run``: ``map`` in this process, or ``_windowed``
+    on the pool if there is one (n >= 6)."""
     started = time.perf_counter()
     chosen = [claim for claim in _REGISTRY if claim.label in selected]
     labels = tuple(claim.label for claim in chosen)
-    run = map if pool is None else pool.imap
     cells = [_Cell(n, prefix, labels, limit) for prefix in _cells(n)]
     results = []
     for result in run(_run_cell, cells):
@@ -988,9 +1001,9 @@ def _verify_sizes(
         if not selected:
             raise ValueError(f"no claims selected; choose from {', '.join(CLAIMS)}")
     with ExitStack() as stack:
-        pool = None
+        run = map
         for n in range(first, last + 1):
-            if pool is None and workers > 1 and len(_cells(n)) > 1:
+            if run is map and workers > 1 and len(_cells(n)) > 1:
                 # The pool's processes ignore Ctrl-C, so only this one
                 # reports the interrupt.
                 pool = stack.enter_context(
@@ -1000,7 +1013,10 @@ def _verify_sizes(
                         initargs=(signal.SIGINT, signal.SIG_IGN),
                     )
                 )
-            yield _verify_size(n, selected, counterexample_limit, pool)
+                # Two cells a process: each finds its next cell queued, and
+                # a failed first pass leaves at most this many behind it.
+                run = partial(_windowed, pool, 2 * workers)
+            yield _verify_size(n, selected, counterexample_limit, run)
 
 
 def verify_all(

@@ -570,24 +570,87 @@ def test_any_argv_exits_with_a_documented_code(argv):
     assert code in EXIT_CODES, (argv, code, err.getvalue())
 
 
+def _check_pins(*args):
+    """Run the CI pin check from the repository root: (exit code, stdout,
+    stderr)."""
+    done = subprocess.run(
+        [sys.executable, ".github/check_verify_pins.py", *map(str, args)],
+        cwd=Path(__file__).resolve().parents[1],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+@pytest.fixture
+def verify3(capsys, tmp_path):
+    """The reports of a real `verify 3 --json`, and a file to write them to."""
+    assert main(["verify", "3", "--json"]) == 0
+    return json.loads(capsys.readouterr().out), tmp_path / "verify.json"
+
+
 @pytest.mark.parametrize("n", [8, 10])
 def test_pin_script_reports_a_wrong_or_unpinned_size_without_a_traceback(capsys, tmp_path, n):
     # The CI pin check on a doctored `verify 2 --json` payload whose last
-    # size reads n: a pinned size whose digest differs (8) and a size with
-    # no pin (10) are each one error line and exit 1, not a traceback.
+    # size reads n: every size, pinned in CI (8) or not (10), is checked
+    # against the closed form of n, so each claim's count of size 2 is one
+    # error line, with exit 1 and no traceback.
     assert main(["verify", "2", "--json"]) == 0
     reports = json.loads(capsys.readouterr().out)
     reports[-1]["n"] = n
     payload = tmp_path / "verify.json"
     payload.write_text(json.dumps(reports))
-    done = subprocess.run(
-        [sys.executable, ".github/check_verify_pins.py", str(payload), "2"],
-        cwd=Path(__file__).resolve().parents[1],
-        capture_output=True,
-        text=True,
-    )
-    assert (done.returncode, done.stderr) == (1, "")
-    last = "differs from the pin" if n == 8 else f"verify n={n} has no pinned digest"
-    assert done.stdout.splitlines()[0] == f"verify reported sizes [1, {n}]"
-    assert done.stdout.splitlines()[-1].endswith(last)
-    assert len(done.stdout.splitlines()) == 2
+    code, out, err = _check_pins(payload, 2)
+    assert (code, err) == (1, "")
+    paths = 2027025 if n == 8 else 654729075
+    assert out.splitlines() == [f"verify reported sizes [1, {n}]"] + [
+        f"verify n={n} {label}: tested 2, expected {n * (n - 1) // 2 + 1}"
+        if label.startswith("distribution_")
+        else f"verify n={n} {label}: tested 3, expected {paths}"
+        for label in wedgematch.CLAIMS
+    ]
+
+
+def test_pin_script_accepts_a_real_payload(verify3):
+    reports, path = verify3
+    path.write_text(json.dumps(reports))
+    assert _check_pins(path, 3) == (0, "verify 3 payload equals the closed form at every size\n", "")
+
+
+def test_pin_script_names_a_tampered_claim_and_field(verify3):
+    reports, path = verify3
+    reports[2]["claims"]["theorem1"]["failed"] = 1
+    path.write_text(json.dumps(reports))
+    assert _check_pins(path, 3) == (1, "verify n=3 theorem1: failed 1, expected 0\n", "")
+
+
+def test_pin_script_reports_a_missing_size(verify3):
+    reports, path = verify3
+    del reports[1]
+    path.write_text(json.dumps(reports))
+    assert _check_pins(path, 3) == (1, "verify reported sizes [1, 3]\n", "")
+
+
+def _usage_error(err):
+    """The error line of a usage failure: stderr is the usage line and it."""
+    usage, error = err.splitlines()
+    assert usage.startswith("usage: python3 .github/check_verify_pins.py")
+    return error
+
+
+@pytest.mark.parametrize("args", [(), ("one",), ("a", "3", "extra"), ("{report}", "x")])
+def test_pin_script_rejects_bad_arguments_with_one_error_line(verify3, args):
+    reports, path = verify3
+    path.write_text(json.dumps(reports))
+    code, out, err = _check_pins(*(arg.format(report=path) for arg in args))
+    assert (code, out) == (2, "")
+    assert _usage_error(err).startswith("error: ")
+
+
+def test_pin_script_rejects_a_file_that_is_not_json(tmp_path):
+    path = tmp_path / "verify.json"
+    path.write_text("verify 3: PASS\n")
+    code, out, err = _check_pins(path, 3)
+    assert (code, out) == (2, "")
+    assert _usage_error(err).startswith(f"error: cannot read {path} as JSON")

@@ -8,6 +8,7 @@ import random
 from collections import Counter
 
 import pytest
+from payloads import passing_payload
 
 from wedgematch import (
     DistributionTable,
@@ -330,8 +331,7 @@ def test_the_smallest_verify_payload_is_pinned(capsys):
 
     assert main(["verify", "1", "--json"]) == 0
     (report,) = json.loads(capsys.readouterr().out)
-    payload = json.dumps(report).encode()
-    assert hashlib.sha256(payload).hexdigest() == VERIFY_PAYLOAD_DIGESTS[1]
+    assert json.dumps(report) == json.dumps(passing_payload(1))
 
 
 def test_distribution_formats():
@@ -461,8 +461,8 @@ def _stalled_cell(cell):
 def test_an_interrupted_size_leaves_no_process(monkeypatch):
     # Ctrl-C while this process waits on the pool's results ends the run;
     # the pool must not outlive it.  The pool runs cells that never finish,
-    # and the interrupt comes 0.2 s after it is handed them, so it cannot
-    # miss the wait.
+    # and the interrupt comes 0.2 s after it is handed the first, so it
+    # cannot miss the wait.
     import os
     import signal
     import threading
@@ -472,11 +472,11 @@ def test_an_interrupted_size_leaves_no_process(monkeypatch):
     timers = []
 
     class InterruptedPool(multiprocessing.pool.Pool):
-        def imap(self, func, cells, chunksize=1):
-            results = super().imap(_stalled_cell, cells, chunksize)
-            timers.append(threading.Timer(0.2, os.kill, (os.getpid(), signal.SIGINT)))
-            timers[-1].start()
-            return results
+        def apply_async(self, func, args=(), *rest, **kwargs):
+            if not timers:
+                timers.append(threading.Timer(0.2, os.kill, (os.getpid(), signal.SIGINT)))
+                timers[-1].start()
+            return super().apply_async(_stalled_cell, args, *rest, **kwargs)
 
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(enumeration, "Pool", InterruptedPool)
@@ -503,22 +503,36 @@ def test_verify_rejects_empty_claim_selection():
         next(verify_ladder(2, claims=()))
 
 
-# sha256 of json.dumps(verify_all(n).to_json_value()) on one worker: the
-# whole reproducible payload, every claim's tallies and order included.
-VERIFY_PAYLOAD_DIGESTS = {
+# sha256 of json.dumps(report) for each size of a passing `verify --json`:
+# sizes 1..9 as pinned from reviewed runs, and size 10 as predicted.
+VERIFY_PAYLOAD_SHA256 = {
     1: "3c25ca76e29054f1aef2c6a0a5a9469d9691909af52bd29501390801135cfc7f",
     2: "5c8a717fe9e594e41a9d9a1394b185600f88bc37357ca6633d2d3b5740a1a126",
     3: "21f7efa7e4058f9c6fdadc6bc8d1d803ea2cb0348090f5ede93ac4f56f7b422e",
     4: "3c73a91b5cf89bb109029a7031f61ef98c2dde624f0d87e8b708ba8dec98414b",
     5: "421f61ada44e04daa198b616d70f5157fedf836d9918927709f1162a0be7fcf8",
     6: "9e101d1ed6fa88e8019afb2f7b1cb43ca405a7acdcabd00090c2059567a16f20",
+    7: "42138086d5834314ac4f1e40c41477606d0aa6dd91e493c78c8c921456e42d59",
+    8: "f3017a278965b15fcea451409d0e3ea9ab4bbded327ae4312b396bc0704df97e",
+    9: "8e8db0d074746810898bbb77c43aa09d0f223a3b6176bafd51c1b1c79eb85eb4",
+    10: "d0e8921bd16b1c69ef6696317c0ffd09240ec6a0fd351bba1f8ea4e20e671dd2",
 }
 
 
-@pytest.mark.parametrize("n", sorted(VERIFY_PAYLOAD_DIGESTS))
+def test_the_closed_form_gives_every_pinned_payload_digest():
+    # A tripwire: the closed form every passing payload is compared with
+    # must keep giving the digests pinned before it existed.
+    for n, digest in VERIFY_PAYLOAD_SHA256.items():
+        payload = json.dumps(passing_payload(n)).encode()
+        assert hashlib.sha256(payload).hexdigest() == digest, n
+
+
+@pytest.mark.parametrize("n", range(1, 7))
 def test_verify_payload_golden_digest(n):
+    # The whole reproducible payload, every claim's tallies and order
+    # included, is the closed form of n.
     payload = json.dumps(verify_all(n, workers=1).to_json_value())
-    assert hashlib.sha256(payload.encode()).hexdigest() == VERIFY_PAYLOAD_DIGESTS[n]
+    assert payload == json.dumps(passing_payload(n))
 
 
 def test_verify_report_reproducible():
@@ -1365,23 +1379,26 @@ def _pooled_cell(cell):
 def _record_passes(monkeypatch):
     """Record each pass of the harness over a size's cells as [pooled,
     prefixes]: whether it ran on the process pool, and the prefixes of the
-    cells it was handed.  A pass on the pool is one call of its imap, which
-    is handed every cell; a pass in this process is a run of _run_cell
-    calls, which starts at the size's first cell."""
+    cells it handed out, in order.  A pass starts at the size's first cell;
+    this process hands a cell out by calling _run_cell on it, and the pool
+    is handed one by each call of its apply_async."""
     import wedgematch.enumeration as enumeration
 
     passes = []
 
-    def recording(cell):
+    def hand_out(pooled, cell):
         if cell.prefix == _cells(cell.n)[0]:
-            passes.append([False, []])
+            passes.append([pooled, []])
         passes[-1][1].append(cell.prefix)
+
+    def recording(cell):
+        hand_out(False, cell)
         return _run_cell(cell)
 
     class RecordingPool(multiprocessing.pool.Pool):
-        def imap(self, func, cells, chunksize=1):
-            passes.append([True, [cell.prefix for cell in cells]])
-            return super().imap(_pooled_cell, cells, chunksize)
+        def apply_async(self, func, args=(), *rest, **kwargs):
+            hand_out(True, *args)
+            return super().apply_async(_pooled_cell, args, *rest, **kwargs)
 
     monkeypatch.setattr(enumeration, "_run_cell", recording)
     monkeypatch.setattr(enumeration, "Pool", RecordingPool)
@@ -1408,7 +1425,7 @@ def test_a_passing_size_decides_in_one_pass(monkeypatch):
     )
     passes = _record_passes(monkeypatch)
     payload = json.dumps(verify_all(5).to_json_value())
-    assert hashlib.sha256(payload.encode()).hexdigest() == VERIFY_PAYLOAD_DIGESTS[5]
+    assert payload == json.dumps(passing_payload(5))
     assert passes == [[False, [()]]]
 
 
@@ -1419,22 +1436,29 @@ def test_a_passing_size_decides_in_one_pass(monkeypatch):
 def test_a_failing_size_reruns_on_the_process_pool(monkeypatch):
     # Each fault breaks the harness's fold, not phi's own walk, at one node
     # of depth 3, the depth n=6's cells fix: (5, 3, 1), in the last of the 15
-    # cells, or (4, 3, 1), in the one before.  So that cell alone fails a
-    # node check, round_trip_phi's.
+    # cells, (4, 3, 1), in the one before, or (1, 1, 1), in the first.  So
+    # that cell alone fails a node check, round_trip_phi's.
     # The size must then be rerun in full on the pool as well, and the two
     # round trips that unwind the image report as their full checks do (on
-    # one worker too, as the node/full differential test requires).
+    # one worker too, as the node/full differential test requires).  The
+    # first pass hands the pool no more than the failing cell and the
+    # cells queued behind it, four for two processes: cells 0-3 when the
+    # first cell fails.
     import wedgematch.enumeration as enumeration
 
     step = enumeration._phi_step
     claims = ("round_trip_phi", "round_trip_big_phi")
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
-    for b1, failing in ((5, 14), (4, 13)):
+    for b1, parent, wrong, failing in (
+        (5, [3, 2, 1, 0], [1, 0, 3, 2, 5, 4], 14),
+        (4, [3, 2, 1, 0], [1, 0, 3, 2, 5, 4], 13),
+        (1, [1, 0, 3, 2], [3, 2, 1, 0, 5, 4], 0),
+    ):
 
-        def faulty(*args, trigger=(b1, [3, 2, 1, 0])):
+        def faulty(*args, trigger=(b1, parent), wrong=wrong):
             hit = args == trigger
             image = step(*args)
-            return [1, 0, 3, 2, 5, 4] if hit else image
+            return wrong if hit else image
 
         with monkeypatch.context() as patch:
             patch.setattr(enumeration, "_phi_step", faulty)
@@ -1444,7 +1468,7 @@ def test_a_failing_size_reruns_on_the_process_pool(monkeypatch):
             ]
             passes = _record_passes(patch)
             parallel = verify_all(6, workers=2, claims=claims).to_json_value()
-            assert passes == [[True, _cells(6)], [True, _cells(6)]], b1
+            assert passes == [[True, _cells(6)[: failing + 4]], [True, _cells(6)]], b1
             assert not parallel["passed"]
             assert parallel == _full_report(patch, 6, claims)
 
@@ -1462,7 +1486,7 @@ def test_one_and_two_workers_run_the_same_cells(monkeypatch):
         for n in (5, 6):
             passes.clear()
             payload = json.dumps(verify_all(n, workers=workers).to_json_value())
-            assert hashlib.sha256(payload.encode()).hexdigest() == VERIFY_PAYLOAD_DIGESTS[n]
+            assert payload == json.dumps(passing_payload(n))
             assert passes == [[workers > 1 and n > 5, _cells(n)]], (workers, n)
     # A failing size's first pass stops at its first failing cell, the 11th,
     # whose paths start a_2 = 1, and its rerun runs every cell again.
@@ -1470,6 +1494,48 @@ def test_one_and_two_workers_run_the_same_cells(monkeypatch):
     passes.clear()
     assert not verify_all(6, claims=["round_trip_phi"]).passed
     assert passes == [[False, _cells(6)[:11]], [False, _cells(6)]]
+
+
+# sha256 of json.dumps(verify_all(6).to_json_value()) under the fault
+# DIFFERENTIAL_FAULTS["_phi_step_depth_2"]: 6,843 bytes.
+FAILING_PAYLOAD_SHA256 = "f8d67edce8099c8bf626ff77287497073879007effda8d8ec282861dac90054a"
+
+
+@pytest.mark.parametrize(
+    "workers",
+    [
+        1,
+        pytest.param(
+            2,
+            marks=pytest.mark.skipif(
+                multiprocessing.get_start_method() != "fork",
+                reason="the pool's workers inherit the broken kernel only when forked",
+            ),
+        ),
+    ],
+)
+def test_a_failing_multi_cell_payload_is_pinned(monkeypatch, workers):
+    # The fault fails every path through one node of depth 2, a third of
+    # n=6: the five cells whose paths start a_2 = 1.  The whole payload
+    # then pins how their counterexamples merge, in stream order, on one
+    # worker and on the pool alike.
+    import wedgematch.enumeration as enumeration
+
+    _break_kernel(monkeypatch, *DIFFERENTIAL_FAULTS["_phi_step_depth_2"])
+    monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
+    report = verify_all(6, workers=workers).to_json_value()
+    failed = {label: c["failed"] for label, c in report["claims"].items() if c["failed"]}
+    assert failed == {
+        "round_trip_phi": 3465,
+        "round_trip_phi_inv": 3465,
+        "round_trip_big_phi": 3465,
+        "theorem2": 2772,
+        "theorem1": 2772,
+        "proposition_b": 1468,
+    }
+    payload = json.dumps(report).encode()
+    assert len(payload) == 6843
+    assert hashlib.sha256(payload).hexdigest() == FAILING_PAYLOAD_SHA256
 
 
 def _merge(results, limit):
@@ -1778,7 +1844,7 @@ def test_a_passing_run_builds_no_objects(monkeypatch, workers):
         monkeypatch.setattr(cls, "__post_init__", unreachable)
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
     payload = json.dumps(verify_all(6, workers=workers).to_json_value())
-    assert hashlib.sha256(payload.encode()).hexdigest() == VERIFY_PAYLOAD_DIGESTS[6]
+    assert payload == json.dumps(passing_payload(6))
 
 
 @pytest.mark.parametrize(
@@ -1818,7 +1884,7 @@ def test_a_passing_run_sweeps_no_record_whole(monkeypatch, workers):
         monkeypatch.setattr(module, name, unreachable)
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
     payload = json.dumps(verify_all(6, workers=workers).to_json_value())
-    assert hashlib.sha256(payload.encode()).hexdigest() == VERIFY_PAYLOAD_DIGESTS[6]
+    assert payload == json.dumps(passing_payload(6))
 
 
 # The claims none of whose checks, node checks or tables read a node's image.
