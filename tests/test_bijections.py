@@ -217,6 +217,26 @@ def test_phi_golden_digest(n):
     assert (forward.hexdigest(), inverse.hexdigest()) == PHI_DIGESTS[n]
 
 
+# The same digests, as (phi, phi_inv), over 50 seeded random codes at each of
+# n = 8, 16, 64 and 256, far past the exhaustive sizes above.
+PHI_SAMPLED_DIGESTS = (
+    "dce56aedf065776c1d8bf15244a63851582811ee032390dacf7ab432f2019254",
+    "6216f68945f1b98436a638966a2a0b20260744f125d310a2b847982c7612fafa",
+)
+
+
+def test_phi_golden_digest_sampled():
+    rng = random.Random(32)
+    forward, inverse = hashlib.sha256(), hashlib.sha256()
+    for n in (8, 16, 64, 256):
+        for _ in range(50):
+            code = tuple(rng.randint(1, 2 * (n - i) + 1) for i in range(1, n + 1))
+            m = Matching(_partner_from_code(code))
+            forward.update((phi(m).to_text() + "\n").encode())
+            inverse.update((phi_inv(m).to_text() + "\n").encode())
+    assert (forward.hexdigest(), inverse.hexdigest()) == PHI_SAMPLED_DIGESTS
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_phi_kernels_are_folds_of_their_steps(n):
     # The harness checks phi and phi_inv one step per node of the code tree;
