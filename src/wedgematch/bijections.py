@@ -120,57 +120,67 @@ def psi_inv(m: Matching) -> WedgePath:
 # rest, put it back, then repair according to how the first two edges
 # relate.  Stripping the first edge of psi(b) gives psi(b[1:]), so the
 # first edges met on the way down are the insertion code itself, and the
-# recursion unrolls into one loop over b from last to first on a single
-# 0-based partner list.  The inverse unwinds from the outside, collecting
-# the code, and hands it to the insertion procedure; _phi_walk and
-# _phi_inv_code are the folds of _phi_step and _phi_inv_step.  Over a whole
+# recursion unrolls into one loop over b from last to first.  Each step
+# takes and returns an offset list, d[v] = mate(v) - v on 0-based
+# vertices: an arc that lies wholly on one side of the vertices a step
+# inserts or deletes keeps its offset, so a step copies those entries as
+# slices and writes only the pairs it rewires.  The inverse unwinds from
+# the outside, collecting the code, and hands it to the insertion
+# procedure; _phi_walk and _phi_inv_code are the folds of _phi_step and
+# _phi_inv_step, and convert to and from partner tuples once.  Over a whole
 # family the same fact makes the phi images one tree, walked depth-first by
 # the path stream, along which the verification harness folds _phi_step and
 # checks each node against its parent with _phi_inv_step.
 
 
-def _phi_step(b: int, p: Sequence[int]) -> list[int]:
-    """One surgery step of :func:`phi` on 0-based partner lists.
+def _phi_step(b: int, d: Sequence[int]) -> list[int]:
+    """One surgery step of :func:`phi` on offset lists.
 
-    Puts the first edge (0, b) back in front of the matching ``p`` and
+    Puts the first edge (0, b) back in front of the matching ``d`` and
     repairs the picture according to how the first two edges relate.
     Aligned (b = 1): nothing to repair.  Crossed: the fan of edges
     crossing the first edge passes its right endpoints one left endpoint
     down the line.  Nested: the edges crossing the first edge are
     re-anchored around the second edge's right endpoint.  In both repairs
     vertex 1 disappears and a fresh vertex appears right before b.
-    ``p`` itself is left unchanged.
+    ``d`` itself is left unchanged.
+
+    Every arc that does not cross the first edge keeps its offset, so the
+    step costs a scan of [1, b - 1) for the fan, two slice copies and one
+    write per end of the fan.  The scan and the fan keep a walk Theta(n^2):
+    on a random path of 1024 edges a step scanned about 520 vertices and
+    rewired a fan of about 170 arcs on average.
     """
     if b == 1:
-        return [1, 0] + [v + 2 for v in p]
+        return [1, -1, *d]
     # Old vertex v keeps its index below lo = b - 1 and moves past the
     # fresh vertex lo and the first edge's end b otherwise.  Old vertex 0
-    # is the one deleted, so its slot stands in for the fresh vertex while
-    # rewiring.  lefts/rights: the other edges crossing (0, b).
+    # is the one deleted; q is its mate.  lefts/rights: the other edges
+    # crossing (0, b), the rights already at their new indices.
     lo = b - 1
-    q = p[0]
-    lefts = [j for j in range(1, lo) if p[j] >= lo]
-    rights = [p[j] for j in lefts]
+    q = d[0]
+    lefts = [j for j in range(1, lo) if d[j] >= lo - j]
+    rights = [j + d[j] + 2 for j in lefts]
     if q >= lo:
-        pairs = zip(lefts + [0], [q] + rights)
+        pairs = zip(lefts + [lo], [q + 2] + rights)
     else:
-        anchors = sorted(lefts + [q])
-        fresh_mate = anchors.pop(len(lefts) - bisect.bisect(lefts, q))
-        pairs = [(fresh_mate, 0), *zip(anchors, rights)]
-    p = list(p)
+        k = bisect.bisect(lefts, q)
+        anchors = [*lefts[:k], q, *lefts[k:]]
+        fresh_mate = anchors.pop(len(lefts) - k)
+        pairs = [(fresh_mate, lo), *zip(anchors, rights)]
+    out = [b, *d[1:lo], 0, -b, *d[lo:]]
     for u, v in pairs:
-        p[u], p[v] = v, u
-    t = [lo if v == 0 else v if v < lo else v + 2 for v in p]
-    return [b] + t[1:lo] + [t[0], 0] + t[lo:]
+        out[u], out[v] = v - u, u - v
+    return out
 
 
 def _phi_walk(code: Sequence[int]) -> tuple[int, ...]:
-    """phi(psi(code)): one surgery step (see :func:`_phi_step`) per entry
-    of the code, from last to first."""
-    p: list[int] = []
+    """phi(psi(code)) as a partner tuple: one surgery step (see
+    :func:`_phi_step`) per entry of the code, from last to first."""
+    d: list[int] = []
     for b in reversed(code):
-        p = _phi_step(b, p)
-    return tuple(v + 1 for v in p)
+        d = _phi_step(b, d)
+    return tuple([v + x + 1 for v, x in enumerate(d)])
 
 
 def phi(m: Matching) -> Matching:
@@ -186,52 +196,57 @@ def phi(m: Matching) -> Matching:
     return Matching(_phi_walk(_sweep(m.partner)))
 
 
-def _phi_inv_step(p: Sequence[int]) -> tuple[int, list[int]]:
-    """One unwinding step of :func:`phi_inv` on 0-based partner lists, the
-    inverse of :func:`_phi_step`: ``(r, parent)`` with
-    ``_phi_step(r, parent) == p``.
+def _phi_inv_step(d: Sequence[int]) -> tuple[int, list[int]]:
+    """One unwinding step of :func:`phi_inv` on offset lists, the inverse
+    of :func:`_phi_step`: ``(r, parent)`` with ``_phi_step(r, parent) == d``.
 
     Reads the case off the matching: the first edge (0, r) is aligned when
     r = 1; otherwise the fresh vertex r - 1 is a left endpoint exactly in
-    the crossed case.  Undoes the repair and strips the first edge.  ``p``
-    itself is left unchanged.
+    the crossed case.  Undoes the repair and strips the first edge.  ``d``
+    itself is left unchanged.  As in :func:`_phi_step`, only the fan is
+    rewritten; the rest is copied as slices.
     """
-    r = p[0]
+    r = d[0]
     if r == 1:
-        return r, [v - 2 for v in p[2:]]
+        return r, d[2:]
     # Undoing the repair deletes the fresh vertex f and brings back a
     # vertex right after 0, which is vertex 0 once the first edge is
-    # stripped; slot f stands in for it while rewiring.
+    # stripped; f's slot stands in for it.  Vertices past r move down
+    # two.  g is f's mate; rights are at their parent indices.
     f = r - 1
-    lefts = [j for j in range(1, r) if p[j] > r]
-    rights = [p[j] for j in lefts]
-    if p[f] > f:
+    g = f + d[f]
+    lefts = [j for j in range(1, r) if d[j] > r - j]
+    rights = [j + d[j] - 2 for j in lefts]
+    # r < 1: vertex 0 has no mate to its right, so no fan either.
+    if r < 1 or g > f:
         if not lefts or lefts[-1] != f:
             raise InvalidMatchingError(
                 "corrupted input: crossed-case unwind finds no fan at the first edge"
             )
-        pairs = zip([f] + lefts[:-1], rights)
+        pairs = zip([0] + lefts[:-1], rights)
     else:
-        anchors = sorted(lefts + [p[f]])
-        q = anchors.pop(len(lefts) - bisect.bisect(lefts, p[f]))
-        pairs = [(f, q), *zip(anchors, rights)]
-    p = list(p)
+        # g joins the anchors in order; in a corrupted input g can be 0,
+        # which re-anchoring would rewire, or f itself, whose slot is 0.
+        if g == 0:
+            raise InvalidMatchingError("corrupted input: unwinding moved the first edge")
+        k = bisect.bisect(lefts, g)
+        anchors = [*lefts[:k], g if g < f else 0, *lefts[k:]]
+        q = anchors.pop(len(lefts) - k)
+        pairs = [(0, q), *zip(anchors, rights)]
+    out = [0, *d[1:f], *d[r + 1:]]
     for u, v in pairs:
-        p[u], p[v] = v, u
-    if p[0] != r:
-        raise InvalidMatchingError("corrupted input: unwinding moved the first edge")
-    t = [0 if v == f else v if v < f else v - 2 for v in p]
-    return r, [t[f]] + t[1:f] + t[r + 1:]
+        out[u], out[v] = v - u, u - v
+    return r, out
 
 
 def _phi_inv_code(partner: Sequence[int]) -> tuple[int, ...]:
     """The code of :func:`phi_inv` of a partner tuple, unwound from the
     outside: one step (see :func:`_phi_inv_step`) per edge, each giving the
     next code entry."""
-    p = [v - 1 for v in partner]
+    d = [w - v for v, w in enumerate(partner, 1)]
     code: list[int] = []
-    while p:
-        r, p = _phi_inv_step(p)
+    while d:
+        r, d = _phi_inv_step(d)
         code.append(r)
     return tuple(code)
 

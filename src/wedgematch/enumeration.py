@@ -216,13 +216,13 @@ class _Facts:
     empty) and, at a record (a leaf, depth n), its path's ``heights`` (else
     None).  Every other field is computed on first read, once, so a node
     computes only what its readers read.  Four are one step on the parent's
-    value: ``image``, the 0-based partner list of phi(psi(b)), one surgery
-    step with b_1 on the parent's image; ``cuts``, the cut stack of the
-    first k east steps (0 and the splits of :meth:`WedgePath.components`
-    below k), one cut step with b_1 on a copy of the parent's stack; and
-    ``opened`` and ``closed``, the gap columns of ``m``, one column step
-    each with b_1 on the parent's (see ``_opened_step``), so no node reads
-    ``m`` for them.  Three are the parent's plus one step that depends only
+    value: ``image``, the offset list of phi(psi(b)) (see ``_phi_step``),
+    one surgery step with b_1 on the parent's image; ``cuts``, the cut
+    stack of the first k east steps (0 and the splits of
+    :meth:`WedgePath.components` below k), one cut step with b_1 on a copy
+    of the parent's stack; and ``opened`` and ``closed``, the gap columns
+    of ``m``, one column step each with b_1 on the parent's (see
+    ``_opened_step``), so no node reads ``m`` for them.  Three are the parent's plus one step that depends only
     on the parent and b_1, so a node of depth n-1 gives the values of all
     its children b_1 = 1..2k+1, its records, without building them:
     ``north``, the path's north steps, plus the new rise b_1 - c - 1 if
@@ -264,11 +264,11 @@ class _Facts:
 
     @_once
     def perfect(self) -> bool:
-        return len(self.m) == 2 * len(self.b) and _is_matching(self.m, 1)
+        return len(self.m) == 2 * len(self.b) and _is_matching(self.m)
 
     @_once
     def nm(self) -> tuple[int, ...]:
-        return tuple([v + 1 for v in self.image])
+        return tuple([v + x + 1 for v, x in enumerate(self.image)])
 
     @_once
     def code_back(self) -> tuple[int, ...] | str:
@@ -375,7 +375,7 @@ def _unwound(unwind: Callable[[], tuple[int, ...]]) -> tuple[int, ...] | str:
 
 def _partner_text(p: tuple[int, ...]) -> str:
     """A partner tuple as its matching's text, or raw if it is no matching."""
-    return str(Matching(p)) if _is_matching(p, 1) else f"partners{p}"
+    return str(Matching(p)) if _is_matching(p) else f"partners{p}"
 
 
 def _code_tree(n: int, prefix: tuple[int, ...] = ()) -> Iterator[_Facts]:
@@ -560,13 +560,25 @@ def _big_phi_node(f: _Facts) -> bool:
     return f.unwinds and f.code_back == f.b
 
 
-def _is_matching(p: Sequence[int], base: int) -> bool:
-    """``p`` lists a fixed-point-free involution of base..base + len(p) - 1.
+def _is_matching(p: Sequence[int]) -> bool:
+    """``p`` lists a fixed-point-free involution of 1..len(p).
     A plain loop: it beats both a generator under ``all()`` and passes of
     ``min``/``max``/``map`` at the sizes the harness walks."""
-    stop = len(p) + base
-    for v, w in enumerate(p, base):
-        if not (base <= w < stop and w != v and p[w - base] == v):
+    stop = len(p) + 1
+    for v, w in enumerate(p, 1):
+        if not (1 <= w < stop and w != v and p[w - 1] == v):
+            return False
+    return True
+
+
+def _is_offset_matching(d: Sequence[int]) -> bool:
+    """``d`` is the offset list of a fixed-point-free involution of
+    0..len(d) - 1: each v has a mate w = v + d[v] != v in range, and
+    d[w] = -d[v] leads back to v."""
+    stop = len(d)
+    for v, x in enumerate(d):
+        w = v + x
+        if not (0 <= w < stop and x and d[w] == -x):
             return False
     return True
 
@@ -579,7 +591,7 @@ def _unwinds_a_matching(f: _Facts) -> bool:
     distinct matchings, hence all of them, and each one unwinds to the code
     the walk built it with.  A record's ``m`` is one of them, so phi_inv(m)
     is that code, and phi walks it back to ``m``."""
-    if not (f.unwinds and _is_matching(f.image, 0)):
+    if not (f.unwinds and _is_offset_matching(f.image)):
         return False
     return f.heights is None or f.perfect
 
@@ -623,11 +635,12 @@ def _piecewise_node(f: _Facts) -> bool:
     if s == len(m):
         return len(f.nm) == s and f.cuts == [0]
     a = f.ancestor(len(f.b) - s // 2)
-    head = [v - 1 for v in _phi_walk(f.b[: s // 2])]
+    # Offsets need no shift: the walk of b[:s/2] as offsets, then a's.
+    head = [w - v for v, w in enumerate(_phi_walk(f.b[: s // 2]), 1)]
     return (
         f.cuts == [*a.cuts, len(a.b)]
         and m[s:] == tuple([v + s for v in a.m])
-        and f.image == head + [v + s for v in a.image]
+        and f.image == head + a.image
     )
 
 

@@ -246,12 +246,30 @@ def test_phi_kernels_are_folds_of_their_steps(n):
         image: list[int] = []
         for b in reversed(code):
             image = _phi_step(b, image)
-        assert _phi_walk(code) == tuple(v + 1 for v in image)
-        p, unwound = [v - 1 for v in partner], []
-        while p:
-            r, p = _phi_inv_step(p)
+        assert _phi_walk(code) == tuple(v + x + 1 for v, x in enumerate(image))
+        d, unwound = [w - v for v, w in enumerate(partner, 1)], []
+        while d:
+            r, d = _phi_inv_step(d)
             unwound.append(r)
         assert _phi_inv_code(partner) == tuple(unwound)
+
+
+# Corrupted offset lists, each given as its 0-based partner list, and why
+# one unwinding step refuses it: a crossed case with no fan at the first
+# edge, a vertex 0 that is its own mate, and a nested case whose
+# re-anchoring would rewire vertex 0.
+CORRUPTED_UNWINDS = [
+    ([2, 2, 0, 0], "crossed-case unwind finds no fan at the first edge"),
+    ([0, 1], "crossed-case unwind finds no fan at the first edge"),
+    ([3, 3, 0, 0], "unwinding moved the first edge"),
+]
+
+
+@pytest.mark.parametrize("partners, reason", CORRUPTED_UNWINDS)
+def test_phi_inv_step_refuses_corrupted_input(partners, reason):
+    d = [w - v for v, w in enumerate(partners)]
+    with pytest.raises(InvalidMatchingError, match=f"^corrupted input: {reason}$"):
+        _phi_inv_step(d)
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -646,11 +646,19 @@ def test_verify_reports_failures_verbatim(monkeypatch):
         assert result["counterexamples"] == claims[label]["counterexamples"][:1]
 
 
-def _unwind_insertion(p):
-    """The insertion map's own unwinding step on a 0-based partner list:
-    strip the first edge (0, r) and renumber, with no repair undone."""
+def _offsets(p):
+    """The offset list d[v] = p[v] - v of a 0-based partner list, the form
+    the phi steps take and return.  The faults below name their triggers and
+    wrong answers as partner lists, read more easily as matchings."""
+    return [w - v for v, w in enumerate(p)]
+
+
+def _unwind_insertion(d):
+    """The insertion map's own unwinding step on an offset list: strip the
+    first edge (0, r) and renumber, with no repair undone."""
+    p = [v + x for v, x in enumerate(d)]
     r = p[0]
-    return r, [v - 1 if v < r else v - 2 for j, v in enumerate(p) if j not in (0, r)]
+    return r, _offsets([v - 1 if v < r else v - 2 for j, v in enumerate(p) if j not in (0, r)])
 
 
 def test_verify_reports_phi_inv_failures_verbatim(monkeypatch):
@@ -692,9 +700,9 @@ def test_verify_reports_phi_inv_failures_verbatim(monkeypatch):
 
 # A size-3 input for the failure tests: the code (5, 3, 1), its insertion
 # image, the fully nested matching (1,6),(2,5),(3,4), and the step of the
-# harness's phi fold that makes its image: 5 on the 0-based image of (3, 1).
+# harness's phi fold that makes its image: 5 on the offset image of (3, 1).
 CODE, NESTED = (5, 3, 1), (6, 5, 4, 3, 2, 1)
-FOLD_STEP = (5, [3, 2, 1, 0])
+FOLD_STEP = (5, _offsets([3, 2, 1, 0]))
 
 
 def _break_kernel(monkeypatch, kernel, trigger, wrong):
@@ -732,7 +740,10 @@ def test_proposition_b_walks_components_against_the_table(monkeypatch):
     # makes the image of the code (1, 3, 1), into a rearrangement with the
     # same block sizes, and that comparison must fail.
     _break_kernel(
-        monkeypatch, "_phi_step", (1, [3, 2, 1, 0]), lambda p: [1, 0, 4, 5, 2, 3]
+        monkeypatch,
+        "_phi_step",
+        (1, _offsets([3, 2, 1, 0])),
+        lambda d: _offsets([1, 0, 4, 5, 2, 3]),
     )
     report = verify_all(3, claims=["proposition_b"])
     assert report.to_json_value()["claims"]["proposition_b"] == {
@@ -772,8 +783,12 @@ def _other_code(b):
 # name: (kernel, the arguments on which it answers wrongly, the wrong answer).
 KERNEL_FAULTS = {
     "_partner_from_code": ("_partner_from_code", (CODE,), _other_partner),
-    "_phi_step": ("_phi_step", FOLD_STEP, lambda p: [1, 0, 3, 2, 5, 4]),
-    "_phi_inv_step": ("_phi_inv_step", ([v - 1 for v in NESTED],), lambda step: (1, step[1])),
+    "_phi_step": ("_phi_step", FOLD_STEP, lambda d: _offsets([1, 0, 3, 2, 5, 4])),
+    "_phi_inv_step": (
+        "_phi_inv_step",
+        (_offsets([v - 1 for v in NESTED]),),
+        lambda step: (1, step[1]),
+    ),
     "_phi_walk": ("_phi_walk", ((3, 1),), _other_partner),
     "_arc_counts": ("_arc_counts", (NESTED,), lambda c: (c[0], c[1] + 1, c[2])),
     "_opened_step": ("_opened_step", ([0, 1, 0], 3), lambda gaps: [*gaps[:4], gaps[4] + 1]),
@@ -921,7 +936,7 @@ def _code_tree_by_diff(n, prefix=()):
         k = next((i for i, (x, y) in enumerate(zip(heights, previous)) if x != y), 0)
         for i in range(k, n):
             b = codes[i + 1] = (heights[i] + i + 1,) + codes[i]
-            image = [v - 1 for v in _phi_walk(b)]
+            image = [w - v for v, w in enumerate(_phi_walk(b), 1)]
             yield b, image, heights if i + 1 == n else None
         previous = heights
 
@@ -1286,9 +1301,13 @@ def _full_report(monkeypatch, n, claims=None):
 DIFFERENTIAL_FAULTS = {
     "none": None,
     "_phi_step": KERNEL_FAULTS["_phi_step"],
-    "_phi_step_depth_2": ("_phi_step", (3, [1, 0]), lambda p: [1, 0, 3, 2]),
+    "_phi_step_depth_2": ("_phi_step", (3, _offsets([1, 0])), lambda d: _offsets([1, 0, 3, 2])),
     "_phi_inv_step": KERNEL_FAULTS["_phi_inv_step"],
-    "_phi_inv_step_depth_2": ("_phi_inv_step", ([3, 2, 1, 0],), lambda step: (1, step[1])),
+    "_phi_inv_step_depth_2": (
+        "_phi_inv_step",
+        (_offsets([3, 2, 1, 0]),),
+        lambda step: (1, step[1]),
+    ),
     "_blocks": KERNEL_FAULTS["_blocks"],
     "_block_end_depth_2": ("_block_end", ((4, 3, 2, 1), 0), lambda end: 0),
     "_sweep_code": KERNEL_FAULTS["_sweep_code"],
@@ -1299,7 +1318,8 @@ DIFFERENTIAL_FAULTS = {
     "_cut_step_depth_2": ("_cut_step", ([0], 1, 2), lambda cuts: [0]),
     "_cut_step_irreducible": ("_cut_step", ([0], 3, 2), lambda cuts: [0, 1]),
     "_rises": KERNEL_FAULTS["_rises"],
-    "_phi_step_longer": ("_phi_step", FOLD_STEP, lambda p: [*p, 7, 6]),
+    # The partners 7 and 6 appended at vertices 6 and 7 are the offsets 1, -1.
+    "_phi_step_longer": ("_phi_step", FOLD_STEP, lambda d: [*d, 1, -1]),
     "_partner_from_code": ("_partner_from_code", ((1, 1, 1),), lambda p: (2, 1, 5, 6, 3, 4)),
     "_partner_from_code_last_block": (
         "_partner_from_code",
@@ -1313,8 +1333,8 @@ DIFFERENTIAL_FAULTS = {
     ),
     "_phi_inv_step_not_a_matching": (
         "_phi_inv_step",
-        ([5, 6, 4, 7, 2, 0, 1, 3],),
-        lambda step: (step[0], [1, 4, 4, 5, 0, 0]),
+        (_offsets([5, 6, 4, 7, 2, 0, 1, 3]),),
+        lambda step: (step[0], _offsets([1, 4, 4, 5, 0, 0])),
     ),
 }
 
@@ -1455,7 +1475,7 @@ def test_a_failing_size_reruns_on_the_process_pool(monkeypatch):
         (1, [1, 0, 3, 2], [3, 2, 1, 0, 5, 4], 0),
     ):
 
-        def faulty(*args, trigger=(b1, parent), wrong=wrong):
+        def faulty(*args, trigger=(b1, _offsets(parent)), wrong=_offsets(wrong)):
             hit = args == trigger
             image = step(*args)
             return wrong if hit else image
@@ -1582,7 +1602,7 @@ def test_one_cell_equals_the_merge_of_the_pool_cells(monkeypatch, fault, full):
 # to its parent's.
 NOT_A_MATCHING = {
     "_partner_from_code": (((1, 1, 1),), lambda p: (2, 1, 4, 1, 6, 5)),
-    "_phi_step": ((1, [1, 0, 3, 2]), lambda p: [1, 1, 3, 2, 5, 4]),
+    "_phi_step": ((1, _offsets([1, 0, 3, 2])), lambda d: _offsets([1, 1, 3, 2, 5, 4])),
 }
 
 
@@ -1597,14 +1617,20 @@ def _is_matching_by_generator(p, base):
 @pytest.mark.parametrize("base", [0, 1])
 def test_is_matching_equals_the_generator(base):
     # Every tuple of length up to 6 over the values -2..len+1: negative
-    # values must fail the range test, not wrap around as indexes.
-    from wedgematch.enumeration import _is_matching
+    # values must fail the range test, not wrap around as indexes.  Base 1
+    # is a partner tuple, for _is_matching; base 0 is a 0-based partner
+    # list, given as offsets to _is_offset_matching, which then meets every
+    # zero offset and offsets up to two past either end.
+    from wedgematch.enumeration import _is_matching, _is_offset_matching
 
     for size in range(7):
         for p in itertools.product(range(-2, size + 2), repeat=size):
-            assert _is_matching(p, base) == _is_matching_by_generator(p, base), p
-    # The harness passes its 0-based images as lists.
-    assert _is_matching([1, 0], 0) and not _is_matching([-1, 0], 0)
+            if base:
+                assert _is_matching(p) == _is_matching_by_generator(p, 1), p
+            else:
+                assert _is_offset_matching(_offsets(p)) == _is_matching_by_generator(p, 0), p
+    # The harness passes its offset images as lists.
+    assert _is_offset_matching([1, -1]) and not _is_offset_matching(_offsets([-1, 0]))
 
 
 @pytest.mark.parametrize("kernel", sorted(NOT_A_MATCHING))
@@ -1652,7 +1678,9 @@ def test_an_image_the_arc_count_refuses_is_reported_not_raised(monkeypatch, caps
     # bad input, with nothing on stderr.
     from wedgematch.cli import main
 
-    _break_kernel(monkeypatch, "_phi_step", (1, [1, 0]), lambda p: [-1, 0, 3, 2])
+    _break_kernel(
+        monkeypatch, "_phi_step", (1, _offsets([1, 0])), lambda d: _offsets([-1, 0, 3, 2])
+    )
     claims = verify_all(2).to_json_value()["claims"]
     assert {label for label, result in claims.items() if result["failed"]} == {
         "round_trip_phi",
@@ -1759,7 +1787,9 @@ def test_an_image_that_does_not_unwind_is_reported_not_raised(monkeypatch, capsy
     # for bad input.
     from wedgematch.cli import main
 
-    _break_kernel(monkeypatch, "_phi_step", (2, [1, 0]), lambda p: [2, 2, 0, 0])
+    _break_kernel(
+        monkeypatch, "_phi_step", (2, _offsets([1, 0])), lambda d: _offsets([2, 2, 0, 0])
+    )
     claims = verify_all(2).to_json_value()["claims"]
     assert {label for label, result in claims.items() if result["failed"]} == {
         "round_trip_phi",
