@@ -272,6 +272,23 @@ def test_phi_inv_step_refuses_corrupted_input(partners, reason):
         _phi_inv_step(d)
 
 
+def test_phi_steps_take_any_in_range_list():
+    # The harness catches only InvalidMatchingError from an unwinding step,
+    # and a faulty step can hand either step any list: on the offset form of
+    # every 0-based partner list of even length up to 6 with entries in
+    # range, matching or not, neither step may fail another way.
+    for size in (2, 4, 6):
+        for p in itertools.product(range(size), repeat=size):
+            d = [w - v for v, w in enumerate(p)]
+            for b in range(1, size + 2):
+                assert len(_phi_step(b, d)) == size + 2
+            try:
+                r, parent = _phi_inv_step(d)
+            except InvalidMatchingError:
+                continue
+            assert (r, len(parent)) == (p[0], size - 2)
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_path_records_fold_phi(n):
     # The harness folds phi along the path stream, one step per changed
