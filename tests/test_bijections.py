@@ -272,21 +272,34 @@ def test_phi_inv_step_refuses_corrupted_input(partners, reason):
         _phi_inv_step(d)
 
 
+# Every outcome of both steps on the lists below: each surgery step's list
+# and each unwinding step's (r, parent), or its refusal message.
+STEPS_ON_ANY_LIST_SHA256 = "9f771da4106507842dfedb0f97a9cff24a4b0c685e8f46efa5ef6fa3c6b34885"
+
+
 def test_phi_steps_take_any_in_range_list():
     # The harness catches only InvalidMatchingError from an unwinding step,
     # and a faulty step can hand either step any list: on the offset form of
     # every 0-based partner list of even length up to 6 with entries in
-    # range, matching or not, neither step may fail another way.
+    # range, matching or not, neither step may fail another way, and every
+    # outcome is pinned.  A step may edit its list in place, so each call
+    # gets a fresh copy.
+    digest = hashlib.sha256()
     for size in (2, 4, 6):
         for p in itertools.product(range(size), repeat=size):
             d = [w - v for v, w in enumerate(p)]
             for b in range(1, size + 2):
-                assert len(_phi_step(b, d)) == size + 2
+                out = _phi_step(b, d[:])
+                assert len(out) == size + 2
+                digest.update(f"{out}\n".encode())
             try:
-                r, parent = _phi_inv_step(d)
-            except InvalidMatchingError:
+                r, parent = _phi_inv_step(d[:])
+            except InvalidMatchingError as error:
+                digest.update(f"{error}\n".encode())
                 continue
             assert (r, len(parent)) == (p[0], size - 2)
+            digest.update(f"{r} {parent}\n".encode())
+    assert digest.hexdigest() == STEPS_ON_ANY_LIST_SHA256
 
 
 @pytest.mark.parametrize("n", range(1, 7))
