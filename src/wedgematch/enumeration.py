@@ -217,8 +217,9 @@ class _Facts:
     None).  Every other field is computed on first read, once, so a node
     computes only what its readers read.  Four are one step on the parent's
     value: ``image``, the offset list of phi(psi(b)) (see ``_phi_step``),
-    one surgery step with b_1 on the parent's image; ``cuts``, the cut
-    stack of the first k east steps (0 and the splits of
+    one surgery step with b_1 on a copy of the parent's image, as the step
+    edits its list in place and the node's siblings read it too;
+    ``cuts``, the cut stack of the first k east steps (0 and the splits of
     :meth:`WedgePath.components` below k), one cut step with b_1 on a copy
     of the parent's stack; and ``opened`` and ``closed``, the gap columns
     of ``m``, one column step each with b_1 on the parent's (see
@@ -236,8 +237,8 @@ class _Facts:
     is a perfect matching of [2n], ``nm = phi(m)``, the code read of ``m``
     (or why the sweep refuses ``m``), the nestings of ``nm`` (or why the
     arc count refuses ``nm``), ``phi_inv(nm)`` (or why the unwinding
-    refuses ``nm``), and whether one unwinding step of the image gives back
-    the parent's.  The node checks compare a node's values with its
+    refuses ``nm``), and whether one unwinding step on a copy of the image
+    gives back the parent's.  The node checks compare a node's values with its
     parent's or an ancestor's, and read only the first block end and first
     stacking value of ``m``, so a passing run sweeps no record whole for
     its path components, image blocks or stacking formula.
@@ -250,7 +251,7 @@ class _Facts:
 
     @_once
     def image(self) -> list[int]:
-        return [] if self.parent is None else _phi_step(self.b[0], self.parent.image)
+        return [] if self.parent is None else _phi_step(self.b[0], self.parent.image[:])
 
     @_once
     def cuts(self) -> list[int]:
@@ -318,9 +319,11 @@ class _Facts:
 
     @_once
     def unwinds(self) -> bool:
-        """One unwinding step of the image gives back b_1 and the parent's image."""
+        """One unwinding step gives back b_1 and the parent's image.  It
+        unwinds a copy, as the step edits its list in place and the node's
+        children read the image after it."""
         try:
-            step = _phi_inv_step(self.image)
+            step = _phi_inv_step(self.image[:])
         except InvalidMatchingError:
             return False
         return step == (self.b[0], self.parent.image)
