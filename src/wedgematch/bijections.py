@@ -127,11 +127,23 @@ def psi_inv(m: Matching) -> WedgePath:
 # two slots and writes only the pairs it rewires.  The inverse unwinds from
 # the outside, collecting the code, and hands it to the insertion
 # procedure; _phi_walk and _phi_inv_code are the folds of _phi_step and
-# _phi_inv_step, and convert to and from partner tuples once.  Over a whole
-# family the same fact makes the phi images one tree, walked depth-first by
-# the path stream, along which the verification harness folds _phi_step on
-# a copy of each parent's image and checks each node against its parent
-# with _phi_inv_step on a copy of the node's.
+# _phi_inv_step on offset lists.  Only _partners and _offsets convert, at
+# the Matching boundary and in the verification harness, which tests each
+# image's partner tuple with the involution test it runs on psi's images.
+# Over a whole family the same fact makes the phi images one tree, walked
+# depth-first by the path stream, along which the harness folds _phi_step on
+# a copy of each parent's image and checks each node against its parent with
+# _phi_inv_step on a copy of the node's.
+
+
+def _partners(d: Sequence[int]) -> tuple[int, ...]:
+    """The partner tuple of the offset list ``d``."""
+    return tuple([v + x + 1 for v, x in enumerate(d)])
+
+
+def _offsets(p: Sequence[int]) -> list[int]:
+    """The offset list of the partner tuple ``p``."""
+    return [w - v for v, w in enumerate(p, 1)]
 
 
 def _phi_step(b: int, d: list[int]) -> list[int]:
@@ -186,14 +198,14 @@ def _phi_step(b: int, d: list[int]) -> list[int]:
     return d
 
 
-def _phi_walk(code: Sequence[int]) -> tuple[int, ...]:
-    """phi(psi(code)) as a partner tuple: one surgery step (see
+def _phi_walk(code: Sequence[int]) -> list[int]:
+    """phi(psi(code)) as an offset list: one surgery step (see
     :func:`_phi_step`) per entry of the code, from last to first, each on
-    the one offset list the walk owns."""
+    the one list the walk owns and returns."""
     d: list[int] = []
     for b in reversed(code):
         d = _phi_step(b, d)
-    return tuple([v + x + 1 for v, x in enumerate(d)])
+    return d
 
 
 def phi(m: Matching) -> Matching:
@@ -206,7 +218,7 @@ def phi(m: Matching) -> Matching:
     >>> phi(Matching.from_pairs([(1, 6), (2, 5), (3, 4)])).to_text()
     '(1,6),(2,3),(4,5)'
     """
-    return Matching(_phi_walk(_sweep(m.partner)))
+    return Matching(_partners(_phi_walk(_sweep(m.partner))))
 
 
 def _phi_inv_step(d: list[int]) -> tuple[int, list[int]]:
@@ -267,11 +279,10 @@ def _phi_inv_step(d: list[int]) -> tuple[int, list[int]]:
     return r, d
 
 
-def _phi_inv_code(partner: Sequence[int]) -> tuple[int, ...]:
-    """The code of :func:`phi_inv` of a partner tuple, unwound from the
-    outside: one step (see :func:`_phi_inv_step`) per edge, each giving the
-    next code entry, on the one offset list the unwinding owns."""
-    d = [w - v for v, w in enumerate(partner, 1)]
+def _phi_inv_code(d: list[int]) -> tuple[int, ...]:
+    """The code of :func:`phi_inv` of the offset list ``d``, which it
+    consumes, unwound from the outside: one step (see :func:`_phi_inv_step`)
+    per edge, each giving the next code entry."""
     code: list[int] = []
     while d:
         r, d = _phi_inv_step(d)
@@ -279,18 +290,13 @@ def _phi_inv_code(partner: Sequence[int]) -> tuple[int, ...]:
     return tuple(code)
 
 
-def _phi_inv_partner(partner: Sequence[int]) -> tuple[int, ...]:
-    """The kernel of :func:`phi_inv`: unwind the code, then insert it."""
-    return _partner_from_code(_check_code(_phi_inv_code(partner)))
-
-
 def phi_inv(m: Matching) -> Matching:
-    """Exact two-sided inverse of :func:`phi`.
+    """Exact two-sided inverse of :func:`phi`: unwind the code, then insert it.
 
     >>> phi_inv(Matching.from_pairs([(1, 6), (2, 3), (4, 5)])).to_text()
     '(1,6),(2,5),(3,4)'
     """
-    return Matching(_phi_inv_partner(m.partner))
+    return Matching(_partner_from_code(_check_code(_phi_inv_code(_offsets(m.partner)))))
 
 
 # -- the composite bijection -------------------------------------------------
@@ -308,11 +314,11 @@ def big_phi(path: WedgePath) -> Matching:
     >>> big_phi(WedgePath((0, -1, -2))).nestings()
     0
     """
-    return Matching(_phi_walk(insertion_code(path).b))
+    return Matching(_partners(_phi_walk(insertion_code(path).b)))
 
 
 def big_phi_inv(m: Matching) -> WedgePath:
     """Inverse of :func:`big_phi`: psi_inv after phi_inv."""
     if m.n == 0:
         raise InvalidMatchingError("the empty matching has no path preimage")
-    return path_from_code(InsertionCode(_phi_inv_code(m.partner)))
+    return path_from_code(InsertionCode(_phi_inv_code(_offsets(m.partner))))

@@ -22,9 +22,10 @@ from typing import Callable, ClassVar, Iterable, Iterator, Sequence
 from .bijections import (
     InsertionCode,
     _check_code,
+    _offsets,
     _partner_from_code,
+    _partners,
     _phi_inv_code,
-    _phi_inv_partner,
     _phi_inv_step,
     _phi_step,
     _phi_walk,
@@ -269,7 +270,7 @@ class _Facts:
 
     @_once
     def nm(self) -> tuple[int, ...]:
-        return tuple([v + x + 1 for v, x in enumerate(self.image)])
+        return _partners(self.image)
 
     @_once
     def code_back(self) -> tuple[int, ...] | str:
@@ -315,7 +316,8 @@ class _Facts:
 
     @_once
     def back(self) -> tuple[int, ...] | str:
-        return _unwound(lambda: _phi_inv_partner(self.nm))
+        # A copy: the unwinding consumes its list, and checks read the image.
+        return _unwound(lambda: _partner_from_code(_check_code(_phi_inv_code(self.image[:]))))
 
     @_once
     def unwinds(self) -> bool:
@@ -476,11 +478,12 @@ def _component_sizes(f: _Facts) -> tuple[list[int], list[int]]:
 def _piecewise(m: tuple[int, ...]) -> tuple[int, ...]:
     """phi's kernel on each block of ``m``, put back in place: the block's
     code read, walked.  The code is range-checked first, as an entry out of
-    range would index past the walk's list."""
+    range would index past the walk's list.  Offsets need no shift, so the
+    blocks' walks are put side by side."""
     out: list[int] = []
-    for s, block in _blocks(m):
-        out += [v + s for v in _phi_walk(_check_code(_sweep(block)))]
-    return tuple(out)
+    for _, block in _blocks(m):
+        out += _phi_walk(_check_code(_sweep(block)))
+    return _partners(out)
 
 
 def _proposition_b(f: _Facts) -> str | None:
@@ -523,7 +526,7 @@ def _round_trip_phi(f: _Facts) -> str | None:
 
 
 def _round_trip_phi_inv(f: _Facts) -> str | None:
-    back = _unwound(lambda: _phi_walk(_check_code(_phi_inv_code(f.m))))
+    back = _unwound(lambda: _partners(_phi_walk(_check_code(_phi_inv_code(_offsets(f.m))))))
     return None if back == f.m else _came_back(back, _partner_text)
 
 
@@ -574,27 +577,15 @@ def _is_matching(p: Sequence[int]) -> bool:
     return True
 
 
-def _is_offset_matching(d: Sequence[int]) -> bool:
-    """``d`` is the offset list of a fixed-point-free involution of
-    0..len(d) - 1: each v has a mate w = v + d[v] != v in range, and
-    d[w] = -d[v] leads back to v."""
-    stop = len(d)
-    for v, x in enumerate(d):
-        w = v + x
-        if not (0 <= w < stop and x and d[w] == -x):
-            return False
-    return True
-
-
 def _unwinds_a_matching(f: _Facts) -> bool:
     """round_trip_phi_inv: the image is a matching that unwinds to the
     parent's, as for round_trip_phi, and a record's ``m`` is a matching of
-    its size.  The induction runs over the whole tree, not one chain: if
-    every node of depths 1..k passes, the images of depth k are (2k-1)!!
-    distinct matchings, hence all of them, and each one unwinds to the code
-    the walk built it with.  A record's ``m`` is one of them, so phi_inv(m)
+    its size, both by ``_is_matching``.  The induction runs over the whole
+    tree, not one chain: if every node of depths 1..k passes, the images of
+    depth k are (2k-1)!! distinct matchings, hence all of them, and each one
+    unwinds to the code the walk built it with.  A record's ``m`` is one of them, so phi_inv(m)
     is that code, and phi walks it back to ``m``."""
-    if not (f.unwinds and _is_offset_matching(f.image)):
+    if not (f.unwinds and _is_matching(f.nm)):
         return False
     return f.heights is None or f.perfect
 
@@ -638,12 +629,11 @@ def _piecewise_node(f: _Facts) -> bool:
     if s == len(m):
         return len(f.nm) == s and f.cuts == [0]
     a = f.ancestor(len(f.b) - s // 2)
-    # Offsets need no shift: the walk of b[:s/2] as offsets, then a's.
-    head = [w - v for v, w in enumerate(_phi_walk(f.b[: s // 2]), 1)]
+    # Offsets need no shift: the walk of b[:s/2], then a's image.
     return (
         f.cuts == [*a.cuts, len(a.b)]
         and m[s:] == tuple([v + s for v in a.m])
-        and f.image == head + a.image
+        and f.image == _phi_walk(f.b[: s // 2]) + a.image
     )
 
 
@@ -1005,6 +995,8 @@ def _verify_sizes(
             f"counterexample limit must not be negative, got {counterexample_limit}"
         )
     workers = min(workers, os.cpu_count() or 1)
+    if isinstance(claims, str):
+        raise ValueError(f"claims must be labels, not the string {claims!r}")
     if claims is None:
         selected = list(CLAIMS)
     else:
@@ -1046,7 +1038,7 @@ def verify_all(
     """Replay every claim exhaustively over all objects of size n.
 
     ``claims`` selects a subset of labels from :data:`CLAIMS`; by default
-    everything runs, and an empty selection is rejected.  Every run walks
+    everything runs, and an empty selection or a bare string is rejected.  Every run walks
     the path stream as the size's cells.  ``workers`` = k > 1 runs them on
     a pool of k processes, if the size has more than one cell (n >= 6);
     otherwise this process walks them all.  The report is identical for

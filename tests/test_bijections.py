@@ -25,7 +25,9 @@ from wedgematch import (
 )
 from wedgematch.bijections import (
     _check_code,
+    _offsets,
     _partner_from_code,
+    _partners,
     _phi_inv_code,
     _phi_inv_step,
     _phi_step,
@@ -246,12 +248,12 @@ def test_phi_kernels_are_folds_of_their_steps(n):
         image: list[int] = []
         for b in reversed(code):
             image = _phi_step(b, image)
-        assert _phi_walk(code) == tuple(v + x + 1 for v, x in enumerate(image))
+        assert _phi_walk(code) == image
         d, unwound = [w - v for v, w in enumerate(partner, 1)], []
         while d:
             r, d = _phi_inv_step(d)
             unwound.append(r)
-        assert _phi_inv_code(partner) == tuple(unwound)
+        assert _phi_inv_code(_offsets(partner)) == tuple(unwound)
 
 
 # Corrupted offset lists, each given as its 0-based partner list, and why
@@ -309,8 +311,8 @@ def test_path_records_fold_phi(n):
     for f in _code_tree(n):
         m = Matching(f.m)
         assert f.b == _sweep(f.m)
-        assert f.nm == _phi_walk(f.b) == phi(m).partner
-        assert _phi_inv_code(f.m) == _sweep(phi_inv(m).partner)
+        assert f.nm == _partners(_phi_walk(f.b)) == phi(m).partner
+        assert _phi_inv_code(_offsets(f.m)) == _sweep(phi_inv(m).partner)
 
 
 # One entry out of range: too low in the middle, too high first or last.

@@ -153,9 +153,8 @@ def _paths_under(n, prefix):
     return [h for h in _path_heights(n) if h[: len(prefix)] == prefix]
 
 
-@pytest.mark.parametrize("family", ["paths"])
 @pytest.mark.parametrize("n", range(1, 7))
-def test_cells_partition_the_stream(family, n):
+def test_cells_partition_the_stream(n):
     cells = _cells(n)
     assert len(cells) == CELL_COUNTS[n - 1]
     stream = [p.heights for p in all_paths(n)]
@@ -494,6 +493,11 @@ def test_verify_claims_filter():
     assert report.claims[0].tested == 15
     with pytest.raises(ValueError, match="unknown claim labels"):
         verify_all(3, claims=["theorem9"])
+    # A bare string is one label, not its letters.
+    with pytest.raises(ValueError, match="^claims must be labels, not the string 'lemma1'$"):
+        verify_all(3, claims="lemma1")
+    with pytest.raises(ValueError, match="^claims must be labels, not the string 'lemma1'$"):
+        next(verify_ladder(3, claims="lemma1"))
 
 
 def test_verify_rejects_empty_claim_selection():
@@ -789,7 +793,7 @@ KERNEL_FAULTS = {
         (_offsets([v - 1 for v in NESTED]),),
         lambda step: (1, step[1]),
     ),
-    "_phi_walk": ("_phi_walk", ((3, 1),), _other_partner),
+    "_phi_walk": ("_phi_walk", ((3, 1),), lambda d: _offsets([1, 0, 3, 2])),
     "_arc_counts": ("_arc_counts", (NESTED,), lambda c: (c[0], c[1] + 1, c[2])),
     "_opened_step": ("_opened_step", ([0, 1, 0], 3), lambda gaps: [*gaps[:4], gaps[4] + 1]),
     "_closed_step": ("_closed_step", ([0, 0, 1], 3), lambda gaps: [*gaps[:4], gaps[4] + 1]),
@@ -936,8 +940,7 @@ def _code_tree_by_diff(n, prefix=()):
         k = next((i for i, (x, y) in enumerate(zip(heights, previous)) if x != y), 0)
         for i in range(k, n):
             b = codes[i + 1] = (heights[i] + i + 1,) + codes[i]
-            image = [w - v for v, w in enumerate(_phi_walk(b), 1)]
-            yield b, image, heights if i + 1 == n else None
+            yield b, _phi_walk(b), heights if i + 1 == n else None
         previous = heights
 
 
@@ -1619,18 +1622,20 @@ def test_is_matching_equals_the_generator(base):
     # Every tuple of length up to 6 over the values -2..len+1: negative
     # values must fail the range test, not wrap around as indexes.  Base 1
     # is a partner tuple, for _is_matching; base 0 is a 0-based partner
-    # list, given as offsets to _is_offset_matching, which then meets every
-    # zero offset and offsets up to two past either end.
-    from wedgematch.enumeration import _is_matching, _is_offset_matching
+    # list, given as offsets and converted as the harness converts its
+    # images before it tests them, which then meets every zero offset and
+    # offsets up to two past either end.
+    from wedgematch.bijections import _partners
+    from wedgematch.enumeration import _is_matching
 
     for size in range(7):
         for p in itertools.product(range(-2, size + 2), repeat=size):
             if base:
                 assert _is_matching(p) == _is_matching_by_generator(p, 1), p
             else:
-                assert _is_offset_matching(_offsets(p)) == _is_matching_by_generator(p, 0), p
-    # The harness passes its offset images as lists.
-    assert _is_offset_matching([1, -1]) and not _is_offset_matching(_offsets([-1, 0]))
+                assert _is_matching(_partners(_offsets(p))) == _is_matching_by_generator(p, 0), p
+    # The harness's images are offset lists.
+    assert _is_matching(_partners([1, -1])) and not _is_matching(_partners(_offsets([-1, 0])))
 
 
 @pytest.mark.parametrize("kernel", sorted(NOT_A_MATCHING))
