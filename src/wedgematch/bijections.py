@@ -120,20 +120,32 @@ def psi_inv(m: Matching) -> WedgePath:
 # rest, put it back, then repair according to how the first two edges
 # relate.  Stripping the first edge of psi(b) gives psi(b[1:]), so the
 # first edges met on the way down are the insertion code itself, and the
-# recursion unrolls into one loop over b from last to first.  The walk owns
-# one offset list, d[v] = mate(v) - v on 0-based vertices, and each step
-# edits it in place: an arc that lies wholly on one side of the vertices a
-# step inserts or deletes keeps its offset, so a step inserts or deletes
-# two slots and writes only the pairs it rewires.  The inverse unwinds from
-# the outside, collecting the code, and hands it to the insertion
-# procedure; _phi_walk and _phi_inv_code are the folds of _phi_step and
-# _phi_inv_step on offset lists.  Only _partners and _offsets convert, at
-# the Matching boundary and in the verification harness, which tests each
-# image's partner tuple with the involution test it runs on psi's images.
+# recursion unrolls into one loop over b from last to first.  The inverse
+# unwinds from the outside, collecting the code, and hands it to the
+# insertion procedure.  Steps come in two layers.
+#
+# _phi_step and _phi_inv_step take one step on an offset list, d[v] =
+# mate(v) - v on 0-based vertices, in place: an arc that lies wholly on one
+# side of the vertices a step inserts or deletes keeps its offset, so a
+# step inserts or deletes two slots and writes only the pairs it rewires.
 # Over a whole family the same fact makes the phi images one tree, walked
-# depth-first by the path stream, along which the harness folds _phi_step on
-# a copy of each parent's image and checks each node against its parent with
-# _phi_inv_step on a copy of the node's.
+# depth-first by the path stream, along which the verification harness
+# folds _phi_step on a copy of each parent's image and checks each node
+# against its parent with _phi_inv_step on a copy of the node's.
+#
+# _phi_walk and _phi_inv_code, behind the public maps, walk a whole code in
+# Flajolet's history form instead: a bytearray w with 1 at each opener, and
+# a list h with -1 at each opener and, at each closer, the rank of the arc
+# it closes among the arcs open just before it, left to right (the number
+# of arcs nesting over it).  There a crossed step is a two-slot insertion,
+# and a nested step rewrites only the closers between the old first edge's
+# end and the new one.  Each walk converts once, at its end or its start,
+# and takes or gives offset lists.  The walks equal the step folds by the
+# differential tests (every code up to n = 6, and seeded random codes up to
+# n = 4096; every code of n = 7 and 8 in CI), and the harness's rerun of
+# a failed size checks the walks themselves.  Only _partners and _offsets
+# convert, at the Matching boundary and in the harness, which tests each
+# image's partner tuple with the involution test it runs on psi's images.
 
 
 def _partners(d: Sequence[int]) -> tuple[int, ...]:
@@ -199,12 +211,48 @@ def _phi_step(b: int, d: list[int]) -> list[int]:
 
 
 def _phi_walk(code: Sequence[int]) -> list[int]:
-    """phi(psi(code)) as an offset list: one surgery step (see
-    :func:`_phi_step`) per entry of the code, from last to first, each on
-    the one list the walk owns and returns."""
-    d: list[int] = []
+    """phi(psi(code)) as an offset list: the code walked from last to first
+    in history form (see the comment above :func:`_phi_step`), then
+    converted once.
+
+    q is the mate of vertex 0, the entry before b, as phi keeps the first
+    edge, and lo = b - 1.  Aligned (b = 1) and crossed (q >= lo): an opener
+    and a closer of rank 0 come in at lo.  Nested (q < lo): the arcs still
+    open from before q get the first edge (0, b) in front of them, so their
+    closers in (q, lo) move one rank up, and the arcs opened in (q, lo) get
+    q's arc too, so theirs move two; ``old`` and ``new`` count the open arcs
+    of each kind.  q becomes an opener, and closers of ranks new + 1 and 0
+    come in at lo.
+    """
+    w, h = bytearray(), []
+    q = 0
     for b in reversed(code):
-        d = _phi_step(b, d)
+        lo = b - 1
+        if q < lo:
+            old, new = 2 * w.count(1, 0, q + 1) - q - 1, 0
+            for c in range(q + 1, lo):
+                k = h[c]
+                if k < 0:
+                    new += 1
+                elif k < old:
+                    h[c] = k + 1
+                    old -= 1
+                else:
+                    h[c] = k + 2
+                    new -= 1
+            w[q], h[q] = 1, -1
+            w[lo:lo], h[lo:lo] = b"\0\0", (new + 1, 0)
+        else:
+            w[lo:lo], h[lo:lo] = b"\1\0", (-1, 0)
+        q = b
+    d = [0] * len(h)
+    opened: list[int] = []
+    for c, k in enumerate(h):
+        if k < 0:
+            opened.append(c)
+        else:
+            u = opened.pop(k)
+            d[u], d[c] = c - u, u - c
     return d
 
 
@@ -212,8 +260,8 @@ def phi(m: Matching) -> Matching:
     """First-edge-preserving rearrangement with nestings(phi(M)) = st_total(M).
 
     Reads the insertion code of ``m`` with the code read ``_sweep``, then
-    walks it from last to first, applying one surgery step (see
-    :func:`_phi_step`) per entry.
+    walks it from last to first, one step per entry (see
+    :func:`_phi_walk`).
 
     >>> phi(Matching.from_pairs([(1, 6), (2, 5), (3, 4)])).to_text()
     '(1,6),(2,3),(4,5)'
@@ -279,14 +327,61 @@ def _phi_inv_step(d: list[int]) -> tuple[int, list[int]]:
     return r, d
 
 
-def _phi_inv_code(d: list[int]) -> tuple[int, ...]:
-    """The code of :func:`phi_inv` of the offset list ``d``, which it
-    consumes, unwound from the outside: one step (see :func:`_phi_inv_step`)
-    per edge, each giving the next code entry."""
+def _phi_inv_code(d: Sequence[int]) -> tuple[int, ...]:
+    """The code of :func:`phi_inv` of the offset list ``d``, which it leaves
+    as it was: converted once to history form (see the comment above
+    :func:`_phi_step`), refusing a ``d`` that is no perfect matching, then
+    unwound from the outside, undoing :func:`_phi_walk`'s steps.
+
+    The first edge is (0, r) and f = r - 1 the fresh vertex.  Aligned
+    (r = 1) and crossed (f an opener): f and r go, and vertex 0's next mate
+    is the first closer of rank 0 from f on.  Nested: walking left from f
+    undoes the forward step's moves, one rank down or two, as ``new`` and
+    ``old`` count back (``old`` two above the forward count, as the ranks
+    it is compared with count the first edge and q's arc), until an opener
+    is met with ``new`` at 0: that is q.  q becomes a closer of rank 0, f
+    and r go, and q is the next r.
+    """
+    size = len(d)
+    w, h = bytearray(size), [-1] * size
+    opened: list[int] = []
+    for v, x in enumerate(d):
+        u = v + x
+        if x > 0 and u < size and d[u] == -x:
+            w[v] = 1
+            opened.append(v)
+            continue
+        k = bisect.bisect_left(opened, u)
+        if k == len(opened) or opened[k] != u:
+            raise InvalidMatchingError(f"offset list is no perfect matching at vertex {v + 1}")
+        del opened[k]
+        h[v] = k
     code: list[int] = []
-    while d:
-        r, d = _phi_inv_step(d)
+    r = d[0] if d else 0
+    while h:
         code.append(r)
+        f = r - 1
+        if w[f]:
+            del w[f:r + 1], h[f:r + 1]
+            r = h.index(0, f) if h else 0
+            continue
+        new = h[f] - 1
+        old = 2 * w.count(1, 0, f) - f - new
+        for c in range(f - 1, 0, -1):
+            k = h[c]
+            if k < 0:
+                if not new:
+                    break
+                new -= 1
+            elif k < old:
+                h[c] = k - 1
+                old += 1
+            else:
+                h[c] = k - 2
+                new += 1
+        w[c], h[c] = 0, 0
+        del w[f:r + 1], h[f:r + 1]
+        r = c
     return tuple(code)
 
 

@@ -316,8 +316,7 @@ class _Facts:
 
     @_once
     def back(self) -> tuple[int, ...] | str:
-        # A copy: the unwinding consumes its list, and checks read the image.
-        return _unwound(lambda: _partner_from_code(_check_code(_phi_inv_code(self.image[:]))))
+        return _unwound(lambda: _partner_from_code(_check_code(_phi_inv_code(self.image))))
 
     @_once
     def unwinds(self) -> bool:
@@ -555,8 +554,11 @@ def _reads_back(f: _Facts) -> bool:
 
 def _unwinds_to_parent(f: _Facts) -> bool:
     """round_trip_phi: one unwinding step of the image gives back b_1 and the
-    parent's image.  Along the whole chain, phi_inv(nm) then unwinds to b,
-    and inserting b gives ``m``."""
+    parent's image.  Along the whole chain, the steps then unwind nm to b,
+    and inserting b gives ``m``.  phi_inv unwinds with the walk
+    ``_phi_inv_code``, not the steps: the walk equals the steps' fold by the
+    differential tests of the two, and the rerun of a failed size checks
+    the walk itself."""
     return f.unwinds
 
 
@@ -583,8 +585,12 @@ def _unwinds_a_matching(f: _Facts) -> bool:
     its size, both by ``_is_matching``.  The induction runs over the whole
     tree, not one chain: if every node of depths 1..k passes, the images of
     depth k are (2k-1)!! distinct matchings, hence all of them, and each one
-    unwinds to the code the walk built it with.  A record's ``m`` is one of them, so phi_inv(m)
-    is that code, and phi walks it back to ``m``."""
+    unwinds to the code the step fold built it with.  A record's ``m`` is
+    one of them, so phi_inv(m) is that code, and phi walks it back to
+    ``m``.  phi and phi_inv run the walks ``_phi_walk`` and
+    ``_phi_inv_code``, not the steps: the walks equal the steps' folds by
+    the differential tests of the two, and the rerun of a failed size checks
+    the walks themselves."""
     if not (f.unwinds and _is_matching(f.nm)):
         return False
     return f.heights is None or f.perfect

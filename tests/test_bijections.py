@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 import random
 
 import pytest
@@ -239,21 +240,57 @@ def test_phi_golden_digest_sampled():
     assert (forward.hexdigest(), inverse.hexdigest()) == PHI_SAMPLED_DIGESTS
 
 
-@pytest.mark.parametrize("n", range(1, 7))
-def test_phi_kernels_are_folds_of_their_steps(n):
-    # The harness checks phi and phi_inv one step per node of the code tree;
-    # the kernels behind the public maps must be exactly those steps, folded.
-    for code in itertools.product(*(range(1, 2 * (n - i) + 2) for i in range(1, n + 1))):
-        partner = _partner_from_code(code)
+def _unwound_by_steps(d):
+    """The code that _phi_inv_step, folded on a copy of ``d``, unwinds."""
+    d, code = d[:], []
+    while d:
+        r, d = _phi_inv_step(d)
+        code.append(r)
+    return tuple(code)
+
+
+def every_code(n):
+    """Every insertion code of size n, in lexicographic order."""
+    return itertools.product(*(range(1, 2 * (n - i) + 2) for i in range(1, n + 1)))
+
+
+def random_codes(n, count):
+    """``count`` seeded random codes of size n."""
+    rng = random.Random(n)
+    return [tuple(rng.randint(1, 2 * (n - i) + 1) for i in range(1, n + 1)) for _ in range(count)]
+
+
+def check_walks_against_the_step_folds(codes):
+    """Assert that _phi_walk and _phi_inv_code give exactly what _phi_step
+    and _phi_inv_step give, folded, on every code given, and that the
+    unwinding walk leaves its list as it was; return how many were
+    compared."""
+    count = 0
+    for code in codes:
         image: list[int] = []
         for b in reversed(code):
             image = _phi_step(b, image)
-        assert _phi_walk(code) == image
-        d, unwound = [w - v for v, w in enumerate(partner, 1)], []
-        while d:
-            r, d = _phi_inv_step(d)
-            unwound.append(r)
-        assert _phi_inv_code(_offsets(partner)) == tuple(unwound)
+        assert _phi_walk(code) == image, code
+        d = _offsets(_partner_from_code(code))
+        unwound = _unwound_by_steps(d)
+        assert _phi_inv_code(d) == unwound, code
+        assert d == _offsets(_partner_from_code(code)), code
+        count += 1
+    return count
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_phi_kernels_are_folds_of_their_steps(n):
+    # The harness checks phi and phi_inv one step per node of the code tree,
+    # while the walks behind the public maps run in history form: they must
+    # give exactly what those steps give, folded, in both directions.  CI
+    # compares every code of n=7, and of n=8 on one Python version.
+    assert check_walks_against_the_step_folds(every_code(n)) == math.prod(range(1, 2 * n, 2))
+
+
+@pytest.mark.parametrize("n, count", [(64, 50), (256, 50), (1024, 5), (4096, 1)])
+def test_phi_kernels_are_folds_of_their_steps_on_random_codes(n, count):
+    assert check_walks_against_the_step_folds(random_codes(n, count)) == count
 
 
 # Corrupted offset lists, each given as its 0-based partner list, and why
@@ -285,7 +322,8 @@ def test_phi_steps_take_any_in_range_list():
     # every 0-based partner list of even length up to 6 with entries in
     # range, matching or not, neither step may fail another way, and every
     # outcome is pinned.  A step may edit its list in place, so each call
-    # gets a fresh copy.
+    # gets a fresh copy; the walk behind phi_inv may raise only that error
+    # too.
     digest = hashlib.sha256()
     for size in (2, 4, 6):
         for p in itertools.product(range(size), repeat=size):
@@ -294,6 +332,13 @@ def test_phi_steps_take_any_in_range_list():
                 out = _phi_step(b, d[:])
                 assert len(out) == size + 2
                 digest.update(f"{out}\n".encode())
+            # The walk behind phi_inv refuses every non-matching, and
+            # unwinds every matching as the steps do.
+            if all(p[w] == v != w for v, w in enumerate(p)):
+                assert _phi_inv_code(d) == _unwound_by_steps(d)
+            else:
+                with pytest.raises(InvalidMatchingError, match="^offset list is no perfect"):
+                    _phi_inv_code(d)
             try:
                 r, parent = _phi_inv_step(d[:])
             except InvalidMatchingError as error:

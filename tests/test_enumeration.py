@@ -669,14 +669,21 @@ def test_verify_reports_phi_inv_failures_verbatim(monkeypatch):
     import wedgematch.bijections as bijections
     import wedgematch.enumeration as enumeration
 
-    # phi_inv's step is broken where it is defined and where the harness
-    # calls it: it unwinds insertion instead of phi, so phi_inv returns its
-    # input.  The node checks fail, so the size is rerun with every claim's
-    # per-object check on every record.  Matching claims run on each
-    # path's insertion image, so their counterexamples come in path-stream
-    # order, not insertion-code order.
+    # phi_inv's step and walk are broken where they are defined and where
+    # the harness calls them: they unwind insertion instead of phi, so
+    # phi_inv returns its input.  The node checks fail, so the size is rerun
+    # with every claim's per-object check on every record.  Matching claims
+    # run on each path's insertion image, so their counterexamples come in
+    # path-stream order, not insertion-code order.
+    from wedgematch.matching import _sweep
+
+    def read_insertion(d):
+        return _sweep(bijections._partners(d))
+
     monkeypatch.setattr(bijections, "_phi_inv_step", _unwind_insertion)
     monkeypatch.setattr(enumeration, "_phi_inv_step", _unwind_insertion)
+    monkeypatch.setattr(bijections, "_phi_inv_code", read_insertion)
+    monkeypatch.setattr(enumeration, "_phi_inv_code", read_insertion)
     report = verify_all(
         3, claims=["round_trip_phi", "round_trip_big_phi"], counterexample_limit=3
     )
@@ -774,7 +781,9 @@ def test_proposition_b_walks_components_against_the_table(monkeypatch):
 # that of (1,2): [0, 1, 0] open, [0, 0, 1] closed.
 # The children's north steps and stacking totals, which that parent gives
 # as runs of rises from its own values 1 and 1, are broken at its first
-# child.
+# child.  The unwinding step and the first stacking value are read by node
+# checks alone, which a fault in them fails while the rerun passes, so
+# they are tested on their own below.
 def _other_partner(p):
     aligned = tuple(v + 1 if v % 2 else v - 1 for v in range(1, len(p) + 1))
     return aligned if p != aligned else tuple(range(len(p), 0, -1))
@@ -788,11 +797,6 @@ def _other_code(b):
 KERNEL_FAULTS = {
     "_partner_from_code": ("_partner_from_code", (CODE,), _other_partner),
     "_phi_step": ("_phi_step", FOLD_STEP, lambda d: _offsets([1, 0, 3, 2, 5, 4])),
-    "_phi_inv_step": (
-        "_phi_inv_step",
-        (_offsets([v - 1 for v in NESTED]),),
-        lambda step: (1, step[1]),
-    ),
     "_phi_walk": ("_phi_walk", ((3, 1),), lambda d: _offsets([1, 0, 3, 2])),
     "_arc_counts": ("_arc_counts", (NESTED,), lambda c: (c[0], c[1] + 1, c[2])),
     "_opened_step": ("_opened_step", ([0, 1, 0], 3), lambda gaps: [*gaps[:4], gaps[4] + 1]),
@@ -1305,7 +1309,11 @@ DIFFERENTIAL_FAULTS = {
     "none": None,
     "_phi_step": KERNEL_FAULTS["_phi_step"],
     "_phi_step_depth_2": ("_phi_step", (3, _offsets([1, 0])), lambda d: _offsets([1, 0, 3, 2])),
-    "_phi_inv_step": KERNEL_FAULTS["_phi_inv_step"],
+    "_phi_inv_step": (
+        "_phi_inv_step",
+        (_offsets([v - 1 for v in NESTED]),),
+        lambda step: (1, step[1]),
+    ),
     "_phi_inv_step_depth_2": (
         "_phi_inv_step",
         (_offsets([3, 2, 1, 0]),),
@@ -1376,7 +1384,7 @@ def test_node_checks_imply_the_full_checks(monkeypatch, fault):
             assert verify_all(n).to_json_value() == _full_report(monkeypatch, n), (fault, n)
 
 
-@pytest.mark.parametrize("fault", ["_phi_step_depth_2", "_phi_inv_step_depth_2"])
+@pytest.mark.parametrize("fault", ["_phi_step_depth_2"])
 def test_a_fault_above_the_records_fails_the_top_size(monkeypatch, fault):
     # The fault fires at depth 2 only, so round_trip_phi's node check passes
     # at every record of size 4; its failures at depth 2 must still fail
@@ -1390,6 +1398,51 @@ def test_a_fault_above_the_records_fails_the_top_size(monkeypatch, fault):
     claims = verify_all(4, claims=NODE_CHECKED).to_json_value()["claims"]
     assert claims["round_trip_phi"]["failed"] > 0
     assert claims == {label: full[label] for label in NODE_CHECKED}
+
+
+# For each wrong unwinding step, the size it is run at: 3 for the record
+# whose image is NESTED, 4 for the node of depth 2 whose image is
+# (1,4),(2,3).
+UNWINDING_STEP_FAULTS = {"_phi_inv_step": 3, "_phi_inv_step_depth_2": 4}
+
+
+@pytest.mark.parametrize("fault", sorted(UNWINDING_STEP_FAULTS))
+def test_the_unwinding_step_is_read_by_the_node_checks_alone(monkeypatch, fault):
+    # The walk behind phi_inv unwinds in history form and calls no step, so
+    # a wrong unwinding step fails round_trip_phi's node check only at the
+    # node whose image it unwinds wrongly.  The rerun's full checks unwind
+    # with the correct walk, so they all pass, and the report is the
+    # passing one.
+    import wedgematch.enumeration as enumeration
+
+    _break_kernel(monkeypatch, *DIFFERENTIAL_FAULTS[fault])
+    n = UNWINDING_STEP_FAULTS[fault]
+    trigger = DIFFERENTIAL_FAULTS[fault][1][0]
+    node = enumeration._CLAIMS_BY_LABEL["round_trip_phi"].node
+    assert [f.image for f in _code_tree(n) if not node(f)] == [trigger]
+    passes = _record_passes(monkeypatch)
+    assert verify_all(n).to_json_value() == passing_payload(n)
+    assert passes == [[False, [()]], [False, [()]]]
+
+
+def test_the_unwinding_walk_is_read_by_the_full_checks_alone(monkeypatch):
+    # A passing run unwinds each image with the step alone and calls the
+    # walk behind phi_inv nowhere; the differential tests of the walks
+    # against the step folds (tests/test_bijections.py) tie the two.  The
+    # full checks, which a failing node check sends a size to, unwind with
+    # the walk, so a wrong code for NESTED fails the three round trips at
+    # the records that unwind it: the one whose image is NESTED, and the
+    # one whose m is.
+    _break_kernel(monkeypatch, "_phi_inv_code", (_offsets([v - 1 for v in NESTED]),), _other_code)
+    assert verify_all(3).passed
+    full = _full_report(monkeypatch, 3)["claims"]
+    back = "comes back as (1,2),(3,4),(5,6)"
+    failed = {label: c["counterexamples"] for label, c in full.items() if c["failed"]}
+    assert failed == {
+        "round_trip_phi": [f"M=(1,6),(2,3),(4,5): {back}"],
+        "round_trip_phi_inv": [f"M=(1,6),(2,5),(3,4): {back}"],
+        "round_trip_big_phi": ["P=ESENNNESSSSS: comes back as ESESES"],
+    }
 
 
 def _pooled_cell(cell):
@@ -1520,8 +1573,8 @@ def test_one_and_two_workers_run_the_same_cells(monkeypatch):
 
 
 # sha256 of json.dumps(verify_all(6).to_json_value()) under the fault
-# DIFFERENTIAL_FAULTS["_phi_step_depth_2"]: 6,843 bytes.
-FAILING_PAYLOAD_SHA256 = "f8d67edce8099c8bf626ff77287497073879007effda8d8ec282861dac90054a"
+# DIFFERENTIAL_FAULTS["_phi_step_depth_2"]: 5,855 bytes.
+FAILING_PAYLOAD_SHA256 = "6f4ebbede53999ec5218e8579c0e861a49eab1f919fad927ab338be21e4a2c71"
 
 
 @pytest.mark.parametrize(
@@ -1541,7 +1594,10 @@ def test_a_failing_multi_cell_payload_is_pinned(monkeypatch, workers):
     # The fault fails every path through one node of depth 2, a third of
     # n=6: the five cells whose paths start a_2 = 1.  The whole payload
     # then pins how their counterexamples merge, in stream order, on one
-    # worker and on the pool alike.
+    # worker and on the pool alike.  The walks behind phi and phi_inv call
+    # no step, so the full checks that read them, proposition_b's block walk
+    # and round_trip_phi_inv's, see the wrong images as wrong, or not at
+    # all.
     import wedgematch.enumeration as enumeration
 
     _break_kernel(monkeypatch, *DIFFERENTIAL_FAULTS["_phi_step_depth_2"])
@@ -1550,14 +1606,13 @@ def test_a_failing_multi_cell_payload_is_pinned(monkeypatch, workers):
     failed = {label: c["failed"] for label, c in report["claims"].items() if c["failed"]}
     assert failed == {
         "round_trip_phi": 3465,
-        "round_trip_phi_inv": 3465,
         "round_trip_big_phi": 3465,
         "theorem2": 2772,
         "theorem1": 2772,
-        "proposition_b": 1468,
+        "proposition_b": 3465,
     }
     payload = json.dumps(report).encode()
-    assert len(payload) == 6843
+    assert len(payload) == 5855
     assert hashlib.sha256(payload).hexdigest() == FAILING_PAYLOAD_SHA256
 
 
@@ -1654,10 +1709,10 @@ def test_phi_inv_node_check_requires_matchings(monkeypatch, kernel):
 
 
 def test_a_bad_image_is_reported_not_raised(monkeypatch, capsys):
-    # The insertion image of (1, 1, 1) is no matching.  Counterexamples print
-    # such a partner tuple as raw text instead of raising on it, so the
-    # report fails and the command exits 1, the code for a failed claim, not
-    # 3, the code for bad input.
+    # The insertion image of (1, 1, 1) is no matching, which the walk behind
+    # phi_inv refuses.  Counterexamples print such a partner tuple as raw
+    # text instead of raising on it, so the report fails and the command
+    # exits 1, the code for a failed claim, not 3, the code for bad input.
     from wedgematch.cli import main
 
     _break_kernel(monkeypatch, "_partner_from_code", *NOT_A_MATCHING["_partner_from_code"])
@@ -1668,7 +1723,8 @@ def test_a_bad_image_is_reported_not_raised(monkeypatch, capsys):
         "dyck_proposition",
     }
     assert claims["round_trip_phi_inv"]["counterexamples"] == [
-        "M=partners(2, 1, 4, 1, 6, 5): comes back as (1,2),(3,4),(5,6)"
+        "M=partners(2, 1, 4, 1, 6, 5): does not unwind: "
+        "offset list is no perfect matching at vertex 3"
     ]
     assert main(["verify", "3"]) == 1
     assert "result: FAIL" in capsys.readouterr().out
@@ -1678,9 +1734,10 @@ def test_an_image_the_arc_count_refuses_is_reported_not_raised(monkeypatch, caps
     # The surgery step that puts the edge (1,2) in front of (1,2) answers
     # [-1, 0, 3, 2], whose image (0, 1, 4, 3) closes vertex 1 while no arc
     # is open.  The arc count refuses it as no matching, and the claims
-    # that count its nestings report the refusal, each run alone too.  So
-    # the command exits 1, the code for a failed claim, not 3, the code for
-    # bad input, with nothing on stderr.
+    # that count its nestings report the refusal, each run alone too.
+    # round_trip_phi_inv walks each record's m both ways and calls no step,
+    # so it passes.  So the command exits 1, the code for a failed claim,
+    # not 3, the code for bad input, with nothing on stderr.
     from wedgematch.cli import main
 
     _break_kernel(
@@ -1689,7 +1746,6 @@ def test_an_image_the_arc_count_refuses_is_reported_not_raised(monkeypatch, caps
     claims = verify_all(2).to_json_value()["claims"]
     assert {label for label, result in claims.items() if result["failed"]} == {
         "round_trip_phi",
-        "round_trip_phi_inv",
         "round_trip_big_phi",
         "theorem2",
         "theorem1",
@@ -1787,9 +1843,11 @@ def test_a_code_read_of_no_matching_is_reported_not_raised(monkeypatch, capsys):
 def test_an_image_that_does_not_unwind_is_reported_not_raised(monkeypatch, capsys):
     # The surgery step that puts the edge (1,3) in front of (1,2) answers
     # the non-matching [2, 2, 0, 0], which the unwinding step refuses as
-    # corrupted input.  The claims that unwind it report that as a failure,
-    # so the command exits 1, the code for a failed claim, not 3, the code
-    # for bad input.
+    # corrupted input, and the walk behind phi_inv as no perfect matching.
+    # The claims that unwind it report the walk's refusal as a failure;
+    # round_trip_phi_inv walks each record's m both ways and calls no step,
+    # so it passes.  So the command exits 1, the code for a failed claim,
+    # not 3, the code for bad input.
     from wedgematch.cli import main
 
     _break_kernel(
@@ -1798,20 +1856,16 @@ def test_an_image_that_does_not_unwind_is_reported_not_raised(monkeypatch, capsy
     claims = verify_all(2).to_json_value()["claims"]
     assert {label for label, result in claims.items() if result["failed"]} == {
         "round_trip_phi",
-        "round_trip_phi_inv",
         "round_trip_big_phi",
         "theorem2",
         "theorem1",
         "proposition_b",
         "dyck_proposition",
     }
-    refusal = "does not unwind: corrupted input: crossed-case unwind finds no fan at the first edge"
+    refusal = "does not unwind: offset list is no perfect matching at vertex 2"
     assert claims["round_trip_phi"]["counterexamples"] == [f"M=(1,3),(2,4): {refusal}"]
     assert claims["round_trip_big_phi"]["counterexamples"] == [f"P=EESS: {refusal}"]
-    assert claims["round_trip_phi_inv"]["counterexamples"] == [
-        "M=(1,3),(2,4): comes back as partners(3, 3, 1, 1)"
-    ]
-    for label in ("round_trip_phi", "round_trip_phi_inv", "round_trip_big_phi"):
+    for label in ("round_trip_phi", "round_trip_big_phi"):
         assert not verify_all(2, claims=[label]).passed, label
     assert main(["verify", "2"]) == 1
     out, err = capsys.readouterr()

@@ -1,8 +1,8 @@
 """phi and phi_inv against the seed's literal recursive transcription.
 
 ``reference_phi`` relabels every surgery from scratch and shares no code
-with the library, so agreement pins the in-place offset steps to the
-seed's reading of the paper's definition.
+with the library, so agreement pins the history-form walks behind ``phi``
+and ``phi_inv`` to the seed's reading of the paper's definition.
 """
 
 import math
