@@ -19,10 +19,16 @@ from .bijections import big_phi, big_phi_inv, phi, phi_inv, psi, psi_inv
 from .enumeration import CLAIMS, DEFAULT_MAX_N, STATISTICS, distribution, verify_ladder
 from .errors import InvalidMatchingError, InvalidPathError, OverCapError, ParseError
 from .matching import Matching
-from .paths import WedgePath
+from .paths import _STEP_TEXT, WedgePath
 from .render import render_ascii, render_svg
 
-_FORMAT_WORDS = ("pairs", "steps", "heights")
+# format word -> the reader of its text
+_READERS: dict[str, Callable[[str], Matching | WedgePath]] = {
+    "pairs": Matching.from_text,
+    "steps": WedgePath.parse_steps,
+    "heights": WedgePath.from_height_text,
+}
+_LONGEST_FORMAT_WORD = max(map(len, _READERS))
 
 
 def _positive_int(text: str) -> int:
@@ -44,23 +50,18 @@ def parse_object(tokens: list[str]) -> Matching | WedgePath:
     comma-separated height list.
     """
     fmt = None
-    if tokens and tokens[0].lower() in _FORMAT_WORDS:
+    # lower() never shortens a string, so a longer token names no format.
+    if tokens and len(tokens[0]) <= _LONGEST_FORMAT_WORD and tokens[0].lower() in _READERS:
         fmt = tokens[0].lower()
         tokens = tokens[1:]
     text = " ".join(tokens).strip()
     if not text:
         raise ParseError("missing object text")
-    if fmt == "pairs":
-        return Matching.from_text(text)
-    if fmt == "steps":
-        return WedgePath.parse_steps(text)
-    if fmt == "heights":
-        return WedgePath.from_height_text(text)
-    if text.startswith("("):
-        return Matching.from_text(text)
-    if set(text) <= set("ENS"):
-        return WedgePath.parse_steps(text)
-    return WedgePath.from_height_text(text)
+    if fmt is None and text.startswith("("):
+        fmt = "pairs"
+    elif fmt is None:
+        fmt = "steps" if _STEP_TEXT.fullmatch(text) else "heights"
+    return _READERS[fmt](text)
 
 
 # (--to-matching?, --via) -> (map, the object kind it takes)
@@ -88,12 +89,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
         direction = "--to-matching" if args.to_matching else "--to-path"
         raise error(f"{direction} via {args.via} needs {noun} as input")
     out = convert(obj)
-    if args.json:
-        print(json.dumps(out.to_json_value()))
-    elif isinstance(out, Matching):
-        print(out.to_text())
-    else:
-        print(out.to_steps())
+    print(json.dumps(out.to_json_value()) if args.json else out)
     return 0
 
 

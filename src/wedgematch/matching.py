@@ -27,7 +27,7 @@ class Edge(NamedTuple):
 
 
 # Matched against the text with all whitespace removed.
-_PAIR_TEXT = re.compile(r"\((\d+),(\d+)\)")
+_NUMBER = re.compile(r"\d+")
 _MATCHING_TEXT = re.compile(r"\(\d+,\d+\)(?:,\(\d+,\d+\))*")
 
 
@@ -59,23 +59,13 @@ class Matching:
             n = len(pair_list)
         if len(pair_list) != n:
             raise InvalidMatchingError(f"expected {n} pairs, got {len(pair_list)}")
-        table = [0] * (2 * n)
         for pair in pair_list:
             if len(pair) != 2:
                 raise InvalidMatchingError(f"not a vertex pair: {pair!r}")
-            a, b = pair
-            for v in (a, b):
+            for v in pair:
                 if not isinstance(v, int) or isinstance(v, bool):
                     raise InvalidMatchingError(f"vertex is not an integer: {v!r}")
-                if not 1 <= v <= 2 * n:
-                    raise InvalidMatchingError(f"vertex {v} out of range 1..{2 * n}")
-            if a == b:
-                raise InvalidMatchingError(f"pair ({a},{b}) repeats vertex {a}")
-            for v in (a, b):
-                if table[v - 1] != 0:
-                    raise InvalidMatchingError(f"vertex {v} used twice")
-            table[a - 1], table[b - 1] = b, a
-        return cls(tuple(table))
+        return cls(_pair_table(pair_list, n))
 
     @classmethod
     def from_text(cls, text: str) -> Matching:
@@ -88,7 +78,8 @@ class Matching:
         stripped = re.sub(r"\s+", "", text)
         if stripped and not _MATCHING_TEXT.fullmatch(stripped):
             raise ParseError(f"malformed matching text: {text!r}")
-        return cls.from_pairs((int(a), int(b)) for a, b in _PAIR_TEXT.findall(stripped))
+        numbers = [int(v) for v in _NUMBER.findall(stripped)]
+        return cls(_pair_table(zip(numbers[::2], numbers[1::2]), len(numbers) // 2))
 
     @classmethod
     def from_json_value(cls, value: object) -> Matching:
@@ -114,11 +105,7 @@ class Matching:
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
         """Edges sorted by left endpoint (ascending, hence e_1, ..., e_n)."""
-        return tuple(
-            Edge(v, p)
-            for v, p in enumerate(self.partner, start=1)
-            if v < p
-        )
+        return tuple(Edge(v, p) for v, p in enumerate(self.partner, start=1) if v < p)
 
     @property
     def first_edge(self) -> Edge:
@@ -135,7 +122,7 @@ class Matching:
         >>> Matching.from_pairs([(3, 1), (2, 4)]).to_text()
         '(1,3),(2,4)'
         """
-        return ",".join(f"({a},{b})" for a, b in self.edges)
+        return ",".join(f"({v},{p})" for v, p in enumerate(self.partner, start=1) if v < p)
 
     def to_json_value(self) -> list[list[int]]:
         return [[a, b] for a, b in self.edges]
@@ -211,6 +198,22 @@ def concatenate(parts: Iterable[Matching]) -> Matching:
         offset = len(table)
         table.extend(p + offset for p in part.partner)
     return Matching(tuple(table))
+
+
+def _pair_table(pairs: Iterable[tuple[int, int]], n: int) -> tuple[int, ...]:
+    """The partner table on [2n] of ``pairs``, n integer pairs (a, b), each checked in turn."""
+    size = 2 * n
+    table = [0] * size
+    for a, b in pairs:
+        if not (1 <= a <= size and 1 <= b <= size):
+            v = b if 1 <= a <= size else a
+            raise InvalidMatchingError(f"vertex {v} out of range 1..{size}")
+        if a == b:
+            raise InvalidMatchingError(f"pair ({a},{b}) repeats vertex {a}")
+        if table[a - 1] or table[b - 1]:
+            raise InvalidMatchingError(f"vertex {a if table[a - 1] else b} used twice")
+        table[a - 1], table[b - 1] = b, a
+    return tuple(table)
 
 
 def _check_partner(table: tuple[int, ...]) -> tuple[int, ...]:

@@ -16,7 +16,8 @@ from .errors import InvalidPathError, ParseError
 
 __all__ = ["WedgePath", "concatenate_paths"]
 
-# A step string as maximal runs of one letter.
+# A step string: whole, and as maximal runs of one letter.
+_STEP_TEXT = re.compile(r"[ENS]+")
 _STEP_RUN = re.compile(r"E+|N+|S+")
 
 
@@ -63,11 +64,9 @@ class WedgePath:
         """
         if not text:
             raise ParseError("empty step string")
-        bad = set(text) - {"E", "N", "S"}
-        if bad:
-            raise ParseError(
-                f"step string may only contain E, N, S; found {sorted(bad)!r}"
-            )
+        if not _STEP_TEXT.fullmatch(text):
+            bad = sorted(set(text) - {"E", "N", "S"})
+            raise ParseError(f"step string may only contain E, N, S; found {bad!r}")
         x = y = 0
         heights: list[int] = []
         for run in _STEP_RUN.finditer(text):

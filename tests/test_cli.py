@@ -184,6 +184,41 @@ def test_stats_malformed_matching_text_exits_2(capsys):
     assert err == "error: malformed matching text: '(1,2),,(3,4)'\n"
 
 
+def test_stats_reads_unicode_digits_and_whitespace(capsys):
+    # \d and \s match Unicode: Arabic-Indic digits read as ASCII ones, and
+    # an ideographic space is whitespace like any other.
+    expected = run_cli(capsys, "stats", "(1,2)")
+    assert expected[0] == 0
+    assert run_cli(capsys, "stats", "(\u0661,\u3000\u0662)") == expected
+
+
+@pytest.mark.parametrize(
+    "argv,code,line",
+    [
+        (["convert", "--to-matching", "steps", "ENSX"], 2,
+         "step string may only contain E, N, S; found ['X']"),
+        (["convert", "--to-matching", "steps", "ENS"], 3, "vertical run reverses at step 3"),
+        (["convert", "--to-matching", "ENSX"], 2, "malformed height list: 'ENSX'"),
+        (["convert", "--to-matching", "HEIGHTS", "0,-1"], 0, None),
+        (["convert", "--to-matching", "heightsX"], 2, "malformed height list: 'heightsX'"),
+        (["convert", "--to-path", "(1,2),(2,3)"], 3, "vertex 2 used twice"),
+        (["convert", "--to-path", "(1,3),(2,3)"], 3, "vertex 3 used twice"),
+        (["convert", "--to-path", "(1,2),(2,1)"], 3, "vertex 2 used twice"),
+        (["stats", "(1,1)"], 3, "pair (1,1) repeats vertex 1"),
+        (["stats", "(5,1),(2,6)"], 3, "vertex 5 out of range 1..4"),
+        (["stats", "(1,2),(3,5)"], 3, "vertex 5 out of range 1..4"),
+        (["render", "--format", "svg", "(0,1)"], 3, "vertex 0 out of range 1..2"),
+    ],
+)
+def test_object_text_errors_keep_their_exit_code_and_line(capsys, argv, code, line):
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code
+    if line is None:
+        assert (out, err) == ("(1,2),(3,4)\n", "")
+    else:
+        assert (out, err) == ("", f"error: {line}\n")
+
+
 # -- enumerate ------------------------------------------------------------------
 
 

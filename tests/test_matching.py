@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -69,6 +70,15 @@ def test_from_pairs_self_loop():
         Matching.from_pairs([(2, 2), (1, 3)], n=2)
 
 
+def test_from_pairs_checks_pair_forms_before_vertices():
+    # Pair lengths and vertex types are checked over the whole list first,
+    # then the vertices pair by pair.
+    with pytest.raises(InvalidMatchingError, match="vertex is not an integer: 'x'"):
+        Matching.from_pairs([(1, 9), (2, "x")])
+    with pytest.raises(InvalidMatchingError, match=r"not a vertex pair: \(3,\)"):
+        Matching.from_pairs([(1, 1), (3,)])
+
+
 def test_partner_table_must_be_involution():
     with pytest.raises(InvalidMatchingError):
         Matching((2, 3, 1, 4))  # not an involution
@@ -105,6 +115,57 @@ def test_from_text_malformed():
     for text in ("(1,2)(3,4)", "(1,2),,(3,4)", ",(1,2),"):
         with pytest.raises(ParseError):
             Matching.from_text(text)
+
+
+# Digit sets that \d matches and int() reads: ASCII, Arabic-Indic, fullwidth.
+DIGITS = tuple("".join(chr(zero + d) for d in range(10)) for zero in (0x30, 0x660, 0xFF10))
+# Whitespace that \s matches, the ideographic space among it.
+SPACES = ("", "", " ", "\t", "\n ", "\u3000")
+
+
+@st.composite
+def pair_lists(draw):
+    """n pairs over vertices 0..2n+1: a matching with up to two vertices
+    overwritten, so a vertex may be used twice, paired with itself or out
+    of range."""
+    n = draw(st.integers(1, 8))
+    flat = draw(st.permutations(range(1, 2 * n + 1)))
+    for _ in range(draw(st.integers(0, 2))):
+        flat[draw(st.integers(0, 2 * n - 1))] = draw(st.integers(0, 2 * n + 1))
+    return list(zip(flat[::2], flat[1::2]))
+
+
+@st.composite
+def text_of(draw, pairs):
+    """The pair form of ``pairs``, each number in a drawn digit set, with
+    whitespace drawn before and after every token."""
+    def number(v):
+        digits = draw(st.sampled_from(DIGITS))
+        return "".join(digits[int(c)] for c in str(v))
+
+    tokens = []
+    for a, b in pairs:
+        tokens += [",", "(", number(a), ",", number(b), ")"]
+    spaces = st.sampled_from(SPACES)
+    return "".join(draw(spaces) + token for token in tokens[1:]) + draw(spaces)
+
+
+def build_outcome(build, arg):
+    """The partner table, or the error's type and text."""
+    try:
+        return build(arg).partner
+    except (ParseError, InvalidMatchingError) as error:
+        return type(error).__name__, str(error)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_from_text_reads_as_from_pairs(data):
+    # Valid or faulty, the text form gives what the pair list gives: the
+    # same matching, or the same error with the same message.
+    pairs = data.draw(pair_lists())
+    text = data.draw(text_of(pairs))
+    assert build_outcome(Matching.from_text, text) == build_outcome(Matching.from_pairs, pairs)
 
 
 def test_json_round_trip():

@@ -3,8 +3,9 @@
 import itertools
 import random
 
+import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from strategies import wedge_paths
 from wedgematch import (
@@ -150,6 +151,14 @@ def test_parse_steps_matches_the_character_parser_random():
         assert parse_outcome(WedgePath.parse_steps, text) == parse_outcome(
             parse_by_character, text
         ), text
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text("ENSXe ", max_size=16))
+def test_parse_steps_reports_the_error_the_character_parser_reports(text):
+    # Mostly strings with a foreign character: the character check must
+    # win over the walk's errors, and name the same sorted set.
+    assert parse_outcome(WedgePath.parse_steps, text) == parse_outcome(parse_by_character, text)
 
 
 def test_height_text_round_trip():

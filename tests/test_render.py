@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from wedgematch import Matching, WedgePath
+from wedgematch import Matching, WedgePath, big_phi
 from wedgematch.enumeration import all_matchings, all_paths
 from wedgematch.render import (
     SVG_FORMAT_VERSION,
@@ -104,3 +104,35 @@ def test_large_matching_svg_golden_digest(n):
     random.Random(n).shuffle(order)
     m = Matching.from_pairs(zip(order[::2], order[1::2]))
     assert hashlib.sha256(render_svg(m).encode()).hexdigest() == LARGE_SVG_DIGESTS[n]
+
+
+# sha256 of to_text() and of render_svg of big_phi's image of one random path
+# per size, heights random.Random(n).randint(-i, i) for i = 0..n-1.  Both
+# read the partner table; these digests were taken when both read the edge
+# list, and pin that the switch changed no byte.
+IMAGE_DIGESTS = {
+    1: (
+        "418abde75db9a5538d0798bf957a63d2b7976de9a4136992176b6de58d562e79",
+        "c600b62cd542a4eb64e476bf75306ddb0f347c21c0804802b82e749315ba9048",
+    ),
+    16: (
+        "4435a5b613093126dfacfabde503106fdd28b89c42c530ca5704df29b9c8d2b5",
+        "c799c4eb54ea9255851f22ed3ad27819b7be4aa95fd8ceda4b388a42dabbd0d4",
+    ),
+    256: (
+        "3e3d8f37654eddea6b634f06c1e29f9db8a9ab85c9ce50c179729049a8e4bfd1",
+        "ef22fc0e07424adf04e359fda8371f4dbf7c5ba33d27d43b0406a5b4ca88e57b",
+    ),
+    1024: (
+        "963f09929c8c4255d55ec0c8082a0f91e7d99b5b2be005a899f488ada422e085",
+        "7c2c6cb9c0b61f596204a8f9eb590a189cd29635612a3ccc8e303c22a3c722d9",
+    ),
+}
+
+
+@pytest.mark.parametrize("n", sorted(IMAGE_DIGESTS))
+def test_image_text_and_svg_golden_digest(n):
+    rng = random.Random(n)
+    m = big_phi(WedgePath(tuple(rng.randint(-i, i) for i in range(n))))
+    digests = tuple(hashlib.sha256(s.encode()).hexdigest() for s in (m.to_text(), render_svg(m)))
+    assert digests == IMAGE_DIGESTS[n]
