@@ -22,16 +22,15 @@ from typing import Callable, ClassVar, Iterable, Iterator, Sequence
 from .bijections import (
     InsertionCode,
     _check_code,
-    _offsets,
     _partner_from_code,
     _partners,
+    _phi_hstep,
     _phi_inv_code,
-    _phi_inv_step,
-    _phi_step,
+    _phi_inv_hstep,
     _phi_walk,
     path_from_code,
 )
-from .errors import InvalidMatchingError, OverCapError
+from .errors import OverCapError
 from .matching import (
     Matching, _arc_counts, _block_end, _blocks, _first_stacking, _stacking, _sweep
 )
@@ -217,32 +216,40 @@ class _Facts:
     empty) and, at a record (a leaf, depth n), its path's ``heights`` (else
     None).  Every other field is computed on first read, once, so a node
     computes only what its readers read.  Four are one step on the parent's
-    value: ``image``, the offset list of phi(psi(b)) (see ``_phi_step``),
-    one surgery step with b_1 on a copy of the parent's image, as the step
-    edits its list in place and the node's siblings read it too;
-    ``cuts``, the cut stack of the first k east steps (0 and the splits of
+    value: ``image``, the history ``(w, h)`` of phi(psi(b)) (see
+    ``_phi_hstep``), one surgery step with b_1 on copies of the parent's
+    pair, as the step edits it in place and the node's siblings read it
+    too, given the end of the parent image's own first edge as q, so that
+    a wrong parent image still gets phi's step; ``cuts``, the cut stack of
+    the first k east steps (0 and the splits of
     :meth:`WedgePath.components` below k), one cut step with b_1 on a copy
-    of the parent's stack; and ``opened`` and ``closed``, the gap columns
-    of ``m``, one column step each with b_1 on the parent's (see
-    ``_opened_step``), so no node reads ``m`` for them.  Three are the parent's plus one step that depends only
-    on the parent and b_1, so a node of depth n-1 gives the values of all
-    its children b_1 = 1..2k+1, its records, without building them:
-    ``north``, the path's north steps, plus the new rise b_1 - c - 1 if
-    positive, c the parent's b_1 (``child_north``); ``arcs``, the
-    (crossings, nestings) of ``m``, plus the parent's column entries at the
-    gap b_1 - 1, where the new first edge (1, b_1 + 1) ends, the arcs it
-    crosses and those it nests over; and ``st``, the stacking total of
-    ``m``, plus b_1 - u if the parent's first edge (1, u) has u < b_1, when
-    the two first edges nest and [u + 1, b_1 + 1] holds b_1 - u endpoints of
-    later edges (``child_st``).  The rest are ``m = psi(b)``, whether ``m``
-    is a perfect matching of [2n], ``nm = phi(m)``, the code read of ``m``
-    (or why the sweep refuses ``m``), the nestings of ``nm`` (or why the
-    arc count refuses ``nm``), ``phi_inv(nm)`` (or why the unwinding
-    refuses ``nm``), and whether one unwinding step on a copy of the image
-    gives back the parent's.  The node checks compare a node's values with its
-    parent's or an ancestor's, and read only the first block end and first
-    stacking value of ``m``, so a passing run sweeps no record whole for
-    its path components, image blocks or stacking formula.
+    of the parent's stack; and ``opened`` and
+    ``closed``, the gap columns of ``m``, one column step each with b_1 on
+    the parent's (see ``_opened_step``), so no node reads ``m`` for them.
+    Three are the parent's plus one step that depends only on the parent
+    and b_1, so a node of depth n-1 gives the values of all its children
+    b_1 = 1..2k+1, its records, without building them: ``north``, the
+    path's north steps, plus the new rise b_1 - c - 1 if positive, c the
+    parent's b_1 (``child_north``); ``arcs``, the (crossings, nestings) of
+    ``m``, plus the parent's column entries at the gap b_1 - 1, where the
+    new first edge (1, b_1 + 1) ends, the arcs it crosses and those it nests
+    over; and ``st``, the stacking total of ``m``, plus b_1 - u if the
+    parent's first edge (1, u) has u < b_1, when the two first edges nest
+    and [u + 1, b_1 + 1] holds b_1 - u endpoints of later edges
+    (``child_st``).  The rest are ``m = psi(b)``, whether ``m`` is a perfect
+    matching of [2n], ``nm = phi(m)``, the image's partner tuple, and
+    whether the image is a matching's history (``matched``), the code read
+    of ``m`` (or why the sweep refuses ``m``), the nestings of ``nm`` by
+    ``_arc_counts`` (or why it refuses ``nm``), ``phi_inv(nm)`` (or why the
+    unwinding refuses ``nm``), and whether one unwinding step on copies of
+    the image gives back the parent's.  The node checks compare a node's
+    values with its parent's or an ancestor's.  They read the image in
+    history form once it is ``matched``: the mate of vertex 1 is one past
+    the first closer of rank 0, and the nestings are the sum of the ranks.  Of
+    ``m`` and ``nm`` they read only the first block end, and of ``m`` the
+    first stacking value.  So a passing run sweeps no record whole for its
+    path components, image blocks, stacking formula or arc counts: those
+    sweeps run only in the rerun of a failed size.
     """
 
     def __init__(
@@ -251,8 +258,11 @@ class _Facts:
         self.b, self.parent, self.heights = b, parent, heights
 
     @_once
-    def image(self) -> list[int]:
-        return [] if self.parent is None else _phi_step(self.b[0], self.parent.image[:])
+    def image(self) -> tuple[bytearray, list[int]]:
+        if self.parent is None:
+            return bytearray(), []
+        w, h = self.parent.image
+        return _phi_hstep(self.b[0], _first_mate(h), w[:], h[:])
 
     @_once
     def cuts(self) -> list[int]:
@@ -270,7 +280,13 @@ class _Facts:
 
     @_once
     def nm(self) -> tuple[int, ...]:
-        return _partners(self.image)
+        return _partners(*self.image)
+
+    @_once
+    def matched(self) -> bool:
+        # _partners pairs each vertex it can both ways and leaves 0 at the
+        # rest, so its tuple is a matching exactly when it holds no 0.
+        return 0 not in self.nm
 
     @_once
     def code_back(self) -> tuple[int, ...] | str:
@@ -316,18 +332,20 @@ class _Facts:
 
     @_once
     def back(self) -> tuple[int, ...] | str:
-        return _unwound(lambda: _partner_from_code(_check_code(_phi_inv_code(self.image))))
+        return _unwound(lambda: _partner_from_code(_check_code(_phi_inv_code(self.nm))))
 
     @_once
     def unwinds(self) -> bool:
-        """One unwinding step gives back b_1 and the parent's image.  It
-        unwinds a copy, as the step edits its list in place and the node's
-        children read the image after it."""
-        try:
-            step = _phi_inv_step(self.image[:])
-        except InvalidMatchingError:
-            return False
-        return step == (self.b[0], self.parent.image)
+        """One unwinding step, given the end of the image's first edge, one
+        past its first closer of rank 0, gives back b_1, the parent's b_1
+        and the parent's image.  The step takes only a matching's history,
+        so the node checks read this once ``matched`` holds.  It unwinds
+        copies, as the step edits its pair in place and the node's children
+        read the image after it."""
+        w, h = self.image
+        w, h = w[:], h[:]
+        r, q = _phi_inv_hstep(_first_mate(h), w, h)
+        return (r, q, w, h) == (self.b[0], self.b[1] if len(self.b) > 1 else 0, *self.parent.image)
 
     def ancestor(self, depth: int) -> _Facts:
         """The node of this one's chain at the given depth."""
@@ -339,6 +357,16 @@ class _Facts:
     def name(self, names_image: bool) -> str:
         """The counterexample's name: the path, or its insertion image."""
         return f"M={_partner_text(self.m)}" if names_image else f"P={_steps(self.heights)}"
+
+
+def _first_mate(h: list[int]) -> int:
+    """The end of the first edge (0, q) of the history ``h``: its first
+    closer of rank 0, as vertex 0's arc is the first one open until it
+    closes; 0 if ``h`` has none, as the empty matching has no edge."""
+    try:
+        return h.index(0)
+    except ValueError:
+        return 0
 
 
 def _rises(base: int, flat: int, count: int) -> list[int]:
@@ -462,9 +490,10 @@ def _theorem1(f: _Facts) -> str | None:
 
 
 def _proposition_a(f: _Facts) -> str | None:
-    mate = f.nm[0]
     run = _final_south_run(f.heights)
-    return None if mate == run + 1 else f"south_run={run} partner_of_1={mate}"
+    if f.matched and _first_mate(f.image[1]) == run:
+        return None
+    return f"south_run={run} partner_of_1={f.nm[0]}"
 
 
 def _component_sizes(f: _Facts) -> tuple[list[int], list[int]]:
@@ -477,12 +506,14 @@ def _component_sizes(f: _Facts) -> tuple[list[int], list[int]]:
 def _piecewise(m: tuple[int, ...]) -> tuple[int, ...]:
     """phi's kernel on each block of ``m``, put back in place: the block's
     code read, walked.  The code is range-checked first, as an entry out of
-    range would index past the walk's list.  Offsets need no shift, so the
-    blocks' walks are put side by side."""
-    out: list[int] = []
+    range would index past the walk's lists.  No arc is open at a block
+    end, so the blocks' histories are put side by side unchanged."""
+    w, h = bytearray(), []
     for _, block in _blocks(m):
-        out += _phi_walk(_check_code(_sweep(block)))
-    return _partners(out)
+        block_w, block_h = _phi_walk(_check_code(_sweep(block)))
+        w += block_w
+        h += block_h
+    return _partners(w, h)
 
 
 def _proposition_b(f: _Facts) -> str | None:
@@ -500,14 +531,16 @@ def _proposition_b(f: _Facts) -> str | None:
 def _dyck_proposition(f: _Facts) -> str | None:
     if f.north:
         return None
-    nm = f.nm
-    ne = f.image_nestings
-    lefts = {v for v, w in enumerate(nm, start=1) if v < w}
+    w, h = f.image
     expected = _reversed_south_positions(f.heights)
-    if ne == 0 and lefts == expected and nm == f.m:
+    # No nestings: every rank is 0, so the ranks sum to -k, the openers' -1s.
+    lefts = {v for v, opens in enumerate(w, start=1) if opens}
+    if f.matched and sum(h) == -len(f.b) and lefts == expected and f.nm == f.m:
         return None
+    nm = f.nm
+    lefts = {v for v, u in enumerate(nm, start=1) if v < u}
     return (
-        f"nestings={ne} lefts={sorted(lefts)} "
+        f"nestings={f.image_nestings} lefts={sorted(lefts)} "
         f"expected={sorted(expected)} fixed={nm == f.m}"
     )
 
@@ -525,7 +558,7 @@ def _round_trip_phi(f: _Facts) -> str | None:
 
 
 def _round_trip_phi_inv(f: _Facts) -> str | None:
-    back = _unwound(lambda: _partners(_phi_walk(_check_code(_phi_inv_code(_offsets(f.m))))))
+    back = _unwound(lambda: _partners(*_phi_walk(_check_code(_phi_inv_code(f.m)))))
     return None if back == f.m else _came_back(back, _partner_text)
 
 
@@ -553,19 +586,18 @@ def _reads_back(f: _Facts) -> bool:
 
 
 def _unwinds_to_parent(f: _Facts) -> bool:
-    """round_trip_phi: one unwinding step of the image gives back b_1 and the
-    parent's image.  Along the whole chain, the steps then unwind nm to b,
-    and inserting b gives ``m``.  phi_inv unwinds with the walk
-    ``_phi_inv_code``, not the steps: the walk equals the steps' fold by the
-    differential tests of the two, and the rerun of a failed size checks
-    the walk itself."""
-    return f.unwinds
+    """round_trip_phi: the image is a matching's history, and one unwinding
+    step of it gives back b_1, the parent's b_1 and the parent's image.
+    phi_inv's walk ``_phi_inv_code`` is the fold of that step, each step
+    given the b_1 the one before gave back, so along the whole chain it
+    unwinds nm to b, and inserting b gives ``m``."""
+    return f.matched and f.unwinds
 
 
 def _big_phi_node(f: _Facts) -> bool:
     """round_trip_big_phi: as round_trip_phi, and the code read of ``m``,
     which phi_inv(nm) then equals, gives back b."""
-    return f.unwinds and f.code_back == f.b
+    return f.matched and f.unwinds and f.code_back == f.b
 
 
 def _is_matching(p: Sequence[int]) -> bool:
@@ -580,20 +612,33 @@ def _is_matching(p: Sequence[int]) -> bool:
 
 
 def _unwinds_a_matching(f: _Facts) -> bool:
-    """round_trip_phi_inv: the image is a matching that unwinds to the
-    parent's, as for round_trip_phi, and a record's ``m`` is a matching of
-    its size, both by ``_is_matching``.  The induction runs over the whole
-    tree, not one chain: if every node of depths 1..k passes, the images of
-    depth k are (2k-1)!! distinct matchings, hence all of them, and each one
-    unwinds to the code the step fold built it with.  A record's ``m`` is
-    one of them, so phi_inv(m) is that code, and phi walks it back to
-    ``m``.  phi and phi_inv run the walks ``_phi_walk`` and
-    ``_phi_inv_code``, not the steps: the walks equal the steps' folds by
-    the differential tests of the two, and the rerun of a failed size checks
-    the walks themselves."""
-    if not (f.unwinds and _is_matching(f.nm)):
-        return False
-    return f.heights is None or f.perfect
+    """round_trip_phi_inv: the image is a matching's history that unwinds
+    to the parent's, as for round_trip_phi, and a record's ``m`` is a
+    matching of its size, by ``_is_matching``.  The induction runs over
+    the whole tree, not one chain: if every node of depths 1..k passes, the
+    images of depth k are (2k-1)!! distinct matchings, hence all of them,
+    and each one unwinds to the code the step fold built it with.  A
+    record's ``m`` is one of them, so phi_inv(m), the fold of the same
+    unwinding step on its history, is that code, and phi, the fold of the
+    same forward step, walks it back to ``m``."""
+    return f.matched and f.unwinds and (f.heights is None or f.perfect)
+
+
+def _ranks_count_north(f: _Facts) -> bool:
+    """theorem1: the image is a matching's history, whose nestings are the
+    sum of its closers' ranks, sum(h) + k at depth k, as each of its k
+    openers holds -1; that sum must equal the north steps.  Every node is a
+    path of its depth, so the check runs at each, and a passing run counts
+    no record's nestings with ``_arc_counts``."""
+    return f.matched and sum(f.image[1]) + len(f.b) == f.north
+
+
+def _ranks_count_stacking(f: _Facts) -> bool:
+    """theorem2: as for theorem1, with the stacking total carried from the
+    parent in place of the north steps, and the image's first closer of
+    rank 0, which closes vertex 1's arc, is where ``m``'s first edge ends."""
+    h = f.image[1]
+    return f.matched and sum(h) + len(f.b) == f.st and _first_mate(h) + 1 == f.m[0]
 
 
 def _stacks_on_parent(f: _Facts) -> bool:
@@ -615,31 +660,36 @@ def _stacks_on_parent(f: _Facts) -> bool:
 
 
 def _piecewise_node(f: _Facts) -> bool:
-    """proposition_b: the image's first block ends where the first block
-    of ``m`` does, at s, and that block ``m[:s]`` reads back as the leading
-    code b[:s/2], so phi's kernel on it walks b[:s/2].  An irreducible
-    ``m`` is that block, and its walk is the image; the image is then one
-    block, and the path one component.  A reducible ``m`` is its first
-    block followed by the ancestor s/2 edges up, shifted by s, so its other
-    block ends are the ancestor's, shifted; the image is the walk of
-    b[:s/2], which is then one block, followed by the ancestor's image; and
-    the path's cut stack is the ancestor's with the ancestor's depth on
-    top.  Along the chain, the path's component sizes, read backwards, and
-    the image's block sizes are then both s/2 followed by the ancestor's."""
+    """proposition_b: the image is a matching's history, its first block
+    ends where the first block of ``m`` does, at s, and that block ``m[:s]``
+    reads back as the leading code b[:s/2], so phi's kernel on it walks
+    b[:s/2].  An irreducible ``m`` is that block, and its walk is the image;
+    the image is then one block, and the path one component.  A reducible
+    ``m`` is its first block followed by the ancestor s/2 edges up, shifted
+    by s, so its other block ends are the ancestor's, shifted; the image is
+    the walk of b[:s/2], which is then one block, followed by the ancestor's
+    image; and the path's cut stack is the ancestor's with the ancestor's
+    depth on top.  Along the chain, the path's component sizes, read
+    backwards, and the image's block sizes are then both s/2 followed by
+    the ancestor's."""
     m = f.m
+    w, h = f.image
     s = _block_end(m, 0)
-    if not s or _block_end(f.nm, 0) != s:
+    if not (s and f.matched and _block_end(f.nm, 0) == s):
         return False
     if f.code_back[: s // 2] != f.b[: s // 2]:
         return False
     if s == len(m):
-        return len(f.nm) == s and f.cuts == [0]
+        return len(h) == s and f.cuts == [0]
     a = f.ancestor(len(f.b) - s // 2)
-    # Offsets need no shift: the walk of b[:s/2], then a's image.
+    # No arc is open at a block end: the walk of b[:s/2], then a's image.
+    lead_w, lead_h = _phi_walk(f.b[: s // 2])
+    a_w, a_h = a.image
     return (
         f.cuts == [*a.cuts, len(a.b)]
         and m[s:] == tuple([v + s for v in a.m])
-        and f.image == _phi_walk(f.b[: s // 2]) + a.image
+        and w == lead_w + a_w
+        and h == lead_h + a_h
     )
 
 
@@ -760,12 +810,14 @@ _REGISTRY = (
         _theorem2,
         "the rearrangement turns the stacking statistic into the "
         "nesting count and keeps the first edge in place",
+        _ranks_count_stacking,
         names_image=True,
     ),
     Claim(
         "theorem1",
         _theorem1,
         "the full bijection sends the north-step count to the nesting count",
+        _ranks_count_north,
     ),
     Claim(
         "proposition_a",

@@ -27,7 +27,6 @@ class Edge(NamedTuple):
 
 
 # Matched against the text with all whitespace removed.
-_NUMBER = re.compile(r"\d+")
 _MATCHING_TEXT = re.compile(r"\(\d+,\d+\)(?:,\(\d+,\d+\))*")
 
 
@@ -76,9 +75,13 @@ class Matching:
         do not form a matching.
         """
         stripped = re.sub(r"\s+", "", text)
-        if stripped and not _MATCHING_TEXT.fullmatch(stripped):
+        if not stripped:
+            return cls(())
+        if not _MATCHING_TEXT.fullmatch(stripped):
             raise ParseError(f"malformed matching text: {text!r}")
-        numbers = [int(v) for v in _NUMBER.findall(stripped)]
+        # The text is "(a,b),(c,d),...": inside its outer brackets, the
+        # numbers are what the commas and the "),(" between pairs split.
+        numbers = list(map(int, stripped[1:-1].replace("),(", ",").split(",")))
         return cls(_pair_table(zip(numbers[::2], numbers[1::2]), len(numbers) // 2))
 
     @classmethod

@@ -5,10 +5,11 @@ the repository held: strip the first edge, transform the rest, put the
 first edge back, then repair by the three-way case split on how the first
 two edges relate (aligned: nothing; crossed: cycle the fan; nested:
 re-anchor).  Every surgery relabels vertices by rank from scratch, so it
-shares no code and no representation with the library's in-place offset
-steps.  It pins the library's maps to the seed's reading of the paper, and
-is only as faithful to the paper as the seed was.  It imports nothing from
-``wedgematch`` and carries its own minimal matching type.
+shares no code and no representation with the library's in-place
+history-form steps.  It pins the library's maps to the seed's reading of
+the paper, and is only as faithful to the paper as the seed was.  It
+imports nothing from ``wedgematch`` and carries its own minimal matching
+type.
 """
 
 from __future__ import annotations

@@ -8,6 +8,8 @@ import random
 import pytest
 from hypothesis import given, settings
 
+import offset_steps
+from offset_steps import _phi_inv_step, _phi_step
 from strategies import matchings, wedge_paths
 from wedgematch import (
     InsertionCode,
@@ -26,17 +28,15 @@ from wedgematch import (
 )
 from wedgematch.bijections import (
     _check_code,
-    _offsets,
+    _history,
     _partner_from_code,
     _partners,
     _phi_inv_code,
-    _phi_inv_step,
-    _phi_step,
     _phi_walk,
 )
 from wedgematch.cli import main
 from wedgematch.enumeration import _code_tree, all_matchings, all_paths
-from wedgematch.matching import _blocks, _sweep
+from wedgematch.matching import _arc_counts, _blocks, _sweep
 
 EXAMPLE_IMAGE = [(1, 4), (2, 14), (3, 12), (5, 8), (6, 9), (7, 11), (10, 13)]
 
@@ -241,7 +241,8 @@ def test_phi_golden_digest_sampled():
 
 
 def _unwound_by_steps(d):
-    """The code that _phi_inv_step, folded on a copy of ``d``, unwinds."""
+    """The code that the offset-list _phi_inv_step, folded on a copy of
+    ``d``, unwinds."""
     d, code = d[:], []
     while d:
         r, d = _phi_inv_step(d)
@@ -261,30 +262,31 @@ def random_codes(n, count):
 
 
 def check_walks_against_the_step_folds(codes):
-    """Assert that _phi_walk and _phi_inv_code give exactly what _phi_step
-    and _phi_inv_step give, folded, on every code given, and that the
-    unwinding walk leaves its list as it was; return how many were
+    """Assert that _phi_walk and _phi_inv_code, the folds of the history-form
+    steps, give exactly what the offset-list _phi_step and _phi_inv_step of
+    tests/offset_steps.py give, folded, on every code given, and that the
+    forward walk ends on the history of its matching; return how many were
     compared."""
     count = 0
     for code in codes:
         image: list[int] = []
         for b in reversed(code):
             image = _phi_step(b, image)
-        assert _phi_walk(code) == image, code
-        d = _offsets(_partner_from_code(code))
-        unwound = _unwound_by_steps(d)
-        assert _phi_inv_code(d) == unwound, code
-        assert d == _offsets(_partner_from_code(code)), code
+        p = offset_steps._partners(image)
+        assert _phi_walk(code) == _history(p), code
+        assert _partners(*_phi_walk(code)) == p, code
+        m = _partner_from_code(code)
+        assert _phi_inv_code(m) == _unwound_by_steps(offset_steps._offsets(m)), code
         count += 1
     return count
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_phi_kernels_are_folds_of_their_steps(n):
-    # The harness checks phi and phi_inv one step per node of the code tree,
-    # while the walks behind the public maps run in history form: they must
-    # give exactly what those steps give, folded, in both directions.  CI
-    # compares every code of n=7, and of n=8 on one Python version.
+    # phi, phi_inv and the harness all fold the history-form step pair; the
+    # offset-list steps are a second implementation of the same map, and
+    # the two must agree exactly, folded, in both directions.  CI compares
+    # every code of n=7, and of n=8 on one Python version.
     assert check_walks_against_the_step_folds(every_code(n)) == math.prod(range(1, 2 * n, 2))
 
 
@@ -317,13 +319,13 @@ STEPS_ON_ANY_LIST_SHA256 = "9f771da4106507842dfedb0f97a9cff24a4b0c685e8f46efa5ef
 
 
 def test_phi_steps_take_any_in_range_list():
-    # The harness catches only InvalidMatchingError from an unwinding step,
-    # and a faulty step can hand either step any list: on the offset form of
-    # every 0-based partner list of even length up to 6 with entries in
-    # range, matching or not, neither step may fail another way, and every
-    # outcome is pinned.  A step may edit its list in place, so each call
-    # gets a fresh copy; the walk behind phi_inv may raise only that error
-    # too.
+    # On the offset form of every 0-based partner list of even length up to
+    # 6 with entries in range, matching or not, neither offset-list step
+    # may fail other than with InvalidMatchingError, and every outcome is
+    # pinned.  A step may edit its list in place, so each call gets a fresh
+    # copy.  The walk behind phi_inv refuses every such partner table that
+    # is no matching with that error, and unwinds every matching as the
+    # offset-list steps do.
     digest = hashlib.sha256()
     for size in (2, 4, 6):
         for p in itertools.product(range(size), repeat=size):
@@ -332,13 +334,12 @@ def test_phi_steps_take_any_in_range_list():
                 out = _phi_step(b, d[:])
                 assert len(out) == size + 2
                 digest.update(f"{out}\n".encode())
-            # The walk behind phi_inv refuses every non-matching, and
-            # unwinds every matching as the steps do.
+            partners = tuple([w + 1 for w in p])
             if all(p[w] == v != w for v, w in enumerate(p)):
-                assert _phi_inv_code(d) == _unwound_by_steps(d)
+                assert _phi_inv_code(partners) == _unwound_by_steps(d)
             else:
-                with pytest.raises(InvalidMatchingError, match="^offset list is no perfect"):
-                    _phi_inv_code(d)
+                with pytest.raises(InvalidMatchingError, match="^partner table is no perfect"):
+                    _phi_inv_code(partners)
             try:
                 r, parent = _phi_inv_step(d[:])
             except InvalidMatchingError as error:
@@ -351,13 +352,29 @@ def test_phi_steps_take_any_in_range_list():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_path_records_fold_phi(n):
-    # The harness folds phi along the path stream, one step per changed
-    # depth.  The nodes above the records are checked too.
+    # The harness folds phi's step along the path stream, one step per
+    # changed depth.  The nodes above the records are checked too.
     for f in _code_tree(n):
         m = Matching(f.m)
         assert f.b == _sweep(f.m)
-        assert f.nm == _partners(_phi_walk(f.b)) == phi(m).partner
-        assert _phi_inv_code(_offsets(f.m)) == _sweep(phi_inv(m).partner)
+        assert f.image == _phi_walk(f.b) == _history(phi(m).partner)
+        assert f.nm == _partners(*_phi_walk(f.b)) == phi(m).partner
+        assert _phi_inv_code(f.m) == _sweep(phi_inv(m).partner)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_the_ranks_sum_to_the_nestings(n):
+    # A closer's rank in the history form counts the arcs nesting over its
+    # arc, so the ranks sum to the nestings: sum(h) + n, as each of the n
+    # openers holds -1.  The harness's Theorem 1 and 2 checks read nestings
+    # that way, so the identity is pinned here on every matching of sizes
+    # up to 7 against the arc-count sweep, reading the ranks from the
+    # conversion pass of phi_inv's walk, which no step runs.
+    for b in every_code(n):
+        p = _partner_from_code(b)
+        w, h = _history(p)
+        assert sum(h) + n == _arc_counts(p)[1], p
+        assert w.count(1) == n and [k < 0 for k in h] == list(map(bool, w)), p
 
 
 # One entry out of range: too low in the middle, too high first or last.

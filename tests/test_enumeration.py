@@ -650,40 +650,48 @@ def test_verify_reports_failures_verbatim(monkeypatch):
         assert result["counterexamples"] == claims[label]["counterexamples"][:1]
 
 
-def _offsets(p):
-    """The offset list d[v] = p[v] - v of a 0-based partner list, the form
-    the phi steps take and return.  The faults below name their triggers and
-    wrong answers as partner lists, read more easily as matchings."""
-    return [w - v for v, w in enumerate(p)]
+def _state(p):
+    """The history (w, h) of the 0-based partner list ``p``, the form phi's
+    steps take and return: w has 1 at each opener, and h has -1 at each
+    opener and, at each closer, the rank of its arc among the arcs open just
+    before it.  The faults below name their triggers and wrong answers as
+    partner lists, read more easily as matchings."""
+    w, h, opened = bytearray(), [], []
+    for v, u in enumerate(p):
+        if v < u:
+            w.append(1)
+            h.append(-1)
+            opened.append(v)
+        else:
+            h.append(opened.index(u))
+            w.append(0)
+            opened.remove(u)
+    return w, h
 
 
-def _unwind_insertion(d):
-    """The insertion map's own unwinding step on an offset list: strip the
-    first edge (0, r) and renumber, with no repair undone."""
-    p = [v + x for v, x in enumerate(d)]
-    r = p[0]
-    return r, _offsets([v - 1 if v < r else v - 2 for j, v in enumerate(p) if j not in (0, r)])
+def _unwind_insertion(r, w, h):
+    """The insertion map's own unwinding step on a history, in place: strip
+    the first edge (0, r) and renumber, with no repair undone."""
+    import wedgematch.bijections as bijections
+
+    p = [v - 1 for v in bijections._partners(w, h)]
+    rest = [v - 1 if v < r else v - 2 for j, v in enumerate(p) if j not in (0, r)]
+    w[:], h[:] = _state(rest)
+    return r, rest[0] if rest else 0
 
 
 def test_verify_reports_phi_inv_failures_verbatim(monkeypatch):
     import wedgematch.bijections as bijections
     import wedgematch.enumeration as enumeration
 
-    # phi_inv's step and walk are broken where they are defined and where
-    # the harness calls them: they unwind insertion instead of phi, so
-    # phi_inv returns its input.  The node checks fail, so the size is rerun
+    # phi_inv's unwinding step is broken where it is defined and where the
+    # harness calls it: it unwinds insertion instead of phi, so phi_inv, its
+    # fold, returns its input.  The node checks fail, so the size is rerun
     # with every claim's per-object check on every record.  Matching claims
     # run on each path's insertion image, so their counterexamples come in
     # path-stream order, not insertion-code order.
-    from wedgematch.matching import _sweep
-
-    def read_insertion(d):
-        return _sweep(bijections._partners(d))
-
-    monkeypatch.setattr(bijections, "_phi_inv_step", _unwind_insertion)
-    monkeypatch.setattr(enumeration, "_phi_inv_step", _unwind_insertion)
-    monkeypatch.setattr(bijections, "_phi_inv_code", read_insertion)
-    monkeypatch.setattr(enumeration, "_phi_inv_code", read_insertion)
+    monkeypatch.setattr(bijections, "_phi_inv_hstep", _unwind_insertion)
+    monkeypatch.setattr(enumeration, "_phi_inv_hstep", _unwind_insertion)
     report = verify_all(
         3, claims=["round_trip_phi", "round_trip_big_phi"], counterexample_limit=3
     )
@@ -710,17 +718,22 @@ def test_verify_reports_phi_inv_failures_verbatim(monkeypatch):
 
 
 # A size-3 input for the failure tests: the code (5, 3, 1), its insertion
-# image, the fully nested matching (1,6),(2,5),(3,4), and the step of the
-# harness's phi fold that makes its image: 5 on the offset image of (3, 1).
+# image, the fully nested matching (1,6),(2,5),(3,4), and the step of phi's
+# fold that makes its image: 5, with q = 3, on the history of the image of
+# (3, 1).  The fault tables below key a fault in phi's forward step
+# _phi_hstep as "_phi_step" and one in its unwinding step _phi_inv_hstep as
+# "_phi_inv_step".
 CODE, NESTED = (5, 3, 1), (6, 5, 4, 3, 2, 1)
-FOLD_STEP = (5, _offsets([3, 2, 1, 0]))
+FOLD_STEP = (5, 3, *_state([3, 2, 1, 0]))
 
 
-def _break_kernel(monkeypatch, kernel, trigger, wrong):
+def _break_kernel(monkeypatch, kernel, trigger, wrong, edit=None):
     """Give ``kernel`` the answer ``wrong(right answer)`` on the argument
     tuple ``trigger``, compared as the call passes it (a step kernel may
-    change its list argument in place), where it is defined and wherever
-    the harness's modules import it, as a fault in its source would."""
+    change its arguments in place), where it is defined and wherever the
+    harness's modules import it, as a fault in its source would.  ``edit``,
+    if given, is then called on the arguments, for a step that leaves them
+    wrong in place."""
     import sys
 
     import wedgematch.bijections as bijections
@@ -734,6 +747,8 @@ def _break_kernel(monkeypatch, kernel, trigger, wrong):
     def faulty(*args):
         hit = args == trigger
         out = right(*args)
+        if hit and edit is not None:
+            edit(*args)
         return wrong(out) if hit else out
 
     for module in {*holders, sys.modules[right.__module__]}:
@@ -752,9 +767,9 @@ def test_proposition_b_walks_components_against_the_table(monkeypatch):
     # same block sizes, and that comparison must fail.
     _break_kernel(
         monkeypatch,
-        "_phi_step",
-        (1, _offsets([3, 2, 1, 0])),
-        lambda d: _offsets([1, 0, 4, 5, 2, 3]),
+        "_phi_hstep",
+        (1, 3, *_state([3, 2, 1, 0])),
+        lambda s: _state([1, 0, 4, 5, 2, 3]),
     )
     report = verify_all(3, claims=["proposition_b"])
     assert report.to_json_value()["claims"]["proposition_b"] == {
@@ -767,23 +782,23 @@ def test_proposition_b_walks_components_against_the_table(monkeypatch):
     }
 
 
-# Every kernel the claims call through the harness on a passing run, with a
-# wrong answer for one input (see CODE above).  The code (3, 1) is the
-# leading code of a reducible node of size 3, whose first block phi's walk
-# makes.  The cut step that takes the path ESES to ESESES, whose three
-# components the cut kernel behind WedgePath.components finds, drops the
-# middle cut and keeps the last.  The first block end of NESTED is read
-# where it is a record's m and where it is an image, and its arc counts
-# where it is an image; as a record's m, its code read is broken, and its
-# arc counts come from the gap columns of its parent's m, (1,4),(2,3), whose
-# counts of arcs open across and closed before the gap NESTED's first edge
-# ends in are broken, one by each column step, which takes the column from
-# that of (1,2): [0, 1, 0] open, [0, 0, 1] closed.
-# The children's north steps and stacking totals, which that parent gives
-# as runs of rises from its own values 1 and 1, are broken at its first
-# child.  The unwinding step and the first stacking value are read by node
-# checks alone, which a fault in them fails while the rerun passes, so
-# they are tested on their own below.
+# Every kernel the claims call through the harness, with a wrong answer for
+# one input (see CODE above).  The code (3, 1) is the leading code of a
+# reducible node of size 3, whose first block phi's walk makes.  The cut
+# step that takes the path ESES to ESESES, whose three components the cut
+# kernel behind WedgePath.components finds, drops the middle cut and keeps
+# the last.  The first block end of NESTED is read where it is a record's
+# m and where it is an image, and its arc counts by the sweep where it is
+# an image, which only the full checks of a failed size's rerun do; as a
+# record's m, its code read is broken, and its arc counts come from the
+# gap columns of its parent's m, (1,4),(2,3), whose counts of arcs open
+# across and closed before the gap NESTED's first edge ends in are broken,
+# one by each column step, which takes the column from that of (1,2):
+# [0, 1, 0] open, [0, 0, 1] closed.  The children's north steps and
+# stacking totals, which that parent gives as runs of rises from its own
+# values 1 and 1, are broken at its first child.  The first stacking value
+# is read by node checks alone, which a fault in it fails while the rerun
+# passes, so it is tested on its own below, as is the unwinding step.
 def _other_partner(p):
     aligned = tuple(v + 1 if v % 2 else v - 1 for v in range(1, len(p) + 1))
     return aligned if p != aligned else tuple(range(len(p), 0, -1))
@@ -796,8 +811,8 @@ def _other_code(b):
 # name: (kernel, the arguments on which it answers wrongly, the wrong answer).
 KERNEL_FAULTS = {
     "_partner_from_code": ("_partner_from_code", (CODE,), _other_partner),
-    "_phi_step": ("_phi_step", FOLD_STEP, lambda d: _offsets([1, 0, 3, 2, 5, 4])),
-    "_phi_walk": ("_phi_walk", ((3, 1),), lambda d: _offsets([1, 0, 3, 2])),
+    "_phi_step": ("_phi_hstep", FOLD_STEP, lambda s: _state([1, 0, 3, 2, 5, 4])),
+    "_phi_walk": ("_phi_walk", ((3, 1),), lambda s: _state([1, 0, 3, 2])),
     "_arc_counts": ("_arc_counts", (NESTED,), lambda c: (c[0], c[1] + 1, c[2])),
     "_opened_step": ("_opened_step", ([0, 1, 0], 3), lambda gaps: [*gaps[:4], gaps[4] + 1]),
     "_closed_step": ("_closed_step", ([0, 0, 1], 3), lambda gaps: [*gaps[:4], gaps[4] + 1]),
@@ -810,9 +825,31 @@ KERNEL_FAULTS = {
 
 @pytest.mark.parametrize("kernel", sorted(KERNEL_FAULTS))
 def test_every_kernel_is_checked_by_some_claim(monkeypatch, kernel):
+    # A passing run reads the image's nestings as the sum of its ranks, so
+    # the arc-count sweep is read by the full checks alone.
     _break_kernel(monkeypatch, *KERNEL_FAULTS[kernel])
-    report = verify_all(3)
-    assert not report.passed, kernel
+    if kernel == "_arc_counts":
+        report = _full_report(monkeypatch, 3)
+    else:
+        report = verify_all(3).to_json_value()
+    assert not report["passed"], kernel
+
+
+def test_a_passing_run_counts_no_nestings_by_sweep(monkeypatch):
+    # Theorems 1 and 2 and the Dyck proposition read the image's nestings
+    # as the sum of its ranks (tests/test_bijections.py pins that sum to
+    # the arc-count sweep on every matching up to n=7): a passing run calls
+    # the sweep at no record.
+    import wedgematch.enumeration as enumeration
+    import wedgematch.matching as matching
+
+    def unreachable(*args):
+        raise AssertionError("a passing run counted arcs by the sweep")
+
+    for module in (matching, enumeration):
+        monkeypatch.setattr(module, "_arc_counts", unreachable)
+    payload = json.dumps(verify_all(5).to_json_value())
+    assert payload == json.dumps(passing_payload(5))
 
 
 def test_lemma1_sees_a_wrong_carried_step(monkeypatch):
@@ -1268,6 +1305,8 @@ NODE_CHECKED = (
     "round_trip_phi",
     "round_trip_phi_inv",
     "round_trip_big_phi",
+    "theorem2",
+    "theorem1",
     "proposition_b",
 )
 WHOLE_TREE = ("round_trip_phi_inv",)
@@ -1289,8 +1328,9 @@ def _full_report(monkeypatch, n, claims=None):
         return verify_all(n, claims=claims).to_json_value()
 
 
-# Faults for the differential test, as (kernel, trigger, wrong answer): none,
-# then kernels broken at a record of size 3, at depth 2 only, in the first
+# Faults for the differential test, as (kernel, trigger, wrong answer), and
+# for an in-place step what it edits (see _break_kernel): none, then kernels
+# broken at a record of size 3, at depth 2 only, in the first
 # block end of NESTED (named for the fold the full check runs) and of
 # (1,4),(2,3) at depth 2, in the code read, in the first stacking value
 # (of (1,4),(2,3) at depth 2, and of the fully nested matching of size 4,
@@ -1303,20 +1343,21 @@ def _full_report(monkeypatch, n, claims=None):
 # keeps every block end of (1,2),(3,5),(4,6) but not the last block, one
 # that keeps the block ends and last block of (1,4),(2,3),(5,6) but not the
 # first block, whose code is then no longer the leading code, and an
-# unwinding step whose "parent" is no matching, yet one surgery step takes
-# it back to its input.
+# unwinding step that leaves a "parent" that is no matching, its last
+# closer's rank one too high, in place.  The unwinding steps answer the
+# first edge's end r as 1 at NESTED and at (1,4),(2,3).
 DIFFERENTIAL_FAULTS = {
     "none": None,
     "_phi_step": KERNEL_FAULTS["_phi_step"],
-    "_phi_step_depth_2": ("_phi_step", (3, _offsets([1, 0])), lambda d: _offsets([1, 0, 3, 2])),
+    "_phi_step_depth_2": ("_phi_hstep", (3, 1, *_state([1, 0])), lambda s: _state([1, 0, 3, 2])),
     "_phi_inv_step": (
-        "_phi_inv_step",
-        (_offsets([v - 1 for v in NESTED]),),
+        "_phi_inv_hstep",
+        (5, *_state([v - 1 for v in NESTED])),
         lambda step: (1, step[1]),
     ),
     "_phi_inv_step_depth_2": (
-        "_phi_inv_step",
-        (_offsets([3, 2, 1, 0]),),
+        "_phi_inv_hstep",
+        (3, *_state([3, 2, 1, 0])),
         lambda step: (1, step[1]),
     ),
     "_blocks": KERNEL_FAULTS["_blocks"],
@@ -1329,8 +1370,8 @@ DIFFERENTIAL_FAULTS = {
     "_cut_step_depth_2": ("_cut_step", ([0], 1, 2), lambda cuts: [0]),
     "_cut_step_irreducible": ("_cut_step", ([0], 3, 2), lambda cuts: [0, 1]),
     "_rises": KERNEL_FAULTS["_rises"],
-    # The partners 7 and 6 appended at vertices 6 and 7 are the offsets 1, -1.
-    "_phi_step_longer": ("_phi_step", FOLD_STEP, lambda d: [*d, 1, -1]),
+    # The arc (7,8) appended: an opener and a closer of rank 0.
+    "_phi_step_longer": ("_phi_hstep", FOLD_STEP, lambda s: (s[0] + b"\1\0", s[1] + [-1, 0])),
     "_partner_from_code": ("_partner_from_code", ((1, 1, 1),), lambda p: (2, 1, 5, 6, 3, 4)),
     "_partner_from_code_last_block": (
         "_partner_from_code",
@@ -1343,9 +1384,10 @@ DIFFERENTIAL_FAULTS = {
         lambda p: (3, 4, 1, 2, 6, 5),
     ),
     "_phi_inv_step_not_a_matching": (
-        "_phi_inv_step",
-        (_offsets([5, 6, 4, 7, 2, 0, 1, 3]),),
-        lambda step: (step[0], _offsets([1, 4, 4, 5, 0, 0])),
+        "_phi_inv_hstep",
+        (5, *_state([5, 6, 4, 7, 2, 0, 1, 3])),
+        lambda step: step,
+        lambda r, w, h: h.__setitem__(-1, h[-1] + 1),
     ),
 }
 
@@ -1407,37 +1449,37 @@ UNWINDING_STEP_FAULTS = {"_phi_inv_step": 3, "_phi_inv_step_depth_2": 4}
 
 
 @pytest.mark.parametrize("fault", sorted(UNWINDING_STEP_FAULTS))
-def test_the_unwinding_step_is_read_by_the_node_checks_alone(monkeypatch, fault):
-    # The walk behind phi_inv unwinds in history form and calls no step, so
-    # a wrong unwinding step fails round_trip_phi's node check only at the
-    # node whose image it unwinds wrongly.  The rerun's full checks unwind
-    # with the correct walk, so they all pass, and the report is the
-    # passing one.
+def test_a_wrong_unwinding_step_fails_an_exhaustive_run(monkeypatch, fault):
+    # The walk behind phi_inv is the fold of the unwinding step that the
+    # node checks run, so a wrong step fails round_trip_phi's node check
+    # at the node whose image it unwinds wrongly, and then the rerun's full
+    # checks, which unwind with the same step, at the records that unwind
+    # that image: the report is a failing one, and the full checks' own.
     import wedgematch.enumeration as enumeration
 
     _break_kernel(monkeypatch, *DIFFERENTIAL_FAULTS[fault])
     n = UNWINDING_STEP_FAULTS[fault]
-    trigger = DIFFERENTIAL_FAULTS[fault][1][0]
+    trigger = DIFFERENTIAL_FAULTS[fault][1][1:]
     node = enumeration._CLAIMS_BY_LABEL["round_trip_phi"].node
     assert [f.image for f in _code_tree(n) if not node(f)] == [trigger]
     passes = _record_passes(monkeypatch)
-    assert verify_all(n).to_json_value() == passing_payload(n)
+    report = verify_all(n).to_json_value()
     assert passes == [[False, [()]], [False, [()]]]
+    assert not report["passed"]
+    assert report == _full_report(monkeypatch, n)
 
 
-def test_the_unwinding_walk_is_read_by_the_full_checks_alone(monkeypatch):
-    # A passing run unwinds each image with the step alone and calls the
-    # walk behind phi_inv nowhere; the differential tests of the walks
-    # against the step folds (tests/test_bijections.py) tie the two.  The
-    # full checks, which a failing node check sends a size to, unwind with
-    # the walk, so a wrong code for NESTED fails the three round trips at
-    # the records that unwind it: the one whose image is NESTED, and the
-    # one whose m is.
-    _break_kernel(monkeypatch, "_phi_inv_code", (_offsets([v - 1 for v in NESTED]),), _other_code)
-    assert verify_all(3).passed
-    full = _full_report(monkeypatch, 3)["claims"]
+def test_a_wrong_unwinding_step_on_nested_fails_verify_3(monkeypatch):
+    # The unwinding step answers the end of the first edge of the
+    # irreducible NESTED as 1, so phi_inv unwinds NESTED to the code
+    # (1, 1, 1), not (5, 1, 1): the three round trips fail at the records
+    # that unwind it, the one whose image is NESTED and the one whose m is.
+    # This is the step the node checks unwind with, so the fault fails an
+    # exhaustive run, not only the full checks.
+    _break_kernel(monkeypatch, *DIFFERENTIAL_FAULTS["_phi_inv_step"])
+    claims = verify_all(3).to_json_value()["claims"]
     back = "comes back as (1,2),(3,4),(5,6)"
-    failed = {label: c["counterexamples"] for label, c in full.items() if c["failed"]}
+    failed = {label: c["counterexamples"] for label, c in claims.items() if c["failed"]}
     assert failed == {
         "round_trip_phi": [f"M=(1,6),(2,3),(4,5): {back}"],
         "round_trip_phi_inv": [f"M=(1,6),(2,5),(3,4): {back}"],
@@ -1510,10 +1552,10 @@ def test_a_passing_size_decides_in_one_pass(monkeypatch):
     reason="the pool's workers inherit the broken kernel only when forked",
 )
 def test_a_failing_size_reruns_on_the_process_pool(monkeypatch):
-    # Each fault breaks the harness's fold, not phi's own walk, at one node
-    # of depth 3, the depth n=6's cells fix: (5, 3, 1), in the last of the 15
-    # cells, (4, 3, 1), in the one before, or (1, 1, 1), in the first.  So
-    # that cell alone fails a node check, round_trip_phi's.
+    # Each fault breaks phi's forward step at one node of depth 3, the
+    # depth n=6's cells fix: (5, 3, 1), in the last of the 15 cells,
+    # (4, 3, 1), in the one before, or (1, 1, 1), in the first.  So that
+    # cell alone fails a node check, round_trip_phi's.
     # The size must then be rerun in full on the pool as well, and the two
     # round trips that unwind the image report as their full checks do (on
     # one worker too, as the node/full differential test requires).  The
@@ -1522,22 +1564,17 @@ def test_a_failing_size_reruns_on_the_process_pool(monkeypatch):
     # first cell fails.
     import wedgematch.enumeration as enumeration
 
-    step = enumeration._phi_step
     claims = ("round_trip_phi", "round_trip_big_phi")
     monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 2)
-    for b1, parent, wrong, failing in (
-        (5, [3, 2, 1, 0], [1, 0, 3, 2, 5, 4], 14),
-        (4, [3, 2, 1, 0], [1, 0, 3, 2, 5, 4], 13),
-        (1, [1, 0, 3, 2], [3, 2, 1, 0, 5, 4], 0),
+    for b1, q, parent, wrong, failing in (
+        (5, 3, [3, 2, 1, 0], [1, 0, 3, 2, 5, 4], 14),
+        (4, 3, [3, 2, 1, 0], [1, 0, 3, 2, 5, 4], 13),
+        (1, 1, [1, 0, 3, 2], [3, 2, 1, 0, 5, 4], 0),
     ):
-
-        def faulty(*args, trigger=(b1, _offsets(parent)), wrong=_offsets(wrong)):
-            hit = args == trigger
-            image = step(*args)
-            return wrong if hit else image
-
         with monkeypatch.context() as patch:
-            patch.setattr(enumeration, "_phi_step", faulty)
+            _break_kernel(
+                patch, "_phi_hstep", (b1, q, *_state(parent)), lambda s, p=wrong: _state(p)
+            )
             cells = [enumeration._Cell(6, prefix, claims, 10) for prefix in _cells(6)]
             assert [i for i, c in enumerate(cells) if enumeration._run_cell(c) is None] == [
                 failing
@@ -1573,8 +1610,8 @@ def test_one_and_two_workers_run_the_same_cells(monkeypatch):
 
 
 # sha256 of json.dumps(verify_all(6).to_json_value()) under the fault
-# DIFFERENTIAL_FAULTS["_phi_step_depth_2"]: 5,855 bytes.
-FAILING_PAYLOAD_SHA256 = "6f4ebbede53999ec5218e8579c0e861a49eab1f919fad927ab338be21e4a2c71"
+# DIFFERENTIAL_FAULTS["_phi_step_depth_2"]: 6,843 bytes.
+FAILING_PAYLOAD_SHA256 = "9e377bc9494ed52f9608903bff61003435569cd8c58067788624934cfef4bc99"
 
 
 @pytest.mark.parametrize(
@@ -1594,10 +1631,9 @@ def test_a_failing_multi_cell_payload_is_pinned(monkeypatch, workers):
     # The fault fails every path through one node of depth 2, a third of
     # n=6: the five cells whose paths start a_2 = 1.  The whole payload
     # then pins how their counterexamples merge, in stream order, on one
-    # worker and on the pool alike.  The walks behind phi and phi_inv call
-    # no step, so the full checks that read them, proposition_b's block walk
-    # and round_trip_phi_inv's, see the wrong images as wrong, or not at
-    # all.
+    # worker and on the pool alike.  The walks behind phi and phi_inv fold
+    # the same step, so the full checks that walk, proposition_b's block
+    # walk and round_trip_phi_inv's, meet the fault too.
     import wedgematch.enumeration as enumeration
 
     _break_kernel(monkeypatch, *DIFFERENTIAL_FAULTS["_phi_step_depth_2"])
@@ -1606,13 +1642,14 @@ def test_a_failing_multi_cell_payload_is_pinned(monkeypatch, workers):
     failed = {label: c["failed"] for label, c in report["claims"].items() if c["failed"]}
     assert failed == {
         "round_trip_phi": 3465,
+        "round_trip_phi_inv": 3465,
         "round_trip_big_phi": 3465,
         "theorem2": 2772,
         "theorem1": 2772,
-        "proposition_b": 3465,
+        "proposition_b": 3206,
     }
     payload = json.dumps(report).encode()
-    assert len(payload) == 5855
+    assert len(payload) == 6843
     assert hashlib.sha256(payload).hexdigest() == FAILING_PAYLOAD_SHA256
 
 
@@ -1654,13 +1691,20 @@ def test_one_cell_equals_the_merge_of_the_pool_cells(monkeypatch, fault, full):
             assert whole == _merge(pieces, limit), (fault, n)
 
 
+def _rank_at_first_vertex(s):
+    """A history that is no matching: vertex 1 holds the rank 5 where w
+    opens it."""
+    w, h = s
+    return w, [5, *h[1:]]
+
+
 # Wrong answers that are no matching: the insertion image of the code
 # (1, 1, 1), and the phi image made by the step that puts the edge (1,2) in
 # front of (1,2),(3,4).  In both, the node's image still unwinds one step
-# to its parent's.
+# to its parent's.  Each is (kernel, trigger, wrong answer).
 NOT_A_MATCHING = {
-    "_partner_from_code": (((1, 1, 1),), lambda p: (2, 1, 4, 1, 6, 5)),
-    "_phi_step": ((1, _offsets([1, 0, 3, 2])), lambda d: _offsets([1, 1, 3, 2, 5, 4])),
+    "_partner_from_code": ("_partner_from_code", ((1, 1, 1),), lambda p: (2, 1, 4, 1, 6, 5)),
+    "_phi_step": ("_phi_hstep", (1, 1, *_state([1, 0, 3, 2])), _rank_at_first_vertex),
 }
 
 
@@ -1677,10 +1721,8 @@ def test_is_matching_equals_the_generator(base):
     # Every tuple of length up to 6 over the values -2..len+1: negative
     # values must fail the range test, not wrap around as indexes.  Base 1
     # is a partner tuple, for _is_matching; base 0 is a 0-based partner
-    # list, given as offsets and converted as the harness converts its
-    # images before it tests them, which then meets every zero offset and
-    # offsets up to two past either end.
-    from wedgematch.bijections import _partners
+    # list, tested as its 1-based tuple, which then meets values from -1 to
+    # two past the end.
     from wedgematch.enumeration import _is_matching
 
     for size in range(7):
@@ -1688,9 +1730,31 @@ def test_is_matching_equals_the_generator(base):
             if base:
                 assert _is_matching(p) == _is_matching_by_generator(p, 1), p
             else:
-                assert _is_matching(_partners(_offsets(p))) == _is_matching_by_generator(p, 0), p
-    # The harness's images are offset lists.
-    assert _is_matching(_partners([1, -1])) and not _is_matching(_partners(_offsets([-1, 0])))
+                assert _is_matching(tuple([v + 1 for v in p])) == _is_matching_by_generator(p, 0), p
+
+
+def test_a_history_converts_to_a_matching_exactly_when_it_is_one():
+    # The harness tests each image, a history (w, h), by whether its
+    # partner tuple holds a 0, and its node checks then read w and h as a
+    # matching's history.  So the conversion must give a matching exactly
+    # when the pair is the history of one, w included, and a 0 exactly
+    # when it gives no matching: on every pair of length up to 4 with w's
+    # bytes in 0..2 and h's entries in -2..4.
+    from wedgematch.bijections import _history, _partners
+    from wedgematch.enumeration import _is_matching
+
+    histories = 0
+    for size in range(5):
+        for w in itertools.product(range(3), repeat=size):
+            for h in itertools.product(range(-2, 5), repeat=size):
+                w_, h_ = bytearray(w), list(h)
+                p = _partners(w_, h_)
+                assert _is_matching(p) == (0 not in p), (w, h)
+                if _is_matching(p):
+                    assert _history(p) == (w_, h_), (w, h)
+                    histories += 1
+    # The histories of size up to 4 are the matchings of n = 0, 1, 2.
+    assert histories == 1 + 1 + 3
 
 
 @pytest.mark.parametrize("kernel", sorted(NOT_A_MATCHING))
@@ -1700,7 +1764,7 @@ def test_phi_inv_node_check_requires_matchings(monkeypatch, kernel):
     # record's m are matchings: here one step of unwinding alone passes.
     import wedgematch.enumeration as enumeration
 
-    _break_kernel(monkeypatch, kernel, *NOT_A_MATCHING[kernel])
+    _break_kernel(monkeypatch, *NOT_A_MATCHING[kernel])
     node = enumeration._CLAIMS_BY_LABEL["round_trip_phi_inv"].node
     nodes = list(_code_tree(3))
     (record,) = [f for f in nodes if f.b == (1, 1, 1)]
@@ -1715,7 +1779,7 @@ def test_a_bad_image_is_reported_not_raised(monkeypatch, capsys):
     # exits 1, the code for a failed claim, not 3, the code for bad input.
     from wedgematch.cli import main
 
-    _break_kernel(monkeypatch, "_partner_from_code", *NOT_A_MATCHING["_partner_from_code"])
+    _break_kernel(monkeypatch, *NOT_A_MATCHING["_partner_from_code"])
     claims = verify_all(3).to_json_value()["claims"]
     assert {label for label, result in claims.items() if result["failed"]} == {
         "cardinality_matchings",
@@ -1724,28 +1788,28 @@ def test_a_bad_image_is_reported_not_raised(monkeypatch, capsys):
     }
     assert claims["round_trip_phi_inv"]["counterexamples"] == [
         "M=partners(2, 1, 4, 1, 6, 5): does not unwind: "
-        "offset list is no perfect matching at vertex 3"
+        "partner table is no perfect matching at vertex 3"
     ]
     assert main(["verify", "3"]) == 1
     assert "result: FAIL" in capsys.readouterr().out
 
 
 def test_an_image_the_arc_count_refuses_is_reported_not_raised(monkeypatch, capsys):
-    # The surgery step that puts the edge (1,2) in front of (1,2) answers
-    # [-1, 0, 3, 2], whose image (0, 1, 4, 3) closes vertex 1 while no arc
-    # is open.  The arc count refuses it as no matching, and the claims
+    # The surgery step that puts the edge (1,2) in front of (1,2) answers a
+    # history whose vertex 1 holds a rank where w opens it, so that vertex
+    # 2 then closes while no arc is open: its image (0, 0, 4, 3) pairs
+    # neither.  The arc count refuses it as no matching, and the claims
     # that count its nestings report the refusal, each run alone too.
-    # round_trip_phi_inv walks each record's m both ways and calls no step,
-    # so it passes.  So the command exits 1, the code for a failed claim,
-    # not 3, the code for bad input, with nothing on stderr.
+    # round_trip_phi_inv walks each record's m both ways with the same
+    # step, so it fails too.  So the command exits 1, the code for a failed
+    # claim, not 3, the code for bad input, with nothing on stderr.
     from wedgematch.cli import main
 
-    _break_kernel(
-        monkeypatch, "_phi_step", (1, _offsets([1, 0])), lambda d: _offsets([-1, 0, 3, 2])
-    )
+    _break_kernel(monkeypatch, "_phi_hstep", (1, 1, *_state([1, 0])), _rank_at_first_vertex)
     claims = verify_all(2).to_json_value()["claims"]
     assert {label for label, result in claims.items() if result["failed"]} == {
         "round_trip_phi",
+        "round_trip_phi_inv",
         "round_trip_big_phi",
         "theorem2",
         "theorem1",
@@ -1753,7 +1817,7 @@ def test_an_image_the_arc_count_refuses_is_reported_not_raised(monkeypatch, caps
         "proposition_b",
         "dyck_proposition",
     }
-    refusal = "not counted: partner table closes an arc it never opened: (0, 1, 4, 3)"
+    refusal = "not counted: partner table closes an arc it never opened: (0, 0, 4, 3)"
     assert claims["theorem1"]["counterexamples"] == [f"P=ESES: north=0 nestings={refusal}"]
     assert claims["theorem2"]["counterexamples"] == [
         f"M=(1,2),(3,4): stacking=0 nestings={refusal} first_edge_kept=False"
@@ -1841,28 +1905,31 @@ def test_a_code_read_of_no_matching_is_reported_not_raised(monkeypatch, capsys):
 
 
 def test_an_image_that_does_not_unwind_is_reported_not_raised(monkeypatch, capsys):
-    # The surgery step that puts the edge (1,3) in front of (1,2) answers
-    # the non-matching [2, 2, 0, 0], which the unwinding step refuses as
-    # corrupted input, and the walk behind phi_inv as no perfect matching.
-    # The claims that unwind it report the walk's refusal as a failure;
-    # round_trip_phi_inv walks each record's m both ways and calls no step,
-    # so it passes.  So the command exits 1, the code for a failed claim,
-    # not 3, the code for bad input.
+    # The surgery step that puts the edge (1,3) in front of (1,2) answers a
+    # history whose first closer has the rank 2 while two arcs are open,
+    # which is no matching: its image (4, 0, 0, 1) pairs vertex 1 alone,
+    # and the walk behind phi_inv refuses it as no perfect matching.
+    # The claims that unwind it report the walk's refusal as a failure, and
+    # those that read the image as a matching fail.  proposition_b's walks
+    # of the blocks fold the same step, so they agree with the image, and
+    # it passes.  So the command exits 1, the code for a failed claim, not
+    # 3, the code for bad input.
     from wedgematch.cli import main
 
     _break_kernel(
-        monkeypatch, "_phi_step", (2, _offsets([1, 0])), lambda d: _offsets([2, 2, 0, 0])
+        monkeypatch, "_phi_hstep", (2, 1, *_state([1, 0])), lambda s: (s[0], [-1, -1, 2, 0])
     )
     claims = verify_all(2).to_json_value()["claims"]
     assert {label for label, result in claims.items() if result["failed"]} == {
         "round_trip_phi",
+        "round_trip_phi_inv",
         "round_trip_big_phi",
         "theorem2",
         "theorem1",
-        "proposition_b",
+        "proposition_a",
         "dyck_proposition",
     }
-    refusal = "does not unwind: offset list is no perfect matching at vertex 2"
+    refusal = "does not unwind: partner table is no perfect matching at vertex 2"
     assert claims["round_trip_phi"]["counterexamples"] == [f"M=(1,3),(2,4): {refusal}"]
     assert claims["round_trip_big_phi"]["counterexamples"] == [f"P=EESS: {refusal}"]
     for label in ("round_trip_phi", "round_trip_big_phi"):
@@ -1998,14 +2065,14 @@ def test_the_fold_runs_once_per_node_and_only_when_read(monkeypatch, claims):
     # the harness's own fold is counted, not the walks of phi's kernel.
     import wedgematch.enumeration as enumeration
 
-    step = enumeration._phi_step
+    step = enumeration._phi_hstep
     calls = []
 
-    def counting(b1, p):
+    def counting(b1, q, w, h):
         calls.append(b1)
-        return step(b1, p)
+        return step(b1, q, w, h)
 
-    monkeypatch.setattr(enumeration, "_phi_step", counting)
+    monkeypatch.setattr(enumeration, "_phi_hstep", counting)
     assert verify_all(6, claims=claims).passed
     assert len(calls) == (0 if claims else CELL_NODES_6)
 
